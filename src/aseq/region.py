@@ -12,6 +12,7 @@ factors over the declared hypothesis.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,12 +103,42 @@ def enumerate_vertices(poly: ConstraintPolytope, tol: float = VERTEX_TOL) -> np.
         if poly.budget_matrix.shape[0] and np.any(
                 poly.budget_matrix @ x > poly.budget_rhs + tol):
             continue
-        x = np.where(np.abs(x) < tol, 0.0, x)
-        if all(np.max(np.abs(x - v)) > tol for v in found):
-            found.append(x)
+        found.append(np.where(np.abs(x) < tol, 0.0, x))
     if not found:
         raise InfeasiblePolytope("constraint set has no vertices; inputs malformed")
-    return np.array(sorted(found, key=tuple))
+    return np.array(sorted(_unique_rows(np.array(found), tol), key=tuple))
+
+
+def _unique_rows(points: np.ndarray, tol: float) -> np.ndarray:
+    """Rows in input order, each dropped when it lies within ``tol``
+    (max-abs) of an earlier kept row."""
+    # A repeat of an earlier row is always dropped, so only first copies need
+    # the pairwise test; without this, k copies would make k^2/2 close pairs.
+    first = np.sort(np.unique(points, axis=0, return_index=True)[1])
+    points = points[first]
+    n, d = points.shape
+    # Close rows differ by at most tol * sum(w) along w (plus rounding), so in
+    # projection order they sit within a short window; widen it until empty.
+    w = np.sqrt(np.arange(2.0, d + 2.0))
+    reach = w.sum() * (tol + 4 * d * np.finfo(float).eps * np.abs(points).max(initial=0.0))
+    proj = points @ w
+    order = np.argsort(proj, kind="stable")
+    proj = proj[order]
+    pairs = [np.zeros((0, 2), dtype=np.intp)]
+    for gap in range(1, n):
+        near = np.flatnonzero(proj[gap:] - proj[:-gap] <= reach)
+        if near.size == 0:
+            break
+        a, b = order[near], order[near + gap]
+        close = np.max(np.abs(points[a] - points[b]), axis=1) <= tol
+        pairs.append(np.sort(np.stack([a[close], b[close]], axis=1), axis=1))
+    pairs = np.concatenate(pairs)
+    pairs = pairs[np.argsort(pairs[:, 1], kind="stable")]
+    keep = np.ones(n, dtype=bool)
+    later, starts = np.unique(pairs[:, 1], return_index=True)
+    for j, earlier in zip(later, np.split(pairs[:, 0], starts[1:])):
+        keep[j] = not keep[earlier].any()
+    return points[keep]
 
 
 @dataclass(frozen=True)
@@ -162,20 +193,22 @@ def _corner_lp_contains(corners: np.ndarray, e: np.ndarray, tol: float = 1e-9) -
 
 
 def _pareto_max(points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    keep = []
-    for i, p in enumerate(points):
-        dominated = False
-        for j, q in enumerate(points):
-            if j != i and np.all(q >= p - tol) and np.any(q > p + tol):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-    uniq: list[np.ndarray] = []
-    for i in keep:
-        if all(np.max(np.abs(points[i] - u)) > tol for u in uniq):
-            uniq.append(points[i])
-    return np.array(uniq) if uniq else points[:1] * 0.0
+    """Planar points no other point dominates, near-repeats removed.
+
+    q dominates p when q >= p - tol in both coordinates and q > p + tol in
+    one. As q > p + tol implies q >= p - tol in that coordinate, p is
+    dominated iff some q with qx > px + tol has qy >= py - tol, or some q
+    with qy > py + tol has qx >= px - tol: suffix maxima over each sort.
+    """
+    dominated = np.zeros(len(points), dtype=bool)
+    for a in (0, 1):
+        order = np.argsort(points[:, a], kind="stable")
+        other = points[order, 1 - a]
+        best = np.append(np.maximum.accumulate(other[::-1])[::-1], -np.inf)
+        above = np.searchsorted(points[order, a], points[:, a] + tol, side="right")
+        dominated |= best[above] >= points[:, 1 - a] - tol
+    uniq = _unique_rows(points[~dominated], tol)
+    return uniq if len(uniq) else points[:1] * 0.0
 
 
 def _staircase_2d(corners: np.ndarray):
@@ -219,22 +252,14 @@ def _staircase_2d(corners: np.ndarray):
     boundary_arr = np.array(dedup)
     verts = np.array(chain + [np.zeros(2), np.array([xmax, 0.0]),
                               np.array([0.0, ymax])])
-    return tuple(facets), _pareto_unique(verts), boundary_arr
-
-
-def _pareto_unique(points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    uniq: list[np.ndarray] = []
-    for p in points:
-        if all(np.max(np.abs(p - u)) > tol for u in uniq):
-            uniq.append(p)
-    return np.array(uniq)
+    return tuple(facets), _unique_rows(verts, 1e-12), boundary_arr
 
 
 def _masked_points(corners: np.ndarray) -> np.ndarray:
     d = corners.shape[1]
     masks = np.array(list(itertools.product([0.0, 1.0], repeat=d)))
     pts = (corners[:, None, :] * masks[None, :, :]).reshape(-1, d)
-    return _pareto_unique(pts, tol=1e-12)
+    return _unique_rows(pts, 1e-12)
 
 
 def region_polytope(table: DivergenceTable, poly: ConstraintPolytope, m: int) -> PerMRegion:
@@ -260,29 +285,19 @@ def region_polytope(table: DivergenceTable, poly: ConstraintPolytope, m: int) ->
 
 def _hull_facets(corners: np.ndarray):
     """Exact hull of the masked corner cloud in dimension >= 3 via qhull."""
+    from scipy.spatial import ConvexHull, QhullError  # deferred: slow import
+
     pts = _masked_points(corners)
     pts = np.vstack([np.zeros((1, corners.shape[1])), pts])
     try:
-        from scipy.spatial import ConvexHull  # deferred; optional at runtime
-
         hull = ConvexHull(pts)
-    except Exception:
-        return None, _pareto_unique(pts)
-    facets = []
-    for eqn in hull.equations:
-        n, b = eqn[:-1], -eqn[-1]
-        norm = float(np.linalg.norm(n))
-        facets.append((tuple(float(v) for v in n / norm), float(b / norm)))
-    return tuple(_dedup_facets(facets)), pts[hull.vertices]
-
-
-def _dedup_facets(facets):
-    out = []
-    for n, b in facets:
-        if all(max(abs(a - c) for a, c in zip(n, n2)) > 1e-9 or abs(b - b2) > 1e-9
-               for n2, b2 in out):
-            out.append((n, b))
-    return out
+    except QhullError:  # flat cloud: membership falls back to the corner LP
+        return None, _unique_rows(pts, 1e-12)
+    eqs = hull.equations
+    norms = np.array([np.linalg.norm(n) for n in eqs[:, :-1]])
+    rows = _unique_rows(np.column_stack([eqs[:, :-1], -eqs[:, -1]]) / norms[:, None], 1e-9)
+    facets = tuple((tuple(float(v) for v in r[:-1]), float(r[-1])) for r in rows)
+    return facets, pts[hull.vertices]
 
 
 @dataclass(frozen=True)
@@ -705,13 +720,12 @@ def constraint_grid(poly: ConstraintPolytope, step: float = 0.02,
                     max_points: int = 500_000) -> np.ndarray:
     """Feasible selection frequencies on a per-availability-set simplex grid."""
     n_a = poly.actions.size
-    per_set = []
-    for zi, alpha in enumerate(poly.avail.probs):
-        per_set.append(_simplex_grid(n_a, step) * float(alpha))
-    total = int(np.prod([len(g) for g in per_set]))
+    n_z = len(poly.avail.probs)
+    # Size the grid before building it: one simplex grid has C(units+k-1, k-1) rows.
+    total = math.comb(max(1, round(1.0 / step)) + n_a - 1, n_a - 1) ** n_z
     if total > max_points:
         raise ValueError(f"grid of {total} points exceeds cap; coarsen the step")
-    n_z = len(per_set)
+    per_set = [_simplex_grid(n_a, step) * float(alpha) for alpha in poly.avail.probs]
     out = np.zeros((total, n_a * n_z))
     for row, combo in enumerate(itertools.product(*per_set)):
         beta = np.stack(combo, axis=1)  # (n_a, n_z)

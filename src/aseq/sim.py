@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .divergence import DivergenceTable, build_instance_table
 from .errors import TrialBudgetExceeded
@@ -86,7 +86,7 @@ def wilson_interval(k: int, n: int, level: float = 0.95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if n == 0:
         return 0.0, 1.0
-    z = float(norm.ppf(0.5 + level / 2.0))
+    z = float(ndtri(0.5 + level / 2.0))
     phat = k / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -204,32 +204,38 @@ class FitEntry:
 
 
 def fit_exponents(report: ExperimentReport) -> dict[tuple[int, int], FitEntry]:
-    """Least-squares decay rates of -log pi_hat against T, per error type.
+    """Least-squares decay rates of -log pi_hat against T, per error type."""
+    counts = {key: cell.declared for key, cell in report.cells.items()}
+    return _fit_counts(counts, report.M, range(report.M), report.config.ci_level)
+
+
+def _fit_counts(counts: dict[tuple[float, int], np.ndarray], M: int,
+                truths, ci_level: float) -> dict[tuple[int, int], FitEntry]:
+    """Decay rates from declared-hypothesis counts per (T, truth) cell.
 
     Cells need an observed error count and a Wilson interval narrower than
     the estimate itself to enter the regression; pairs with fewer than three
     usable cells fall back to a conservative lower bound from their zero- or
     low-count cells ((errors+1)/N), or are marked insufficient.
     """
-    cfg = report.config
-    M = report.M
+    T_grid = sorted({T for T, _ in counts})
     out: dict[tuple[int, int], FitEntry] = {}
     for m in range(M):
-        for truth in range(M):
+        for truth in truths:
             if truth == m:
                 continue
             xs, ys = [], []
             bound = -np.inf
-            for T in cfg.T_grid:
-                cell = report.cells.get((T, truth))
-                if cell is None or cell.n_valid == 0:
+            for T in T_grid:
+                declared = counts.get((T, truth))
+                n = 0 if declared is None else int(np.sum(declared))
+                if n == 0:
                     continue
-                k = int(cell.declared[m])
-                n = cell.n_valid
+                k = int(declared[m])
                 bound = max(bound, math.log(n / (k + 1)) / T)
                 if k == 0:
                     continue
-                lo, hi = wilson_interval(k, n, cfg.ci_level)
+                lo, hi = wilson_interval(k, n, ci_level)
                 if hi - lo >= k / n:
                     continue
                 xs.append(T)
@@ -270,7 +276,7 @@ def verify_constraints(report: ExperimentReport, confidence: float = 0.99
                        ) -> list[ConstraintCheck]:
     """One-sided upper-confidence checks of the stopping-time and budget
     constraints for every simulated cell."""
-    z = float(norm.ppf(confidence))
+    z = float(ndtri(confidence))
     inst = report.config.instance
     checks: list[ConstraintCheck] = []
     for (T, truth), cell in sorted(report.cells.items()):
@@ -288,7 +294,7 @@ def verify_constraints(report: ExperimentReport, confidence: float = 0.99
             ucb_c = mean_c + z * math.sqrt(var_c / n)
             limit = float(inst.budgets.rates[i]) * T
             checks.append(ConstraintCheck(T, truth, f"budget_{i}",
-                                          ucb_c, limit, ucb_c <= limit))
+                                          float(ucb_c), limit, bool(ucb_c <= limit)))
     return checks
 
 

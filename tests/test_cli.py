@@ -1,5 +1,7 @@
 import csv
+import itertools
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +95,11 @@ def test_exponents_from_csv(tmp_path, capsys):
     fits = json.loads(fit_out.read_text())
     assert all(f["kind"] in ("fit", "lower_bound", "insufficient") for f in fits)
     assert len(fits) == 6
+    # The file-based fit and the run's summary come from one fitter.
+    summary = json.loads((tmp_path / "runs_summary.json").read_text())
+    assert [(f["declared"], f["truth"], f["kind"], f["slope"]) for f in fits] == [
+        (f["declared"], f["truth"], f["kind"], f["slope"])
+        for f in summary["fitted_exponents"]]
 
 
 def test_slice_csv_families(tmp_path):
@@ -110,3 +117,42 @@ def test_slice_csv_families(tmp_path):
 
 def test_slice_bad_spec():
     assert main(["region", "--model", MODEL, "--slice", "q=0.1"]) == 2
+
+
+def test_simulate_budgeted_model(tmp_path):
+    cfg = json.loads(Path(MODEL).read_text())
+    cfg["budgets"] = [{"coeff": [1, 1], "rate": 0.8}]
+    model = tmp_path / "budgeted.json"
+    model.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "runs.csv"
+    assert main(["simulate", "--model", str(model), "--T", "6", "--trials", "200",
+                 "--seed", "5", "--epsilon", "0", "--out", str(out)]) == 0
+    assert "budget_0_usage" in out.read_text().splitlines()[0]
+    summary = json.loads((tmp_path / "runs_summary.json").read_text())
+    budget = [c for c in summary["constraint_checks"] if c["name"] == "budget_0"]
+    assert len(budget) == 3
+    assert all(isinstance(c["ok"], bool) for c in budget)
+
+
+def _many_action_model():
+    # Four binary sources, every action (16 with the empty one), two
+    # availability sets and a budget: the polytope has 1272 vertices.
+    pmfs = [[0.2, 0.35, 0.5, 0.65], [0.8, 0.3, 0.6, 0.45], [0.4, 0.7, 0.25, 0.55]]
+    return {"M": 3, "n": 4, "alphabets": [2] * 4,
+            "hypotheses": [{"independent": [[p, 1 - p] for p in row]} for row in pmfs],
+            "availability": [{"subset": [1, 2, 3, 4], "prob": 0.6},
+                             {"subset": [1, 2], "prob": 0.4}],
+            "actions": [list(s) for r in range(1, 5)
+                        for s in itertools.combinations(range(1, 5), r)],
+            "budgets": [{"coeff": [1, 1, 1, 1], "rate": 1.5}]}
+
+
+def test_slice_grid_too_large_exits_1(tmp_path, capsys):
+    model = tmp_path / "many.json"
+    model.write_text(json.dumps(_many_action_model()), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["region", "--model", str(model), "--slice", "e2=0.3",
+                 "--out", str(tmp_path / "slice.csv")]) == 1
+    assert time.perf_counter() - start < 60
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "exceeds cap" in err

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aseq.divergence import build_instance_table, exponent
 from aseq.errors import DimensionMismatch, NotChernoffForm, UnsupportedDimension
@@ -11,6 +13,7 @@ from aseq.region import (TuncelOptions, build_polytope, chernoff_region,
                          enumerate_vertices, individual_hypothesis_region_slice,
                          membership, nonadaptive_feasibility, nonadaptive_membership,
                          nonadaptive_slice, region_polytope, tuncel_membership)
+from aseq.region import _corner_lp_contains, _pareto_max, _unique_rows
 
 from conftest import grid_betas, make_instance, oracle_max_margin, random_instance
 from test_model import P01, P02, P11, P12, P21, P22
@@ -437,3 +440,119 @@ def test_budget_shrinks_region():
             e[m, list(sub.thetas)] = rng.uniform(0, 1, size=2) * sub.coord_max
         if membership(e, r_cut):
             assert membership(e, r_free, tol=1e-7)
+
+
+# ------------------------------------------------- tolerance dedup and Pareto
+
+# Reference oracles: the greedy loops that _unique_rows and _pareto_max
+# replaced. The first was the duplicate check of enumerate_vertices, the
+# second half of _pareto_max, and _pareto_unique.
+
+def greedy_unique(points, tol):
+    uniq = []
+    for p in points:
+        if all(np.max(np.abs(p - u)) > tol for u in uniq):
+            uniq.append(p)
+    return np.array(uniq).reshape(-1, points.shape[1])
+
+
+def greedy_dedup_facets(facets):
+    out = []
+    for n, b in facets:
+        if all(max(abs(a - c) for a, c in zip(n, n2)) > 1e-9 or abs(b - b2) > 1e-9
+               for n2, b2 in out):
+            out.append((n, b))
+    return out
+
+
+def greedy_pareto_max(points, tol=1e-12):
+    keep = []
+    for i, p in enumerate(points):
+        dominated = False
+        for j, q in enumerate(points):
+            if j != i and np.all(q >= p - tol) and np.any(q > p + tol):
+                dominated = True
+                break
+        if not dominated:
+            keep.append(i)
+    uniq = greedy_unique(points[keep], tol)
+    return uniq if len(uniq) else points[:1] * 0.0
+
+
+@st.composite
+def planted_rows(draw, dims=(1, 2, 3, 5), tols=(1e-12, 1e-9)):
+    """Copies of a few base rows on a coarse grid (so coordinates tie), each
+    coordinate shifted by 0, +-tol/2, +-tol or +-2 tol."""
+    d = draw(st.sampled_from(dims))
+    tol = draw(st.sampled_from(tols))
+    coord = st.sampled_from([0.0, 0.25, 1.0, 1.5, 3.0])
+    base = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=6))
+    shift = st.lists(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0]),
+                     min_size=d, max_size=d)
+    picks = draw(st.lists(st.tuples(st.integers(0, len(base) - 1), shift), max_size=40))
+    rows = [np.array(base[i]) + tol * np.array(s) for i, s in picks]
+    return np.array(rows, dtype=float).reshape(-1, d), tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_rows())
+def test_unique_rows_matches_greedy(case):
+    points, tol = case
+    got = _unique_rows(points, tol)
+    assert got.shape[1] == points.shape[1]
+    assert np.array_equal(got, greedy_unique(points, tol))
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_rows(dims=(2,)))
+def test_pareto_max_matches_greedy(case):
+    points, tol = case
+    assert np.array_equal(_pareto_max(points, tol), greedy_pareto_max(points, tol))
+    assert np.array_equal(_pareto_max(points), greedy_pareto_max(points))
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_rows(dims=(3, 4), tols=(1e-9,)))
+def test_facet_rows_dedup_matches_greedy(case):
+    rows, _ = case
+    facets = [(tuple(r[:-1]), r[-1]) for r in rows]
+    want = [n + (b,) for n, b in greedy_dedup_facets(facets)]
+    assert _unique_rows(rows, 1e-9).tolist() == [list(r) for r in want]
+
+
+def test_unique_rows_long_duplicate_runs():
+    # Clusters far longer than the window's first gap, in shuffled order.
+    rng = np.random.default_rng(5)
+    base = rng.integers(0, 3, size=(12, 4)).astype(float)
+    points = base[rng.integers(0, 12, size=400)]
+    points = points + 1e-9 * rng.choice([-2.0, -0.5, 0.0, 0.5, 2.0], size=points.shape)
+    assert np.array_equal(_unique_rows(points, 1e-9), greedy_unique(points, 1e-9))
+
+
+def test_hull_fallback_on_flat_corner_cloud():
+    # Hypotheses 0 and 1 coincide, so every corner of declared 0 has a zero
+    # coordinate against truth 1 and qhull rejects the flat cloud.
+    inst = make_instance(4, 2, (3, 3), pmf_rows=[[P01, P02], [P01, P02],
+                                                 [P11, P12], [P21, P22]])
+    table = build_instance_table(inst)
+    poly = build_polytope(inst.avail, inst.actions, inst.budgets)
+    sub = region_polytope(table, poly, 0)
+    assert sub.facets is None
+    assert np.all(sub.corners[:, 0] == 0.0)
+    rng = np.random.default_rng(3)
+    probes = rng.uniform(0, 1.2, size=(60, 3)) * np.maximum(sub.coord_max, 1e-3)
+    probes[:20, 0] = 0.0
+    verdicts = [sub.contains(e) for e in probes]
+    assert verdicts == [_corner_lp_contains(sub.corners, e) for e in probes]
+    assert any(verdicts) and not all(verdicts)
+    assert region_polytope(table, poly, 2).facets is not None
+
+
+def test_constraint_grid_sized_before_building():
+    # 16 actions over 4 sources: C(115, 15) grid points per availability set
+    # at step 0.01, which must be refused before anything is built.
+    acts = ActionSpace(tuple(s for r in range(5) for s in itertools.combinations(range(1, 5), r)))
+    avail = AvailabilityDist(((1, 2, 3, 4), (1, 2)), np.array([0.6, 0.4]))
+    poly = build_polytope(avail, acts, BudgetSpec.none(4))
+    with pytest.raises(ValueError, match="exceeds cap"):
+        constraint_grid(poly, 0.01)

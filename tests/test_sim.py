@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aseq
 from aseq.model import BudgetSpec, Instance
 from aseq.sim import (CellStats, ExperimentConfig, ExperimentReport,
                       estimate_errors, fit_exponents, verify_constraints,
@@ -171,3 +176,13 @@ def test_invalid_trial_accounting():
     cell = rep.cells[(60.0, 0)]
     assert cell.n_invalid > 0
     assert cell.n_valid + cell.n_invalid == 50
+
+
+def test_import_skips_scipy_stats():
+    # scipy.stats alone takes most of a second to import; only the normal
+    # quantile is needed, and scipy.special provides it.
+    src = str(Path(aseq.__file__).resolve().parents[1])
+    code = "import sys, aseq; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
