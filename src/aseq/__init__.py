@@ -6,9 +6,10 @@ from .model import (ActionSpace, AvailabilityDist, BudgetSpec, Instance,
                     JointModel, ValidationReport, in_constraint_set, marginal,
                     omega, sample, validate_model)
 from .modelio import dump_instance, instance_from_dict, instance_to_dict, load_instance
-from .policy import (ExplorationPlan, LlrState, TestParams, TrialResult,
-                     action_pmf, build_params, choose_exploration_rate, mle,
-                     run_trial, should_stop, update)
+from .policy import (ExplorationPlan, LlrState, TestParams, TrialKernel,
+                     TrialResult, action_pmf, build_params,
+                     choose_exploration_rate, mle, run_trial, should_stop,
+                     update)
 from .region import (ConstraintPolytope, ExponentRegion, PerMRegion,
                      build_polytope, chernoff_region, compute_region,
                      decision_risk_exponents, enumerate_vertices,

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: validate, divergence, region, simulate, exponents. Data goes to
-files or stdout; diagnostics go to stderr. Exit codes: 0 success, 1 validation
-or data error, 2 usage error. All randomness flows from --seed, so repeated
-invocations produce byte-identical outputs.
+files or stdout; diagnostics go to stderr. Exit codes: 0 success, 1 validation,
+data or internal error, 2 usage error. All randomness flows from --seed, so
+repeated invocations produce byte-identical outputs, and `simulate` writes its
+results CSV and summary as a whole set or not at all.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -157,12 +159,26 @@ def cmd_simulate(args) -> int:
         betas=betas, ci_level=args.ci, truths=truths, max_steps=args.max_steps,
         epsilon=args.epsilon)
     report = sim.estimate_errors(config)
-    sim.write_report_csv(report, args.out)
     summary_path = args.summary or (str(Path(args.out).with_suffix("")) + "_summary.json")
-    Path(summary_path).write_text(
-        json.dumps(sim.summary_dict(report), indent=2) + "\n", encoding="utf-8")
+    # Both files go to temporaries beside their targets and are renamed only
+    # once both are complete, so a failure leaves no half-written set.
+    tmp_csv, tmp_summary = _temp_beside(args.out), _temp_beside(summary_path)
+    try:
+        sim.write_report_csv(report, tmp_csv)
+        tmp_summary.write_text(json.dumps(sim.summary_dict(report), indent=2) + "\n",
+                               encoding="utf-8")
+        os.replace(tmp_csv, args.out)
+        os.replace(tmp_summary, summary_path)
+    finally:
+        tmp_csv.unlink(missing_ok=True)
+        tmp_summary.unlink(missing_ok=True)
     print(f"wrote {args.out} and {summary_path}", file=sys.stderr)
     return 0
+
+
+def _temp_beside(path: str) -> Path:
+    p = Path(path)
+    return p.with_name(f".{p.name}.{os.getpid()}.tmp")
 
 
 def cmd_exponents(args) -> int:
@@ -253,6 +269,10 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_EXIT
     except (ModelFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return DATA_EXIT
+    except RuntimeError as exc:  # InvalidPmf, a simplex or LP that failed, ...
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return DATA_EXIT
 
 

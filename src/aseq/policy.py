@@ -35,7 +35,9 @@ Regime 2 applies when T >= max(e, regime_threshold).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from operator import add, sub
 
 import numpy as np
 
@@ -369,15 +371,77 @@ class TrialResult:
     regime: int
 
 
+@dataclass(frozen=True)
+class TrialKernel:
+    """What every trial under one (params, truth) reads, as Python lists.
+
+    ``z_cdf`` is the availability CDF and ``act_cdfs[theta_hat][zi]`` the
+    action CDF given the estimate and the available set. ``obs[ai][zi]`` is
+    None when action ai selects no source of set zi; otherwise it holds the
+    truth's sampling CDF over the selected sub-alphabet, the increment
+    lam[t] - lam[m] of S for each symbol, and the selected source indices.
+    Empty in regime 1, whose trials read nothing.
+    """
+
+    params: TestParams
+    truth: int
+    z_cdf: list[float]
+    act_cdfs: list[list[list[float]]]
+    obs: list[list[tuple | None]]
+    thresholds: list[list[float]]
+
+    @staticmethod
+    def build(inst: Instance, params: TestParams, truth: int) -> "TrialKernel":
+        model = inst.model
+        n_z = len(inst.avail.sets)
+        if params.regime != 2:
+            return TrialKernel(params, truth, [], [], [], [])
+        act_cdfs = [[np.cumsum(action_pmf(zi, th, params, inst)).tolist()
+                     for zi in range(n_z)] for th in range(model.M)]
+        by_keep: dict[tuple[int, ...], tuple] = {}
+        obs: list[list] = [[None] * n_z for _ in inst.actions.actions]
+        for ai, a in enumerate(inst.actions.actions):
+            for zi, z in enumerate(inst.avail.sets):
+                keep = tuple(sorted(set(a) & set(z)))
+                if not keep:
+                    continue
+                if keep not in by_keep:
+                    flats = [marginal(model, keep, keep, t).probs.reshape(-1)
+                             for t in range(model.M)]
+                    loglik = np.log(np.stack(flats, axis=1)).tolist()  # [symbol][t]
+                    incs = [[[lt - lm for lm in lam] for lt in lam] for lam in loglik]
+                    by_keep[keep] = (np.cumsum(flats[truth]).tolist(), incs,
+                                     tuple(j - 1 for j in keep))
+                obs[ai][zi] = by_keep[keep]
+        return TrialKernel(params, truth, np.cumsum(inst.avail.probs).tolist(),
+                           act_cdfs, obs, params.thresholds.tolist())
+
+
+_DRAW_BATCH = 32
+
+
+def _uniforms(rng: np.random.Generator):
+    """rng.random() values one at a time, drawn in batches: on numpy's bit
+    generators rng.random(k) yields the stream of k scalar draws."""
+    while True:
+        yield from rng.random(_DRAW_BATCH).tolist()
+
+
 def run_trial(inst: Instance, table: DivergenceTable, params: TestParams, truth: int,
-              rng: np.random.Generator, max_steps: int | None = None) -> TrialResult:
+              rng: np.random.Generator, max_steps: int | None = None,
+              kernel: TrialKernel | None = None) -> TrialResult:
     """Simulate one trial under ``truth``, deterministic given the generator.
 
     Regime 1 stops at step one with a uniform guess and selects nothing.
     Regime 2 loops draw-availability / estimate / draw-action / sample /
-    update / check-stop. Raises TrialBudgetExceeded when the safety cap
-    (default 200 T) is hit; callers account such trials as invalid rather
-    than fabricating a decision.
+    update / check-stop, reading the tables of ``kernel`` (built here when
+    not given; pass ``TrialKernel.build(inst, params, truth)`` to share it
+    across trials). Uniforms are drawn in batches, so the generator may end
+    up to one batch past the last draw the trial used; give each trial its
+    own generator.
+    Raises TrialBudgetExceeded when the safety cap (default 200 T) is hit;
+    callers account such trials as invalid rather than fabricating a
+    decision.
     """
     model = inst.model
     n_a, n_z = inst.actions.size, len(inst.avail.sets)
@@ -386,49 +450,37 @@ def run_trial(inst: Instance, table: DivergenceTable, params: TestParams, truth:
                            np.zeros((n_a, n_z)), 1)
     if max_steps is None:
         max_steps = int(math.ceil(200 * params.T))
+    if kernel is None:
+        kernel = TrialKernel.build(inst, params, truth)
+    elif kernel.params is not params or kernel.truth != truth:
+        raise ValueError("kernel was built for other parameters or another truth")
 
-    z_cdf = np.cumsum(inst.avail.probs)
-    # Per (estimate, set): action CDF. Per (action, set): log-likelihood rows
-    # per symbol and the truth's sampling CDF over the sub-alphabet.
-    act_cdfs = [[np.cumsum(action_pmf(zi, th, params, inst)) for zi in range(n_z)]
-                for th in range(model.M)]
-    inter: list[list[tuple[int, ...]]] = [[() for _ in range(n_z)] for _ in range(n_a)]
-    sub_tables: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-    for ai, a in enumerate(inst.actions.actions):
-        for zi, z in enumerate(inst.avail.sets):
-            keep = tuple(sorted(set(a) & set(z)))
-            inter[ai][zi] = keep
-            if keep and keep not in sub_tables:
-                flats = [marginal(model, keep, keep, t).probs.reshape(-1)
-                         for t in range(model.M)]
-                loglik = np.log(np.stack(flats, axis=1))  # (n_symbols, M)
-                sub_tables[keep] = (loglik, np.cumsum(flats[truth]))
-
-    S = np.zeros((model.M, model.M))
-    thresholds = params.thresholds
-    source_counts = np.zeros(model.n)
-    action_counts = np.zeros((n_a, n_z))
-    state = LlrState(S, 0)
+    z_cdf, act_cdfs, obs, thresholds = (kernel.z_cdf, kernel.act_cdfs, kernel.obs,
+                                        kernel.thresholds)
+    S = [[0.0] * model.M for _ in range(model.M)]
+    source_counts = [0] * model.n
+    action_counts = [[0] * n_z for _ in range(n_a)]
+    draw = _uniforms(rng).__next__
     for t in range(1, max_steps + 1):
-        zi = int(np.searchsorted(z_cdf, rng.random(), side="right"))
-        zi = min(zi, n_z - 1)
-        theta_hat = mle(state)
-        cdf = act_cdfs[theta_hat][zi]
-        ai = min(int(np.searchsorted(cdf, rng.random(), side="right")), n_a - 1)
-        action_counts[ai, zi] += 1
-        keep = inter[ai][zi]
-        if keep:
-            loglik, samp_cdf = sub_tables[keep]
-            sym = min(int(np.searchsorted(samp_cdf, rng.random(), side="right")),
-                      loglik.shape[0] - 1)
-            lam = loglik[sym]
-            state = LlrState(state.S + (lam[:, None] - lam[None, :]), t)
-            for j in keep:
-                source_counts[j - 1] += 1
+        zi = min(bisect_right(z_cdf, draw()), n_z - 1)
+        # Maximum-likelihood estimate, as in mle().
+        for theta_hat, row in enumerate(S):
+            if min(row) >= 0:
+                break
         else:
-            state = LlrState(state.S, t)
-        diff = state.S - thresholds
-        hits = np.flatnonzero(diff.min(axis=1) >= 0)
-        if hits.size:
-            return TrialResult(t, int(hits[0]), source_counts, action_counts, 2)
+            theta_hat = int(np.argmax(np.array(S).sum(axis=1)))
+        ai = min(bisect_right(act_cdfs[theta_hat][zi], draw()), n_a - 1)
+        action_counts[ai][zi] += 1
+        seen = obs[ai][zi]
+        if seen is not None:
+            samp_cdf, incs, sources = seen
+            sym = min(bisect_right(samp_cdf, draw()), len(samp_cdf) - 1)
+            S = [list(map(add, row, inc)) for row, inc in zip(S, incs[sym])]
+            for j in sources:
+                source_counts[j] += 1
+        # Stopping rule, as in should_stop().
+        for declared, (row, thr) in enumerate(zip(S, thresholds)):
+            if min(map(sub, row, thr)) >= 0:
+                return TrialResult(t, declared, np.array(source_counts, dtype=float),
+                                   np.array(action_counts, dtype=float), 2)
     raise TrialBudgetExceeded(f"no decision within {max_steps} steps")

@@ -4,7 +4,15 @@ checks.
 Trials are independent given their derived seeds, so estimates are
 reproducible bit-for-bit regardless of worker scheduling: trial k under truth
 theta and budget T always uses the generator seeded by (master, theta,
-bits(T), k), and aggregation is a sum of counts merged in chunk order.
+bits(T), k), and aggregation is a sum of integer counts merged in chunk
+order. Budget costs are formed from those counts once per cell, so they do
+not depend on the chunking either.
+
+Each (T, truth) cell is cut into chunks of trials/workers trials (workers
+from the config, else ASEQ_THREADS, else 1). A chunk builds the cell's
+TrialKernel once and calls run_trial for each of its trials. All chunks of
+the grid go to one process pool of at most min(workers, chunks, CPUs)
+processes; with one process they run in-process.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from scipy.special import ndtri
 from .divergence import DivergenceTable, build_instance_table
 from .errors import TrialBudgetExceeded
 from .model import Instance
-from .policy import TestParams, build_params, run_trial
+from .policy import TestParams, TrialKernel, build_params, run_trial
 from .region import build_polytope, decision_risk_exponents
 
 
@@ -104,18 +112,21 @@ def _trial_seed(master: int, truth: int, T: float, index: int) -> np.random.Gene
 
 def _run_chunk(inst: Instance, table: DivergenceTable, params: TestParams,
                truth: int, T: float, seed: int, start: int, stop: int,
-               max_steps: int | None, n_budgets: int, coeffs: np.ndarray):
-    M = inst.model.M
+               max_steps: int | None):
+    """Counts of trials start..stop-1 of one cell. Source counts are
+    integers, so their sums and the sum of their outer products are exact
+    and do not depend on how the trials were chunked."""
+    M, n = inst.model.M, inst.model.n
+    kernel = TrialKernel.build(inst, params, truth)
     declared = np.zeros(M)
     n_valid = n_invalid = 0
     sum_tau = sum_tau2 = 0.0
-    source_totals = np.zeros(inst.model.n)
-    sum_cost = np.zeros(n_budgets)
-    sum_cost2 = np.zeros(n_budgets)
+    source_totals = np.zeros(n)
+    source_outer = np.zeros((n, n))
     for idx in range(start, stop):
         rng = _trial_seed(seed, truth, T, idx)
         try:
-            res = run_trial(inst, table, params, truth, rng, max_steps)
+            res = run_trial(inst, table, params, truth, rng, max_steps, kernel=kernel)
         except TrialBudgetExceeded:
             n_invalid += 1
             continue
@@ -124,11 +135,15 @@ def _run_chunk(inst: Instance, table: DivergenceTable, params: TestParams,
         sum_tau += res.stopping_time
         sum_tau2 += res.stopping_time ** 2
         source_totals += res.source_counts
-        if n_budgets:
-            costs = coeffs @ res.source_counts
-            sum_cost += costs
-            sum_cost2 += costs ** 2
-    return declared, n_valid, n_invalid, sum_tau, sum_tau2, source_totals, sum_cost, sum_cost2
+        if inst.budgets.size:
+            source_outer += np.outer(res.source_counts, res.source_counts)
+    return declared, n_valid, n_invalid, sum_tau, sum_tau2, source_totals, source_outer
+
+
+def _pool_size(workers: int, n_chunks: int, cpus: int | None) -> int:
+    """Worker processes for a grid: no more than asked for, than there are
+    chunks to run, or than the machine has CPUs."""
+    return max(1, min(workers, n_chunks, cpus or 1))
 
 
 def resolve_betas(config: ExperimentConfig, table: DivergenceTable
@@ -156,36 +171,42 @@ def estimate_errors(config: ExperimentConfig) -> ExperimentReport:
     workers = config.workers or int(os.environ.get("ASEQ_THREADS", "1"))
 
     cells: dict[tuple[float, int], CellStats] = {}
+    jobs = []  # (cell key, _run_chunk arguments), merged in this order
+    n = config.trials
+    chunk = max(1, n // max(workers, 1))
     for T in config.T_grid:
         params = build_params(T, inst, table, report_info.llr_bound, betas,
                               epsilon=config.epsilon)
         for truth in truths:
-            cell = CellStats(T, truth, params.regime,
-                             declared=np.zeros(inst.model.M),
-                             source_totals=np.zeros(inst.model.n),
-                             sum_cost=np.zeros(inst.budgets.size),
-                             sum_cost2=np.zeros(inst.budgets.size))
-            n = config.trials
-            chunk = max(1, n // max(workers, 1))
-            ranges = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
-            args = [(inst, table, params, truth, T, config.seed, s, e,
-                     config.max_steps, inst.budgets.size, inst.budgets.coeffs)
-                    for s, e in ranges]
-            if workers > 1 and len(ranges) > 1:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(_run_chunk_star, args))
-            else:
-                results = [_run_chunk(*a) for a in args]
-            for declared, nv, ni, st, st2, src, sc, sc2 in results:
-                cell.declared += declared
-                cell.n_valid += nv
-                cell.n_invalid += ni
-                cell.sum_tau += st
-                cell.sum_tau2 += st2
-                cell.source_totals += src
-                cell.sum_cost += sc
-                cell.sum_cost2 += sc2
-            cells[(T, truth)] = cell
+            cells[(T, truth)] = CellStats(T, truth, params.regime,
+                                          declared=np.zeros(inst.model.M),
+                                          source_totals=np.zeros(inst.model.n))
+            jobs += [((T, truth), (inst, table, params, truth, T, config.seed, s,
+                                   min(s + chunk, n), config.max_steps))
+                     for s in range(0, n, chunk)]
+    size = _pool_size(workers, len(jobs), os.cpu_count())
+    if size > 1:
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            results = list(pool.map(_run_chunk_star, [args for _, args in jobs]))
+    else:
+        results = [_run_chunk(*args) for _, args in jobs]
+
+    outer = {key: np.zeros((inst.model.n, inst.model.n)) for key in cells}
+    for (key, _), (declared, nv, ni, st, st2, src, ss) in zip(jobs, results):
+        cell = cells[key]
+        cell.declared += declared
+        cell.n_valid += nv
+        cell.n_invalid += ni
+        cell.sum_tau += st
+        cell.sum_tau2 += st2
+        cell.source_totals += src
+        outer[key] += ss
+    # Per-trial cost c . s sums to c . (sum of s), and its square to
+    # c^T (sum of s s^T) c: formed once here, so chunking cannot move them.
+    coeffs = inst.budgets.coeffs
+    for key, cell in cells.items():
+        cell.sum_cost = coeffs @ cell.source_totals
+        cell.sum_cost2 = np.einsum("ij,jk,ik->i", coeffs, outer[key], coeffs)
     return ExperimentReport(config, betas, cells)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from aseq.model import (ActionSpace, AvailabilityDist, BudgetSpec, Instance,
                         JointModel, omega, selection_matrix)
-from aseq.modelio import load_instance
+from aseq.modelio import instance_from_dict, load_instance
 
 MODEL_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -14,6 +15,15 @@ MODEL_DIR = Path(__file__).resolve().parent.parent / "models"
 @pytest.fixture(scope="session")
 def example_instance() -> Instance:
     return load_instance(MODEL_DIR / "chernoff3x2.json")
+
+
+def two_set_instance(coeff) -> Instance:
+    """The example's sources with source 2 missing 30% of the time, action
+    {1, 2} allowed and one budget of rate 1.2 with the given coefficients."""
+    d = json.loads((MODEL_DIR / "chernoff3x2.json").read_text())
+    d.update(availability=[{"subset": [1, 2], "prob": 0.7}, {"subset": [1], "prob": 0.3}],
+             actions=[[1], [2], [1, 2]], budgets=[{"coeff": coeff, "rate": 1.2}])
+    return instance_from_dict(d)
 
 
 def make_instance(M, n, alphabet, pmf_rows=None, avail=None, actions=None,

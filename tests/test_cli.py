@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from aseq import cli, sim
 from aseq.cli import main
+from aseq.errors import InvalidPmf
 from aseq.modelio import instance_to_dict, load_instance
 
 MODEL = str(Path(__file__).resolve().parent.parent / "models" / "chernoff3x2.json")
@@ -156,3 +158,27 @@ def test_slice_grid_too_large_exits_1(tmp_path, capsys):
     assert time.perf_counter() - start < 60
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "exceeds cap" in err
+
+
+def test_simulate_failure_leaves_no_outputs(tmp_path, monkeypatch):
+    def broken(report):
+        raise RuntimeError("summary failed")
+
+    monkeypatch.setattr(sim, "summary_dict", broken)
+    out = tmp_path / "runs.csv"
+    assert main(["simulate", "--model", MODEL, "--T", "6", "--trials", "20",
+                 "--seed", "1", "--epsilon", "0", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert not (tmp_path / "runs_summary.json").exists()
+    assert list(tmp_path.iterdir()) == []  # no temporaries left either
+
+
+def test_internal_error_exits_1(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise InvalidPmf("action probabilities exceed 1 by 1e-3\nsecond line")
+
+    monkeypatch.setattr(cli, "compute_region", broken)
+    assert main(["region", "--model", MODEL]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == ("internal error: InvalidPmf: action probabilities exceed 1 by 1e-3 "
+                   "second line")

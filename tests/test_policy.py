@@ -1,18 +1,23 @@
+from __future__ import annotations
+
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from aseq.divergence import build_instance_table, exponent
 from aseq.errors import InvalidBeta, NoExplorationPossible, TrialBudgetExceeded
-from aseq.model import ActionSpace, BudgetSpec, Instance, validate_model
-from aseq.policy import (LlrState, action_pmf, build_params,
-                         choose_exploration_rate, mle, offset_correction,
-                         run_trial, should_stop, solve_drift_margin, update)
+from aseq.model import ActionSpace, BudgetSpec, Instance, marginal, validate_model
+from aseq.policy import (LlrState, TrialKernel, TrialResult, action_pmf,
+                         build_params, choose_exploration_rate, mle,
+                         offset_correction, run_trial, should_stop,
+                         solve_drift_margin, update)
 from aseq.region import build_polytope, decision_risk_exponents
 
-from conftest import make_instance
+from conftest import make_instance, two_set_instance
 from test_model import P01, P02, P11, P12, P21, P22
 
 
@@ -326,6 +331,142 @@ def test_run_trial_budget_cap(example):
                                           epsilon=0.2), T)
     with pytest.raises(TrialBudgetExceeded):
         run_trial(inst, table, params, 0, np.random.default_rng(0), max_steps=2)
+
+
+# ------------------------------------------------- trial kernel vs oracle
+
+# The trial loop as it stood before the tables moved into TrialKernel and
+# the steps onto Python scalars, kept verbatim as the oracle: rebuilding it
+# from update()/sample() would not do, since math.log and np.log may differ
+# in the last place.
+def reference_run_trial(inst: Instance, table: DivergenceTable, params: TestParams, truth: int,
+                        rng: np.random.Generator, max_steps: int | None = None) -> TrialResult:
+    """Simulate one trial under ``truth``, deterministic given the generator.
+
+    Regime 1 stops at step one with a uniform guess and selects nothing.
+    Regime 2 loops draw-availability / estimate / draw-action / sample /
+    update / check-stop. Raises TrialBudgetExceeded when the safety cap
+    (default 200 T) is hit; callers account such trials as invalid rather
+    than fabricating a decision.
+    """
+    model = inst.model
+    n_a, n_z = inst.actions.size, len(inst.avail.sets)
+    if params.regime == 1:
+        return TrialResult(1, int(rng.integers(model.M)), np.zeros(model.n),
+                           np.zeros((n_a, n_z)), 1)
+    if max_steps is None:
+        max_steps = int(math.ceil(200 * params.T))
+
+    z_cdf = np.cumsum(inst.avail.probs)
+    # Per (estimate, set): action CDF. Per (action, set): log-likelihood rows
+    # per symbol and the truth's sampling CDF over the sub-alphabet.
+    act_cdfs = [[np.cumsum(action_pmf(zi, th, params, inst)) for zi in range(n_z)]
+                for th in range(model.M)]
+    inter: list[list[tuple[int, ...]]] = [[() for _ in range(n_z)] for _ in range(n_a)]
+    sub_tables: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+    for ai, a in enumerate(inst.actions.actions):
+        for zi, z in enumerate(inst.avail.sets):
+            keep = tuple(sorted(set(a) & set(z)))
+            inter[ai][zi] = keep
+            if keep and keep not in sub_tables:
+                flats = [marginal(model, keep, keep, t).probs.reshape(-1)
+                         for t in range(model.M)]
+                loglik = np.log(np.stack(flats, axis=1))  # (n_symbols, M)
+                sub_tables[keep] = (loglik, np.cumsum(flats[truth]))
+
+    S = np.zeros((model.M, model.M))
+    thresholds = params.thresholds
+    source_counts = np.zeros(model.n)
+    action_counts = np.zeros((n_a, n_z))
+    state = LlrState(S, 0)
+    for t in range(1, max_steps + 1):
+        zi = int(np.searchsorted(z_cdf, rng.random(), side="right"))
+        zi = min(zi, n_z - 1)
+        theta_hat = mle(state)
+        cdf = act_cdfs[theta_hat][zi]
+        ai = min(int(np.searchsorted(cdf, rng.random(), side="right")), n_a - 1)
+        action_counts[ai, zi] += 1
+        keep = inter[ai][zi]
+        if keep:
+            loglik, samp_cdf = sub_tables[keep]
+            sym = min(int(np.searchsorted(samp_cdf, rng.random(), side="right")),
+                      loglik.shape[0] - 1)
+            lam = loglik[sym]
+            state = LlrState(state.S + (lam[:, None] - lam[None, :]), t)
+            for j in keep:
+                source_counts[j - 1] += 1
+        else:
+            state = LlrState(state.S, t)
+        diff = state.S - thresholds
+        hits = np.flatnonzero(diff.min(axis=1) >= 0)
+        if hits.size:
+            return TrialResult(t, int(hits[0]), source_counts, action_counts, 2)
+    raise TrialBudgetExceeded(f"no decision within {max_steps} steps")
+
+
+def _setup(inst):
+    rep = validate_model(inst.model, inst.avail, inst.actions, inst.budgets)
+    table = build_instance_table(inst)
+    _, betas = decision_risk_exponents(table, build_polytope(inst.avail, inst.actions,
+                                                             inst.budgets))
+    return inst, table, rep.llr_bound, betas
+
+
+@pytest.fixture(scope="module")
+def oracle_models(example_instance):
+    four = make_instance(4, 2, (3, 3), pmf_rows=[
+        [P01, P02], [P11, P12], [P21, P22], [[0.3, 0.3, 0.4], [0.5, 0.25, 0.25]]])
+    return {"example": _setup(example_instance),
+            "budgeted_two_sets": _setup(two_set_instance([1, 1])),
+            "four_hypotheses": _setup(four)}
+
+
+def _outcome(call):
+    try:
+        r = call()
+    except TrialBudgetExceeded as exc:
+        return ("cap", str(exc))
+    return ("stop", type(r.stopping_time), r.stopping_time, type(r.declared), r.declared,
+            r.regime, r.source_counts.dtype, r.source_counts.shape,
+            r.source_counts.tobytes(), r.action_counts.dtype, r.action_counts.shape,
+            r.action_counts.tobytes())
+
+
+@settings(max_examples=250, deadline=None)
+@given(name=st.sampled_from(["example", "budgeted_two_sets", "four_hypotheses"]),
+       mode=st.sampled_from(["epsilon0", "explore", "regime1"]),
+       T=st.sampled_from([2.0, 3.0, 5.0, 8.0, 12.0, 24.0]),
+       truth=st.integers(0, 3), seed=st.integers(0, 2 ** 63 - 1),
+       max_steps=st.sampled_from([None, 1, 2, 3, 5]), share=st.booleans())
+def test_run_trial_matches_reference(oracle_models, name, mode, T, truth, seed,
+                                     max_steps, share):
+    inst, table, L, betas = oracle_models[name]
+    truth %= inst.model.M
+    if mode == "epsilon0":
+        params = build_params(T, inst, table, L, betas, epsilon=0.0)
+    elif mode == "explore":
+        params = forced_adaptive(build_params(T, inst, table, L, betas, epsilon=0.3), T)
+    else:
+        params = build_params(T, inst, table, L, betas)
+    assert params.regime == (1 if mode == "regime1" else 2)
+    kernel = TrialKernel.build(inst, params, truth) if share else None
+    want = _outcome(lambda: reference_run_trial(inst, table, params, truth,
+                                                np.random.default_rng(seed), max_steps))
+    got = _outcome(lambda: run_trial(inst, table, params, truth,
+                                     np.random.default_rng(seed), max_steps, kernel=kernel))
+    event(f"{mode}: {want[0]}")
+    assert got == want
+
+
+def test_run_trial_rejects_foreign_kernel(example):
+    inst, table, L, betas = example
+    params = build_params(6.0, inst, table, L, betas, epsilon=0.0)
+    kernel = TrialKernel.build(inst, params, 0)
+    with pytest.raises(ValueError):
+        run_trial(inst, table, params, 1, np.random.default_rng(0), kernel=kernel)
+    other = build_params(6.0, inst, table, L, betas, epsilon=0.0)
+    with pytest.raises(ValueError):
+        run_trial(inst, table, other, 0, np.random.default_rng(0), kernel=kernel)
 
 
 # --------------------------------------------------- stochastic invariants

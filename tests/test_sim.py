@@ -2,18 +2,20 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import aseq
+from aseq import sim
 from aseq.model import BudgetSpec, Instance
-from aseq.sim import (CellStats, ExperimentConfig, ExperimentReport,
+from aseq.sim import (CellStats, ExperimentConfig, ExperimentReport, _pool_size,
                       estimate_errors, fit_exponents, verify_constraints,
                       wilson_interval, write_report_csv)
 
-from conftest import make_instance
+from conftest import make_instance, two_set_instance
 from test_model import P01, P02, P11, P12
 
 
@@ -159,6 +161,17 @@ def test_verify_constraints_with_budget():
     assert all(rep.cells[k].regime == 1 for k in rep.cells)
 
 
+def _cells_equal(a, b):
+    assert a.cells.keys() == b.cells.keys()
+    for key in a.cells:
+        for f in fields(CellStats):
+            x, y = getattr(a.cells[key], f.name), getattr(b.cells[key], f.name)
+            if isinstance(x, np.ndarray):
+                assert x.dtype == y.dtype and np.array_equal(x, y), (key, f.name)
+            else:
+                assert x == y, (key, f.name)
+
+
 def test_worker_pool_counts_match_serial():
     inst = weak_binary()
     base = dict(T_grid=(30.0,), trials=240, seed=9, epsilon=0.0)
@@ -167,6 +180,53 @@ def test_worker_pool_counts_match_serial():
     for key in serial.cells:
         assert np.all(serial.cells[key].declared == pooled.cells[key].declared)
         assert serial.cells[key].sum_tau == pooled.cells[key].sum_tau
+    # Several cells in one pool, a budget with fractional coefficients (whose
+    # per-trial cost sums would round by chunk) and some capped trials: every
+    # aggregate must be the same at every worker count.
+    inst = two_set_instance([0.7, 1.3])
+    base = dict(T_grid=(24.0, 36.0), trials=90, seed=4, epsilon=0.0, max_steps=20)
+    serial = estimate_errors(ExperimentConfig(inst, workers=1, **base))
+    assert sum(c.n_invalid for c in serial.cells.values()) > 0
+    for workers in (2, 3):
+        _cells_equal(serial, estimate_errors(ExperimentConfig(inst, workers=workers, **base)))
+
+
+def test_pool_size_bounded():
+    assert _pool_size(5000, 240, 2) == 2
+    assert _pool_size(5000, 3, 64) == 3
+    assert _pool_size(2, 30, 64) == 2
+    assert _pool_size(1, 30, 64) == 1
+    assert _pool_size(4, 30, None) == 1
+
+
+def test_huge_worker_count_starts_small_pool(monkeypatch):
+    # ASEQ_THREADS=5000 must not ask for 5000 processes; chunks are still cut
+    # for the requested count (one trial each here), so counts do not move.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            jobs = list(jobs)
+            sizes.append(len(jobs))
+            return map(fn, jobs)
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("ASEQ_THREADS", "5000")
+    inst = weak_binary()
+    base = dict(T_grid=(30.0, 40.0), trials=60, seed=9, epsilon=0.0)
+    pooled = estimate_errors(ExperimentConfig(inst, **base))
+    assert sizes == [2, 2 * 2 * 60]
+    _cells_equal(estimate_errors(ExperimentConfig(inst, workers=1, **base)), pooled)
 
 
 def test_invalid_trial_accounting():
