@@ -4,12 +4,11 @@ the exploration-mixed adaptive test, and Monte Carlo verification."""
 from .divergence import DivergenceTable, build_instance_table, build_table, exponent, kl
 from .model import (ActionSpace, AvailabilityDist, BudgetSpec, Instance,
                     JointModel, ValidationReport, in_constraint_set, marginal,
-                    omega, sample, validate_model)
+                    omega, validate_model)
 from .modelio import dump_instance, instance_from_dict, instance_to_dict, load_instance
-from .policy import (ExplorationPlan, LlrState, TestParams, TrialKernel,
-                     TrialResult, action_pmf, build_params,
-                     choose_exploration_rate, mle, run_trial, should_stop,
-                     update)
+from .policy import (ExplorationPlan, TestParams, TrialKernel, TrialResult,
+                     action_pmf, build_params, choose_exploration_rate,
+                     run_trial)
 from .region import (ConstraintPolytope, ExponentRegion, PerMRegion,
                      build_polytope, chernoff_region, compute_region,
                      decision_risk_exponents, enumerate_vertices,

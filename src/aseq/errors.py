@@ -43,7 +43,3 @@ class InvalidPmf(RuntimeError):
 
 class TrialBudgetExceeded(RuntimeError):
     """A trial hit the hard step cap before the stopping rule fired."""
-
-
-class InsufficientData(ValueError):
-    """Not enough usable grid points to fit an exponent."""

@@ -178,18 +178,6 @@ def marginal(model: JointModel, a: tuple[int, ...], z: tuple[int, ...], theta: i
     return SubPmf(keep, probs)
 
 
-def sample(model: JointModel, a: tuple[int, ...], z: tuple[int, ...], theta: int,
-           rng: np.random.Generator) -> tuple[int, ...]:
-    """Draw one observation tuple for the sources in a∩z under ``theta``."""
-    sub = marginal(model, a, z, theta)
-    if not sub.sources:
-        return ()
-    flat = sub.probs.reshape(-1)
-    idx = int(np.searchsorted(np.cumsum(flat), rng.random(), side="right"))
-    idx = min(idx, flat.size - 1)
-    return tuple(int(v) for v in np.unravel_index(idx, sub.probs.shape))
-
-
 def omega(actions: ActionSpace, avail: AvailabilityDist, beta: np.ndarray,
           n: int | None = None) -> np.ndarray:
     """Per-source selection frequencies omega_j = sum_{a,z} beta_{a,z} 1{j in a∩z}.
@@ -267,23 +255,13 @@ def validate_model(model: JointModel, avail: AvailabilityDist, actions: ActionSp
             ratio = np.log(model.pmfs[t][support] / model.pmfs[m][support])
             llr_bound = max(llr_bound, float(np.max(np.abs(ratio))))
 
-    # Discrimination flags over all (action, availability) combinations.
-    from .divergence import kl  # deferred: divergence imports this module
+    # Discrimination flags over the (action, availability) combinations that
+    # select at least one source.
+    from .divergence import build_table  # deferred: divergence imports this module
 
-    combos = [(a, z) for a in actions.actions for z in avail.sets if set(a) & set(z)]
-    a2_ok = True
-    a3_ok = bool(combos)
-    for t in range(model.M):
-        for m in range(model.M):
-            if m == t:
-                continue
-            found = False
-            for a, z in combos:
-                pm = marginal(model, a, z, m).probs.reshape(-1)
-                pt = marginal(model, a, z, t).probs.reshape(-1)
-                if kl(pm, pt) > 1e-12:
-                    found = True
-                else:
-                    a3_ok = False
-            a2_ok = a2_ok and found
-    return ValidationReport(llr_bound, a2_ok, a3_ok and a2_ok)
+    table = build_table(model, avail, actions).table
+    selects = np.array([[bool(set(a) & set(z)) for z in avail.sets]
+                        for a in actions.actions])
+    seen = table[selects][:, ~np.eye(model.M, dtype=bool)] > 1e-12  # (combination, pair)
+    a2_ok = bool(seen.any(axis=0).all())
+    return ValidationReport(llr_bound, a2_ok, a2_ok and bool(seen.all()))

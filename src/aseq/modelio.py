@@ -32,6 +32,29 @@ def _as_int(v, path: str) -> int:
     return v
 
 
+def _as_float(v, path: str) -> float:
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise ModelFormatError(f"{path}: expected a number, got {v!r}")
+    return float(v)
+
+
+def _as_array(v, path: str) -> np.ndarray:
+    try:
+        return np.asarray(v, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: not a numeric table") from exc
+
+
+def _as_subset(v, n: int, path: str) -> tuple[int, ...]:
+    if not isinstance(v, list):
+        raise ModelFormatError(f"{path}: expected a list of source labels, got {v!r}")
+    labels = [_as_int(j, f"{path}[{i}]") for i, j in enumerate(v)]
+    try:
+        return normalize_subset(labels, n)
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc
+
+
 def load_instance(path: str | Path) -> Instance:
     """Parse and structurally validate a model config file."""
     try:
@@ -60,10 +83,7 @@ def instance_from_dict(raw: dict) -> Instance:
         if not isinstance(h, dict):
             raise ModelFormatError(f"{path}: expected an object")
         if "joint" in h:
-            try:
-                table = np.asarray(h["joint"], dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise ModelFormatError(f"{path}.joint: not a numeric table") from exc
+            table = _as_array(h["joint"], f"{path}.joint")
             if table.shape != K:
                 raise ModelFormatError(
                     f"{path}.joint: shape {table.shape} does not match alphabets {K}")
@@ -73,7 +93,7 @@ def instance_from_dict(raw: dict) -> Instance:
                 raise ModelFormatError(f"{path}.independent: need one PMF per source")
             table = np.ones(())
             for j, p in enumerate(per_source):
-                vec = np.asarray(p, dtype=float)
+                vec = _as_array(p, f"{path}.independent[{j}]")
                 if vec.ndim != 1 or vec.size != K[j]:
                     raise ModelFormatError(
                         f"{path}.independent[{j}]: length must be {K[j]}")
@@ -92,22 +112,14 @@ def instance_from_dict(raw: dict) -> Instance:
         path = f"$.availability[{i}]"
         if not isinstance(entry, dict):
             raise ModelFormatError(f"{path}: expected an object")
-        try:
-            sets.append(normalize_subset(_need(entry, "subset", path), n))
-        except ValueError as exc:
-            raise ModelFormatError(f"{path}.subset: {exc}") from exc
-        probs.append(float(_need(entry, "prob", path)))
+        sets.append(_as_subset(_need(entry, "subset", path), n, f"{path}.subset"))
+        probs.append(_as_float(_need(entry, "prob", path), f"{path}.prob"))
     avail = AvailabilityDist(tuple(sets), np.array(probs))
 
     acts_raw = _need(raw, "actions", "$")
     if not isinstance(acts_raw, list):
         raise ModelFormatError("$.actions: expected a list of subsets")
-    acts = []
-    for i, a in enumerate(acts_raw):
-        try:
-            acts.append(normalize_subset(a, n))
-        except ValueError as exc:
-            raise ModelFormatError(f"$.actions[{i}]: {exc}") from exc
+    acts = [_as_subset(a, n, f"$.actions[{i}]") for i, a in enumerate(acts_raw)]
     if () not in acts:
         acts.insert(0, ())
     seen = set()
@@ -126,11 +138,11 @@ def instance_from_dict(raw: dict) -> Instance:
         path = f"$.budgets[{i}]"
         if not isinstance(b, dict):
             raise ModelFormatError(f"{path}: expected an object")
-        c = np.asarray(_need(b, "coeff", path), dtype=float)
+        c = _as_array(_need(b, "coeff", path), f"{path}.coeff")
         if c.ndim != 1 or c.size != n:
             raise ModelFormatError(f"{path}.coeff: need one coefficient per source")
         coeffs.append(c)
-        rates.append(float(_need(b, "rate", path)))
+        rates.append(_as_float(_need(b, "rate", path), f"{path}.rate"))
     budgets = (BudgetSpec(np.array(coeffs), np.array(rates)) if coeffs
                else BudgetSpec.none(n))
     return Instance(model, avail, actions, budgets)

@@ -45,7 +45,7 @@ from .divergence import DivergenceTable, exponent
 from .errors import (InvalidBeta, InvalidPmf, NoExplorationPossible,
                      TrialBudgetExceeded)
 from .model import (ActionSpace, AvailabilityDist, BudgetSpec, Instance,
-                    JointModel, in_constraint_set, marginal, omega)
+                    in_constraint_set, marginal, omega)
 
 
 @dataclass(frozen=True)
@@ -280,32 +280,6 @@ def build_params(T: float, inst: Instance, table: DivergenceTable, llr_bound: fl
                    offset_scale=k_val, threshold_offset=offset, thresholds=thresholds)
 
 
-@dataclass
-class LlrState:
-    """Cumulative pairwise log-likelihood ratios S[t, m] and the step count."""
-
-    S: np.ndarray
-    t: int = 0
-
-    @staticmethod
-    def initial(M: int) -> "LlrState":
-        return LlrState(np.zeros((M, M)), 0)
-
-
-def mle(state: LlrState) -> int:
-    """Smallest hypothesis whose row of pairwise ratios is all nonnegative.
-
-    The ratios derive from per-hypothesis likelihood potentials, so such a row
-    exists whenever the matrix is consistent; with injected inconsistent
-    matrices (possible in tests) fall back to the largest row sum.
-    """
-    mins = state.S.min(axis=1)
-    idx = np.flatnonzero(mins >= 0)
-    if idx.size:
-        return int(idx[0])
-    return int(np.argmax(state.S.sum(axis=1)))
-
-
 def action_pmf(z: tuple[int, ...] | int, theta_hat: int, params: TestParams,
                inst: Instance, beta: np.ndarray | None = None) -> np.ndarray:
     """Conditional action distribution given the available set and the MLE.
@@ -332,32 +306,6 @@ def action_pmf(z: tuple[int, ...] | int, theta_hat: int, params: TestParams,
         raise InvalidPmf(f"action probabilities exceed 1 by {-remainder:.3e}")
     pmf[empty_idx] = max(remainder, 0.0)
     return pmf
-
-
-def update(state: LlrState, a: tuple[int, ...], z: tuple[int, ...], x: tuple[int, ...],
-           model: JointModel) -> LlrState:
-    """Fold one observation into the pairwise ratios.
-
-    The increment is the difference of per-hypothesis log-likelihoods of the
-    observed sub-tuple, so antisymmetry is preserved exactly. An empty
-    selection contributes nothing.
-    """
-    keep = tuple(sorted(set(a) & set(z)))
-    if not keep:
-        return LlrState(state.S.copy(), state.t + 1)
-    loglik = np.empty(model.M)
-    for t in range(model.M):
-        probs = marginal(model, keep, keep, t).probs
-        loglik[t] = math.log(float(probs[tuple(x)]))
-    S = state.S + (loglik[:, None] - loglik[None, :])
-    return LlrState(S, state.t + 1)
-
-
-def should_stop(state: LlrState, params: TestParams) -> int | None:
-    """Smallest hypothesis whose ratios clear every pairwise threshold."""
-    diff = state.S - params.thresholds
-    idx = np.flatnonzero(diff.min(axis=1) >= 0)
-    return int(idx[0]) if idx.size else None
 
 
 @dataclass(frozen=True)
@@ -427,7 +375,7 @@ def _uniforms(rng: np.random.Generator):
         yield from rng.random(_DRAW_BATCH).tolist()
 
 
-def run_trial(inst: Instance, table: DivergenceTable, params: TestParams, truth: int,
+def run_trial(inst: Instance, params: TestParams, truth: int,
               rng: np.random.Generator, max_steps: int | None = None,
               kernel: TrialKernel | None = None) -> TrialResult:
     """Simulate one trial under ``truth``, deterministic given the generator.
@@ -436,9 +384,17 @@ def run_trial(inst: Instance, table: DivergenceTable, params: TestParams, truth:
     Regime 2 loops draw-availability / estimate / draw-action / sample /
     update / check-stop, reading the tables of ``kernel`` (built here when
     not given; pass ``TrialKernel.build(inst, params, truth)`` to share it
-    across trials). Uniforms are drawn in batches, so the generator may end
-    up to one batch past the last draw the trial used; give each trial its
-    own generator.
+    across trials). S[t][m] holds the pairwise log-likelihood ratios of t
+    against m, and each observation adds lam[t] - lam[m], so S stays
+    antisymmetric. Two rules read it:
+
+    - the estimate is the smallest hypothesis whose row of S is all >= 0,
+      else (only for an inconsistent S) the one with the largest row sum;
+    - the test stops at the smallest hypothesis whose row clears every
+      threshold, S[t][m] >= thresholds[t][m] for all m.
+
+    Uniforms are drawn in batches, so the generator may end up to one batch
+    past the last draw the trial used; give each trial its own generator.
     Raises TrialBudgetExceeded when the safety cap (default 200 T) is hit;
     callers account such trials as invalid rather than fabricating a
     decision.
@@ -463,7 +419,7 @@ def run_trial(inst: Instance, table: DivergenceTable, params: TestParams, truth:
     draw = _uniforms(rng).__next__
     for t in range(1, max_steps + 1):
         zi = min(bisect_right(z_cdf, draw()), n_z - 1)
-        # Maximum-likelihood estimate, as in mle().
+        # Maximum-likelihood estimate.
         for theta_hat, row in enumerate(S):
             if min(row) >= 0:
                 break
@@ -478,7 +434,7 @@ def run_trial(inst: Instance, table: DivergenceTable, params: TestParams, truth:
             S = [list(map(add, row, inc)) for row, inc in zip(S, incs[sym])]
             for j in sources:
                 source_counts[j] += 1
-        # Stopping rule, as in should_stop().
+        # Stopping rule.
         for declared, (row, thr) in enumerate(zip(S, thresholds)):
             if min(map(sub, row, thr)) >= 0:
                 return TrialResult(t, declared, np.array(source_counts, dtype=float),

@@ -580,11 +580,6 @@ class _TuncelEvaluator:
         return float(best_val), tuple(best_P)
 
 
-def _tuncel_min(targets: np.ndarray, Q, betas: np.ndarray,
-                options: TuncelOptions) -> tuple[float, tuple[np.ndarray, ...]]:
-    return _TuncelEvaluator(Q, betas, options).min_slack(targets)
-
-
 def tuncel_membership(exponents: np.ndarray, model: JointModel,
                       beta_sources: np.ndarray,
                       options: TuncelOptions | None = None) -> TuncelResult:
@@ -604,7 +599,7 @@ def tuncel_membership(exponents: np.ndarray, model: JointModel,
     betas = np.asarray(beta_sources, dtype=float).reshape(-1)
     if betas.size != model.n:
         raise DimensionMismatch("need one sampling proportion per source")
-    val, witness = _tuncel_min(e, Q, betas, options)
+    val, witness = _TuncelEvaluator(Q, betas, options).min_slack(e)
     if abs(val) <= 1e-12:
         val = 0.0
     if val < -1e-9:
@@ -619,17 +614,6 @@ def _e_tuple_targets(e_vec: np.ndarray, M: int) -> np.ndarray:
     # easiest tuple consistent with a per-truth floor of e_m.
     e_vec = np.asarray(e_vec, dtype=float).reshape(-1)
     return np.tile(e_vec, (M, 1))
-
-
-def tuncel_e_tuple_value(e_vec: np.ndarray, model: JointModel, beta_sources: np.ndarray,
-                         options: TuncelOptions | None = None) -> float:
-    """Slack of a per-hypothesis exponent tuple (e_0..e_{M-1}) against the
-    fixed-length region, using the equal-rows reduction."""
-    options = options or TuncelOptions()
-    Q = source_marginals(model)
-    betas = np.asarray(beta_sources, dtype=float).reshape(-1)
-    val, _ = _tuncel_min(_e_tuple_targets(e_vec, model.M), Q, betas, options)
-    return val
 
 
 # ---------------------------------------------------------------------------

@@ -110,9 +110,8 @@ def _trial_seed(master: int, truth: int, T: float, index: int) -> np.random.Gene
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _run_chunk(inst: Instance, table: DivergenceTable, params: TestParams,
-               truth: int, T: float, seed: int, start: int, stop: int,
-               max_steps: int | None):
+def _run_chunk(inst: Instance, params: TestParams, truth: int, T: float,
+               seed: int, start: int, stop: int, max_steps: int | None):
     """Counts of trials start..stop-1 of one cell. Source counts are
     integers, so their sums and the sum of their outer products are exact
     and do not depend on how the trials were chunked."""
@@ -126,7 +125,7 @@ def _run_chunk(inst: Instance, table: DivergenceTable, params: TestParams,
     for idx in range(start, stop):
         rng = _trial_seed(seed, truth, T, idx)
         try:
-            res = run_trial(inst, table, params, truth, rng, max_steps, kernel=kernel)
+            res = run_trial(inst, params, truth, rng, max_steps, kernel=kernel)
         except TrialBudgetExceeded:
             n_invalid += 1
             continue
@@ -181,7 +180,7 @@ def estimate_errors(config: ExperimentConfig) -> ExperimentReport:
             cells[(T, truth)] = CellStats(T, truth, params.regime,
                                           declared=np.zeros(inst.model.M),
                                           source_totals=np.zeros(inst.model.n))
-            jobs += [((T, truth), (inst, table, params, truth, T, config.seed, s,
+            jobs += [((T, truth), (inst, params, truth, T, config.seed, s,
                                    min(s + chunk, n), config.max_steps))
                      for s in range(0, n, chunk)]
     size = _pool_size(workers, len(jobs), os.cpu_count())
@@ -338,7 +337,7 @@ def write_report_csv(report: ExperimentReport, path) -> None:
             for m in range(report.M):
                 k = int(cell.declared[m])
                 lo, hi = wilson_interval(k, n, report.config.ci_level)
-                usage = [repr(cell.sum_cost[i] / n if n else float("nan"))
+                usage = [repr(float(cell.sum_cost[i] / n) if n else float("nan"))
                          for i in range(n_b)]
                 inv = cell.n_invalid / (n + cell.n_invalid) if n + cell.n_invalid else 0.0
                 w.writerow([repr(T), truth, m, k,

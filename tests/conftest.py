@@ -1,5 +1,7 @@
 import itertools
 import json
+from bisect import bisect_right
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,28 @@ def two_set_instance(coeff) -> Instance:
     d.update(availability=[{"subset": [1, 2], "prob": 0.7}, {"subset": [1], "prob": 0.3}],
              actions=[[1], [2], [1, 2]], budgets=[{"coeff": coeff, "rate": 1.2}])
     return instance_from_dict(d)
+
+
+def kernel_path(kernel, zi, rng, steps):
+    """Walk the adaptive test's step through the tables of ``kernel`` with the
+    availability set ``zi`` held fixed and no stopping rule: estimate, draw
+    the action, then (if it selects a source) the symbol, one rng.random()
+    each, and add the symbol's increments to S. Yields (action, symbol or
+    None, S) after every step."""
+    M = len(kernel.act_cdfs)
+    S = [[0.0] * M for _ in range(M)]
+    for _ in range(steps):
+        theta_hat = next((t for t, row in enumerate(S) if min(row) >= 0), None)
+        if theta_hat is None:
+            theta_hat = int(np.argmax(np.sum(S, axis=1)))
+        act_cdf = kernel.act_cdfs[theta_hat][zi]
+        ai = min(bisect_right(act_cdf, rng.random()), len(act_cdf) - 1)
+        sym, seen = None, kernel.obs[ai][zi]
+        if seen is not None:
+            samp_cdf, incs, _ = seen
+            sym = min(bisect_right(samp_cdf, rng.random()), len(samp_cdf) - 1)
+            S = [list(map(add, row, inc)) for row, inc in zip(S, incs[sym])]
+        yield ai, sym, S
 
 
 def make_instance(M, n, alphabet, pmf_rows=None, avail=None, actions=None,

@@ -16,15 +16,16 @@ from scipy.stats import binom
 
 from aseq.divergence import build_instance_table, exponent
 from aseq.model import BudgetSpec, Instance, validate_model
-from aseq.policy import (LlrState, action_pmf, build_params, mle,
-                         offset_correction, solve_drift_margin, update)
+from aseq.policy import (TrialKernel, build_params, offset_correction,
+                         solve_drift_margin)
 from aseq.region import (TuncelOptions, build_polytope, compute_region,
                          decision_risk_exponents, membership,
                          nonadaptive_feasibility, nonadaptive_membership,
                          tuncel_membership)
 from aseq.sim import ExperimentConfig, estimate_errors, fit_exponents, verify_constraints
 
-from conftest import grid_betas, make_instance, oracle_max_margin, random_instance
+from conftest import (grid_betas, kernel_path, make_instance, oracle_max_margin,
+                      random_instance)
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -235,24 +236,16 @@ def test_criterion_5_likelihood_ratio_martingale():
     thr[np.diag_indices_from(thr)] = 0.0
     params = replace(params, regime=2, thresholds=thr)
 
-    from aseq.model import sample
-
+    # Steps read the tables every simulated trial reads.
+    kernel = TrialKernel.build(inst, params, 0)
     checkpoints = (1, 5, 20)
     n_runs = 100_000
     vals = {t: np.empty(n_runs) for t in checkpoints}
-    cum_action = [np.cumsum(action_pmf(0, th, params, inst)) for th in range(2)]
     for i in range(n_runs):
         rng = np.random.default_rng(600_000 + i)
-        state = LlrState.initial(2)
-        for t in range(1, 21):
-            th = mle(state)
-            ai = min(int(np.searchsorted(cum_action[th], rng.random(),
-                                         side="right")), 1)
-            a = inst.actions.actions[ai]
-            x = sample(inst.model, a, (1,), 0, rng)
-            state = update(state, a, (1,), x, inst.model)
+        for t, (_, _, S) in enumerate(kernel_path(kernel, 0, rng, 20), start=1):
             if t in checkpoints:
-                vals[t][i] = math.exp(state.S[1, 0])
+                vals[t][i] = math.exp(S[1][0])
     ok = True
     details = []
     for t in checkpoints:

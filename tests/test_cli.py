@@ -1,11 +1,17 @@
+import contextlib
+import copy
 import csv
+import io
 import itertools
 import json
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from aseq import cli, sim
 from aseq.cli import main
@@ -34,6 +40,51 @@ def test_malformed_model_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"M": 2}', encoding="utf-8")
     assert main(["validate", "--model", str(bad)]) == 1
+
+
+# Malformed values that once escaped main() as a TypeError traceback: where
+# each goes in the example model (with one budget), the JSON path the error
+# must name, and the value.
+BAD_VALUES = {
+    "prob_list": (("availability", 0, "prob"), "$.availability[0].prob", [1]),
+    "subset_int": (("availability", 0, "subset"), "$.availability[0].subset", 5),
+    "rate_null": (("budgets", 0, "rate"), "$.budgets[0].rate", None),
+    "coeff_object": (("budgets", 0, "coeff"), "$.budgets[0].coeff", {"a": 1}),
+    "action_int": (("actions", 0), "$.actions[0]", 1),
+}
+
+
+def _example_with_budget() -> dict:
+    cfg = json.loads(Path(MODEL).read_text())
+    cfg["budgets"] = [{"coeff": [1, 1], "rate": 0.8}]
+    return cfg
+
+
+def _resolve(cfg, keys):
+    """(container, key) that cfg[k0]...[kn] names, or None if it names nothing."""
+    node = cfg
+    for i, k in enumerate(keys):
+        if isinstance(node, dict) and k in node or \
+                isinstance(node, list) and isinstance(k, int) and k < len(node):
+            if i == len(keys) - 1:
+                return node, k
+            node = node[k]
+        else:
+            return None
+    return None
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_malformed_value_exits_1(tmp_path, capsys, case):
+    keys, json_path, value = BAD_VALUES[case]
+    cfg = _example_with_budget()
+    node, key = _resolve(cfg, keys)
+    node[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["validate", "--model", str(bad)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {json_path}: ")
 
 
 def test_invalid_distribution_exit_code(tmp_path):
@@ -129,7 +180,9 @@ def test_simulate_budgeted_model(tmp_path):
     out = tmp_path / "runs.csv"
     assert main(["simulate", "--model", str(model), "--T", "6", "--trials", "200",
                  "--seed", "5", "--epsilon", "0", "--out", str(out)]) == 0
-    assert "budget_0_usage" in out.read_text().splitlines()[0]
+    rows = list(csv.DictReader(out.open()))
+    assert "budget_0_usage" in rows[0]
+    assert all(float(r["budget_0_usage"]) >= 0 for r in rows)  # plain numbers
     summary = json.loads((tmp_path / "runs_summary.json").read_text())
     budget = [c for c in summary["constraint_checks"] if c["name"] == "budget_0"]
     assert len(budget) == 3
@@ -182,3 +235,76 @@ def test_internal_error_exits_1(monkeypatch, capsys):
     err = capsys.readouterr().err.strip()
     assert err == ("internal error: InvalidPmf: action probabilities exceed 1 by 1e-3 "
                    "second line")
+
+
+# ------------------------------------------------------------------- fuzz
+
+def _paths(node, prefix=()):
+    """Every key path into a JSON value, parents before children."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for k, v in items:
+        yield prefix + (k,)
+        yield from _paths(v, prefix + (k,))
+
+
+FUZZ_BASE = _example_with_budget()
+FUZZ_BASE.update(availability=[{"subset": [1, 2], "prob": 0.7}, {"subset": [1], "prob": 0.3}],
+                 actions=[[1], [2], [1, 2]])
+FUZZ_PATHS = list(_paths(FUZZ_BASE))
+# Wrong types, zeros, and empty, duplicate or out-of-range subsets.
+FUZZ_VALUES = [None, True, "x", 0, 0.0, -1, 0.5, 5, [], {}, {"a": 1}, [0], [3],
+               [1, 1], [2, 1], [1, 2, 3], [[1]], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]]
+MUTATION = st.tuples(st.sampled_from(["set", "drop", "dup"]), st.sampled_from(FUZZ_PATHS),
+                     st.sampled_from(FUZZ_VALUES))
+
+
+def _mutated(zeros, mutations) -> dict:
+    cfg = copy.deepcopy(FUZZ_BASE)
+    for j, k in zeros:  # symbol k of source j gets zero mass under every hypothesis
+        for h in cfg["hypotheses"]:
+            row = h["independent"][j]
+            row[k] = 0.0
+            h["independent"][j] = [v / sum(row) for v in row]
+    for op, keys, value in mutations:
+        found = _resolve(cfg, keys)
+        if found is None:
+            continue
+        node, key = found
+        if op == "set":
+            node[key] = copy.deepcopy(value)
+        elif op == "drop":
+            del node[key]
+        elif isinstance(node[key], list) and node[key]:
+            node[key].append(copy.deepcopy(node[key][-1]))
+    return cfg
+
+
+def _with_bad_values(test):
+    for keys, _, value in BAD_VALUES.values():
+        test = example(zeros=[], mutations=[("set", keys, value)])(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(zeros=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2)), max_size=2),
+       mutations=st.lists(MUTATION, max_size=3))
+@example(zeros=[], mutations=[])
+@example(zeros=[(1, 2)], mutations=[("set", ("budgets", 0, "rate"), 0)])
+@_with_bad_values
+def test_cli_fuzz_mutated_model(zeros, mutations):
+    """validate, region and a small simulate on a mutated model each end in
+    exit 0, 1 or 2, with a one-line message when they fail."""
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "model.json"
+        model.write_text(json.dumps(_mutated(zeros, mutations)), encoding="utf-8")
+        for args in (["validate"], ["region", "--out", f"{tmp}/region.json"],
+                     ["simulate", "--T", "4", "--trials", "20", "--seed", "1",
+                      "--epsilon", "0", "--out", f"{tmp}/runs.csv"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([args[0], "--model", str(model)] + args[1:])
+            assert code in (0, 1, 2)
+            event(f"{args[0]} exit {code}")
+            if code:
+                assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()

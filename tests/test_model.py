@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aseq.divergence import build_instance_table
 from aseq.errors import InvalidDistribution, SupportMismatch
 from aseq.model import (ActionSpace, AvailabilityDist, BudgetSpec, JointModel,
-                        in_constraint_set, marginal, omega, sample,
-                        validate_model)
+                        in_constraint_set, marginal, omega, validate_model)
+from aseq.policy import TrialKernel, build_params
 
-from conftest import make_instance
+from conftest import kernel_path, make_instance
 
 P01 = [0.9, 0.07, 0.03]
 P02 = [0.78, 0.17, 0.05]
@@ -82,24 +83,38 @@ def test_marginal_normalization_all_combos(example_instance):
                 assert float(p.sum()) == pytest.approx(1.0, abs=1e-12)
 
 
+def _always_kernel(inst, ai):
+    """Kernel under truth 0 whose every step draws action ``ai``."""
+    b = np.zeros((inst.actions.size, 1))
+    b[ai, 0] = 1.0
+    table = build_instance_table(inst)
+    llr = validate_model(inst.model, inst.avail, inst.actions, inst.budgets).llr_bound
+    params = build_params(10.0, inst, table, llr, [b] * inst.model.M, epsilon=0.0)
+    return TrialKernel.build(inst, params, 0)
+
+
 def test_sample_empty_action(example_instance):
     rng = np.random.default_rng(0)
-    assert sample(example_instance.model, (), (1, 2), 0, rng) == ()
+    for ai, sym, S in kernel_path(_always_kernel(example_instance, 0), 0, rng, 5):
+        assert (ai, sym) == (0, None)
+        assert S == [[0.0] * 3] * 3
 
 
 def test_sample_point_mass():
     inst = make_instance(2, 1, (2,), pmf_rows=[[[1.0, 0.0]], [[1.0, 0.0]]])
     rng = np.random.default_rng(1)
-    for _ in range(20):
-        assert sample(inst.model, (1,), (1,), 0, rng) == (0,)
+    with np.errstate(divide="ignore"):  # the zero-mass symbol's log-likelihood
+        kernel = _always_kernel(inst, 1)
+    for ai, sym, _ in kernel_path(kernel, 0, rng, 20):
+        assert (ai, sym) == (1, 0)
 
 
 def test_sample_frequencies_match_marginal(example_instance):
     rng = np.random.default_rng(42)
     N = 1_000_000
     counts = np.zeros(3)
-    for _ in range(N):
-        counts[sample(example_instance.model, (1,), (1, 2), 0, rng)[0]] += 1
+    for _, sym, _ in kernel_path(_always_kernel(example_instance, 1), 0, rng, N):
+        counts[sym] += 1
     p = np.array(P01)
     sigma = np.sqrt(p * (1 - p) * N)
     assert np.all(np.abs(counts - N * p) < 3.3 * sigma)

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 from aseq.divergence import build_instance_table, exponent
 from aseq.errors import InvalidBeta, NoExplorationPossible, TrialBudgetExceeded
 from aseq.model import ActionSpace, BudgetSpec, Instance, marginal, validate_model
-from aseq.policy import (LlrState, TrialKernel, TrialResult, action_pmf,
-                         build_params, choose_exploration_rate, mle,
-                         offset_correction, run_trial, should_stop,
-                         solve_drift_margin, update)
+from aseq.policy import (TrialKernel, TrialResult, action_pmf, build_params,
+                         choose_exploration_rate, offset_correction, run_trial,
+                         solve_drift_margin)
 from aseq.region import build_polytope, decision_risk_exponents
 
-from conftest import make_instance, two_set_instance
+from conftest import kernel_path, make_instance, two_set_instance
 from test_model import P01, P02, P11, P12, P21, P22
 
 
@@ -38,6 +37,12 @@ def forced_adaptive(params, T):
     thr[np.diag_indices_from(thr)] = 0.0
     return replace(params, regime=2, threshold_offset=params.max_slope.copy(),
                    thresholds=thr)
+
+
+def _adaptive(inst, T=25.0):
+    """Forced regime-2 parameters with exploration 0.2 for any instance."""
+    _, table, L, betas = _setup(inst)
+    return forced_adaptive(build_params(T, inst, table, L, betas, epsilon=0.2), T)
 
 
 # ------------------------------------------------------------- exploration
@@ -160,6 +165,8 @@ def test_params_epsilon_zero_forces_adaptive(example):
 
 
 # ---------------------------------------------------------------------- mle
+# run_trial's estimate matches the oracle's mle() on every trial it runs
+# (test_run_trial_matches_reference); these pin down mle() itself.
 
 def test_mle_all_zero_ties_to_zero():
     assert mle(LlrState.initial(3)) == 0
@@ -216,35 +223,60 @@ def test_action_pmf_heavy_exploration(example):
 
 # ------------------------------------------------------------------- update
 
-def test_update_empty_action_no_change(example):
-    inst, *_ = example
-    s0 = LlrState.initial(3)
-    s1 = update(s0, (), (1, 2), (), inst.model)
-    assert s1.t == 1
-    assert np.all(s1.S == 0.0)
+def test_update_empty_action_no_change(example_instance):
+    # A step whose action selects no available source reads no symbol and
+    # leaves S alone: its kernel entry is empty.
+    for inst in (example_instance, two_set_instance([1, 1])):
+        kernel = TrialKernel.build(inst, _adaptive(inst), 0)
+        for ai, a in enumerate(inst.actions.actions):
+            for zi, z in enumerate(inst.avail.sets):
+                assert (kernel.obs[ai][zi] is None) == (not set(a) & set(z))
 
 
 def test_update_antisymmetry_and_bound(example):
     inst, _, L, _ = example
+    kernel = TrialKernel.build(inst, _adaptive(inst), 0)
+    incs = [inc for row in kernel.obs for seen in row if seen is not None
+            for inc in seen[1]]
+    assert incs
+    for inc in incs:
+        A = np.array(inc)
+        assert np.array_equal(A, -A.T)
+        assert np.max(np.abs(A)) <= L + 1e-12
     rng = np.random.default_rng(4)
-    state = LlrState.initial(3)
-    from aseq.model import sample
-    for step in range(50):
-        a = inst.actions.actions[int(rng.integers(3))]
-        x = sample(inst.model, a, (1, 2), 0, rng)
-        new = update(state, a, (1, 2), x, inst.model)
-        assert np.allclose(new.S, -new.S.T, atol=0)
-        assert np.max(np.abs(new.S - state.S)) <= L + 1e-12
-        state = new
+    prev = np.zeros((3, 3))
+    for _, _, S in kernel_path(kernel, 0, rng, 50):
+        S = np.array(S)
+        assert np.array_equal(S, -S.T)
+        assert np.max(np.abs(S - prev)) <= L + 1e-12
+        prev = S
 
 
 # -------------------------------------------------------------- should stop
+# The stopping rule of run_trial itself, probed with a hand-built kernel
+# whose one step always draws action 1 and adds S to the zero matrix.
+
+def _stop_after(inst, params, S):
+    n_a, M = inst.actions.size, inst.model.M
+    act_cdf = [0.0] + [1.0] * (n_a - 1)
+    obs = [[None] for _ in range(n_a)]
+    obs[1][0] = ([1.0], [np.asarray(S, dtype=float).tolist()], (0,))
+    kernel = TrialKernel(params, 0, [1.0], [[act_cdf]] * M, obs,
+                         params.thresholds.tolist())
+    try:
+        res = run_trial(inst, params, 0, np.random.default_rng(0), max_steps=1,
+                        kernel=kernel)
+    except TrialBudgetExceeded:
+        return None
+    assert res.stopping_time == 1 and res.action_counts[1, 0] == 1
+    return res.declared
+
 
 def test_should_stop_none_at_zero(example):
     inst, table, L, betas = example
     params = forced_adaptive(build_params(50.0, inst, table, L, betas,
                                           epsilon=0.2), 50.0)
-    assert should_stop(LlrState.initial(3), params) is None
+    assert _stop_after(inst, params, np.zeros((3, 3))) is None
 
 
 def test_should_stop_row_above(example):
@@ -255,7 +287,7 @@ def test_should_stop_row_above(example):
     S[1, :] = params.thresholds[1, :] + 1.0
     S[1, 1] = 0.0
     S[:, 1] = -S[1, :]
-    assert should_stop(LlrState(S, 10), params) == 1
+    assert _stop_after(inst, params, S) == 1
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -266,7 +298,7 @@ def test_should_stop_matches_exhaustive(example, seed):
     rng = np.random.default_rng(seed)
     lam = rng.normal(scale=30.0, size=3)
     S = lam[:, None] - lam[None, :]
-    got = should_stop(LlrState(S, 5), params)
+    got = _stop_after(inst, params, S)
     want = None
     for th in range(3):
         if all(S[th, m] >= params.thresholds[th, m] for m in range(3) if m != th):
@@ -284,7 +316,7 @@ def test_run_trial_regime1(example):
     counts = np.zeros(3)
     for i in range(3000):
         rng = np.random.default_rng(i)
-        res = run_trial(inst, table, params, 0, rng)
+        res = run_trial(inst, params, 0, rng)
         assert res.stopping_time == 1
         assert np.all(res.source_counts == 0)
         counts[res.declared] += 1
@@ -299,7 +331,7 @@ def test_run_trial_accuracy_and_counts(example):
     correct = 0
     for i in range(200):
         rng = np.random.default_rng(900 + i)
-        res = run_trial(inst, table, params, 1, rng)
+        res = run_trial(inst, params, 1, rng)
         correct += res.declared == 1
         # per-source counts consistent with per-combination counts
         expect = np.zeros(2)
@@ -317,8 +349,8 @@ def test_run_trial_deterministic(example):
     T = 20.0
     params = forced_adaptive(build_params(T, inst, table, L, betas,
                                           epsilon=0.2), T)
-    r1 = run_trial(inst, table, params, 2, np.random.default_rng(123))
-    r2 = run_trial(inst, table, params, 2, np.random.default_rng(123))
+    r1 = run_trial(inst, params, 2, np.random.default_rng(123))
+    r2 = run_trial(inst, params, 2, np.random.default_rng(123))
     assert r1.stopping_time == r2.stopping_time
     assert r1.declared == r2.declared
     assert np.all(r1.action_counts == r2.action_counts)
@@ -330,15 +362,40 @@ def test_run_trial_budget_cap(example):
     params = forced_adaptive(build_params(T, inst, table, L, betas,
                                           epsilon=0.2), T)
     with pytest.raises(TrialBudgetExceeded):
-        run_trial(inst, table, params, 0, np.random.default_rng(0), max_steps=2)
+        run_trial(inst, params, 0, np.random.default_rng(0), max_steps=2)
 
 
 # ------------------------------------------------- trial kernel vs oracle
 
 # The trial loop as it stood before the tables moved into TrialKernel and
-# the steps onto Python scalars, kept verbatim as the oracle: rebuilding it
-# from update()/sample() would not do, since math.log and np.log may differ
-# in the last place.
+# the steps onto Python scalars, kept verbatim as the oracle together with
+# the LlrState and mle() it used.
+@dataclass
+class LlrState:
+    """Cumulative pairwise log-likelihood ratios S[t, m] and the step count."""
+
+    S: np.ndarray
+    t: int = 0
+
+    @staticmethod
+    def initial(M: int) -> "LlrState":
+        return LlrState(np.zeros((M, M)), 0)
+
+
+def mle(state: LlrState) -> int:
+    """Smallest hypothesis whose row of pairwise ratios is all nonnegative.
+
+    The ratios derive from per-hypothesis likelihood potentials, so such a row
+    exists whenever the matrix is consistent; with injected inconsistent
+    matrices (possible in tests) fall back to the largest row sum.
+    """
+    mins = state.S.min(axis=1)
+    idx = np.flatnonzero(mins >= 0)
+    if idx.size:
+        return int(idx[0])
+    return int(np.argmax(state.S.sum(axis=1)))
+
+
 def reference_run_trial(inst: Instance, table: DivergenceTable, params: TestParams, truth: int,
                         rng: np.random.Generator, max_steps: int | None = None) -> TrialResult:
     """Simulate one trial under ``truth``, deterministic given the generator.
@@ -452,8 +509,8 @@ def test_run_trial_matches_reference(oracle_models, name, mode, T, truth, seed,
     kernel = TrialKernel.build(inst, params, truth) if share else None
     want = _outcome(lambda: reference_run_trial(inst, table, params, truth,
                                                 np.random.default_rng(seed), max_steps))
-    got = _outcome(lambda: run_trial(inst, table, params, truth,
-                                     np.random.default_rng(seed), max_steps, kernel=kernel))
+    got = _outcome(lambda: run_trial(inst, params, truth, np.random.default_rng(seed),
+                                     max_steps, kernel=kernel))
     event(f"{mode}: {want[0]}")
     assert got == want
 
@@ -463,10 +520,10 @@ def test_run_trial_rejects_foreign_kernel(example):
     params = build_params(6.0, inst, table, L, betas, epsilon=0.0)
     kernel = TrialKernel.build(inst, params, 0)
     with pytest.raises(ValueError):
-        run_trial(inst, table, params, 1, np.random.default_rng(0), kernel=kernel)
+        run_trial(inst, params, 1, np.random.default_rng(0), kernel=kernel)
     other = build_params(6.0, inst, table, L, betas, epsilon=0.0)
     with pytest.raises(ValueError):
-        run_trial(inst, table, other, 0, np.random.default_rng(0), kernel=kernel)
+        run_trial(inst, other, 0, np.random.default_rng(0), kernel=kernel)
 
 
 # --------------------------------------------------- stochastic invariants
@@ -482,20 +539,12 @@ def test_likelihood_ratio_martingale_small():
     params = forced_adaptive(build_params(T, inst, table, rep.llr_bound, betas,
                                           epsilon=0.3), T)
     n_runs, horizon = 20000, 10
+    kernel = TrialKernel.build(inst, params, 0)
     vals = np.zeros(n_runs)
-    from aseq.model import sample
     for i in range(n_runs):
         rng = np.random.default_rng(10_000 + i)
-        state = LlrState.initial(2)
-        for t in range(horizon):
-            th = mle(state)
-            pmf = action_pmf(0, th, params, inst)
-            ai = int(np.searchsorted(np.cumsum(pmf), rng.random(), side="right"))
-            ai = min(ai, 2)
-            a = inst.actions.actions[ai]
-            x = sample(inst.model, a, (1,), 0, rng)
-            state = update(state, a, (1,), x, inst.model)
-        vals[i] = math.exp(state.S[1, 0])  # m=1 against truth 0
+        *_, (_, _, S) = kernel_path(kernel, 0, rng, horizon)
+        vals[i] = math.exp(S[1][0])  # m=1 against truth 0
     mean = vals.mean()
     half = 2.576 * vals.std(ddof=1) / math.sqrt(n_runs)
     assert abs(mean - 1.0) < half + 1e-3
@@ -516,7 +565,7 @@ def test_budget_supermartingale(example_instance):
     drifts = []
     for i in range(4000):
         rng = np.random.default_rng(50_000 + i)
-        res = run_trial(inst, table, params, i % 3, rng)
+        res = run_trial(inst, params, i % 3, rng)
         cost = float(res.source_counts.sum())
         drifts.append(cost - 0.8 * res.stopping_time)
     drifts = np.array(drifts)
