@@ -20,12 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import modelio, sim
-from .divergence import build_instance_table
 from .errors import ModelFormatError
 from .model import validate_model
-from .region import (TuncelOptions, build_polytope, compute_region,
-                     decision_risk_exponents, individual_hypothesis_region_slice,
-                     nonadaptive_slice, tuncel_slice)
+from .region import (build_polytope, compute_region, decision_risk_exponents,
+                     individual_hypothesis_region_slice, nonadaptive_slice,
+                     tuncel_slice)
 
 USAGE_EXIT = 2
 DATA_EXIT = 1
@@ -59,8 +58,7 @@ def cmd_validate(args) -> int:
 
 def cmd_divergence(args) -> int:
     inst = _load(args.model)
-    validate_model(inst.model, inst.avail, inst.actions, inst.budgets)
-    table = build_instance_table(inst)
+    table = validate_model(inst.model, inst.avail, inst.actions, inst.budgets).table
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         w = csv.writer(out)
@@ -91,8 +89,7 @@ def _parse_slice(expr: str) -> tuple[int, float]:
 
 def cmd_region(args) -> int:
     inst = _load(args.model)
-    validate_model(inst.model, inst.avail, inst.actions, inst.budgets)
-    table = build_instance_table(inst)
+    table = validate_model(inst.model, inst.avail, inst.actions, inst.budgets).table
     poly = build_polytope(inst.avail, inst.actions, inst.budgets)
     region = compute_region(table, poly)
     gamma, _ = decision_risk_exponents(table, poly)
@@ -109,9 +106,7 @@ def cmd_region(args) -> int:
             if spec is None:
                 spec = ",".join(["%g" % (1.0 / inst.model.n)] * inst.model.n)
             beta_sources = np.array([float(t) for t in spec.split(",")])
-            tc = tuncel_slice(inst.model, beta_sources, {k: v},
-                              options=TuncelOptions(grid_step=0.1, descent_starts=3,
-                                                    descent_iters=120))
+            tc = tuncel_slice(inst.model, beta_sources, {k: v})
             rows += [(float(x), float(y), "tuncel") for x, y in tc.points]
         except ValueError as exc:
             print(f"skipping tuncel family: {exc}", file=sys.stderr)

@@ -11,12 +11,15 @@ matching ``ActionSpace.actions`` and column order matching
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import InvalidDistribution, SupportMismatch
+
+if TYPE_CHECKING:
+    from .divergence import DivergenceTable
 
 # Default tolerances. Probability normalization is checked tightly; affine
 # constraint membership allows solver-level noise. Both can be overridden
@@ -158,12 +161,14 @@ class ValidationReport:
     ordered pair is discriminated by some (action, availability) combination;
     ``assumption3_ok`` is the stronger per-combination version, reported for
     information only (evaluated over combinations that select at least one
-    source, since an empty selection can never discriminate).
+    source, since an empty selection can never discriminate). ``table`` is
+    the divergence table the flags were read from, for callers to reuse.
     """
 
     llr_bound: float
     assumption2_ok: bool
     assumption3_ok: bool
+    table: DivergenceTable = field(repr=False, compare=False)
 
 
 def marginal(model: JointModel, a: tuple[int, ...], z: tuple[int, ...], theta: int) -> SubPmf:
@@ -259,9 +264,9 @@ def validate_model(model: JointModel, avail: AvailabilityDist, actions: ActionSp
     # select at least one source.
     from .divergence import build_table  # deferred: divergence imports this module
 
-    table = build_table(model, avail, actions).table
+    table = build_table(model, avail, actions)
     selects = np.array([[bool(set(a) & set(z)) for z in avail.sets]
                         for a in actions.actions])
-    seen = table[selects][:, ~np.eye(model.M, dtype=bool)] > 1e-12  # (combination, pair)
+    seen = table.table[selects][:, ~np.eye(model.M, dtype=bool)] > 1e-12  # (combination, pair)
     a2_ok = bool(seen.any(axis=0).all())
-    return ValidationReport(llr_bound, a2_ok, a2_ok and bool(seen.all()))
+    return ValidationReport(llr_bound, a2_ok, a2_ok and bool(seen.all()), table)

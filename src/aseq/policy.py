@@ -326,8 +326,9 @@ class TrialKernel:
     ``z_cdf`` is the availability CDF and ``act_cdfs[theta_hat][zi]`` the
     action CDF given the estimate and the available set. ``obs[ai][zi]`` is
     None when action ai selects no source of set zi; otherwise it holds the
-    truth's sampling CDF over the selected sub-alphabet, the increment
-    lam[t] - lam[m] of S for each symbol, and the selected source indices.
+    truth's sampling CDF over the symbols of the selected sub-alphabet that
+    the truth gives positive mass, the increment lam[t] - lam[m] of S for
+    each of them, and the selected source indices.
     Empty in regime 1, whose trials read nothing.
     """
 
@@ -354,11 +355,15 @@ class TrialKernel:
                 if not keep:
                     continue
                 if keep not in by_keep:
-                    flats = [marginal(model, keep, keep, t).probs.reshape(-1)
-                             for t in range(model.M)]
-                    loglik = np.log(np.stack(flats, axis=1)).tolist()  # [symbol][t]
+                    flats = np.stack([marginal(model, keep, keep, t).probs.reshape(-1)
+                                      for t in range(model.M)], axis=1)  # [symbol, t]
+                    # Only symbols the truth can emit: the clamp of a draw past
+                    # a last CDF entry rounded below 1 then lands on one of
+                    # them, and no log of a zero mass is taken.
+                    flats = flats[flats[:, truth] > 0]
+                    loglik = np.log(flats).tolist()
                     incs = [[[lt - lm for lm in lam] for lt in lam] for lam in loglik]
-                    by_keep[keep] = (np.cumsum(flats[truth]).tolist(), incs,
+                    by_keep[keep] = (np.cumsum(flats[:, truth]).tolist(), incs,
                                      tuple(j - 1 for j in keep))
                 obs[ai][zi] = by_keep[keep]
         return TrialKernel(params, truth, np.cumsum(inst.avail.probs).tolist(),

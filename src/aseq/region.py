@@ -16,10 +16,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .divergence import DivergenceTable, kl
 from .errors import (DimensionMismatch, InfeasiblePolytope, NotChernoffForm,
-                     UnsupportedDimension)
+                     SupportMismatch, UnsupportedDimension)
 from .linprog import LpResult, lp_feasible, solve_lp
 from .model import (ActionSpace, AvailabilityDist, BudgetSpec, JointModel,
                     marginal, selection_matrix)
@@ -410,24 +411,31 @@ def decision_risk_exponents(table: DivergenceTable, poly: ConstraintPolytope
 
 @dataclass(frozen=True)
 class TuncelOptions:
-    """Search controls for the fixed-length region membership test."""
+    """Controls of the fixed-length dual evaluator: ``grid_step`` is the step
+    of the grid scanned first (coarsened past ``_GRID_CELLS``, from M = 5 on),
+    ``descent_iters`` caps the Newton steps taken after it while the verdict
+    is unresolved, and ``descent_starts`` is accepted and unused."""
 
     grid_step: float = 0.05
     descent_starts: int = 6
     descent_iters: int = 400
-    max_grid_points: int = 200_000
-    seed: int = 0
 
 
 @dataclass(frozen=True)
 class TuncelResult:
+    """Verdict with certified bounds lower <= slack <= upper. ``witness`` is
+    the sample type (one distribution per source) at which ``upper`` was
+    evaluated; None when the verdict is "in"."""
+
     status: str  # "in" | "out" | "unresolved"
-    value: float
+    lower: float
+    upper: float
     witness: tuple[np.ndarray, ...] | None
 
 
 def source_marginals(model: JointModel) -> list[list[np.ndarray]]:
-    """Per-source marginals Q[theta][j-1]; requires a product-form model."""
+    """Per-source marginals Q[theta][j-1]; requires a product-form model whose
+    hypotheses share each source's support."""
     out = []
     for t in range(model.M):
         margs = [marginal(model, (j,), (j,), t).probs for j in range(1, model.n + 1)]
@@ -436,21 +444,20 @@ def source_marginals(model: JointModel) -> list[list[np.ndarray]]:
             prod = np.multiply.outer(prod, q)
         if np.max(np.abs(prod - model.pmfs[t])) > 1e-9:
             raise ValueError("fixed-length comparison needs independent sources")
+        if out and any(np.any((q > 0) != (q0 > 0)) for q, q0 in zip(margs, out[0])):
+            raise SupportMismatch(f"hypothesis {t} source support differs from hypothesis 0")
         out.append(margs)
     return out
 
 
 def _simplex_grid(k: int, step: float) -> np.ndarray:
+    """Every point of the k-simplex with coordinates in multiples of 1/units
+    (stars and bars: the gaps between k - 1 cuts of units + k - 1 slots)."""
     units = max(1, round(1.0 / step))
-    pts = []
-    for cuts in itertools.combinations(range(units + k - 1), k - 1):
-        prev, comp = -1, []
-        for c in cuts:
-            comp.append(c - prev - 1)
-            prev = c
-        comp.append(units + k - 2 - prev)
-        pts.append(comp)
-    return np.array(pts, dtype=float) / units
+    cuts = np.array(list(itertools.combinations(range(units + k - 1), k - 1)),
+                    dtype=np.intp, ndmin=2)
+    ends = np.full((len(cuts), 1), -1), np.full((len(cuts), 1), units + k - 1)
+    return (np.diff(np.hstack([ends[0], cuts, ends[1]]), axis=1) - 1) / units
 
 
 def _tuncel_objective(P: list[np.ndarray], Q, betas: np.ndarray,
@@ -463,157 +470,152 @@ def _tuncel_objective(P: list[np.ndarray], Q, betas: np.ndarray,
     (sum_j beta_j KL(P_j || Q_m_j)) - targets[t, m]. Returns the best margin
     and the active (declared, truth) pair.
     """
-    M = len(Q)
-    h = [sum(betas[j] * kl(P[j], Q[m][j]) for j in range(len(P))) for m in range(M)]
-    best_val, best_t, best_m = -np.inf, 0, 0
-    for t in range(M):
-        worst, worst_m = np.inf, 0
-        for m in range(M):
-            if m == t:
-                continue
-            v = h[m] - targets[t, m]
-            if v < worst:
-                worst, worst_m = v, m
-        if worst > best_val:
-            best_val, best_t, best_m = worst, t, worst_m
-    return best_val, best_t, best_m
+    h = np.array([sum(b * kl(p, q) for b, p, q in zip(betas, P, Q_m)) for Q_m in Q])
+    slack = h[None, :] - targets
+    np.fill_diagonal(slack, np.inf)
+    worst_m = np.argmin(slack, axis=1)
+    best_t = int(np.argmax(slack[np.arange(len(Q)), worst_m]))
+    return float(slack[best_t, worst_m[best_t]]), best_t, int(worst_m[best_t])
 
 
-class _TuncelEvaluator:
-    """Reusable grid + descent minimizer of the worst-case divergence slack.
+# Stands in for log 0, and pads the source alphabets to one length. The
+# hypotheses share each source's support, so a zero-mass symbol's logit is
+# _LOG_ZERO * sum_m mu_m = _LOG_ZERO and its weight exactly 0, while
+# 0 * _LOG_ZERO = 0 keeps Q^0 = 1 and every product finite (no nan).
+_LOG_ZERO = -1e4
+# Most lambda-grid points times choice functions kept for the grid scan.
+_GRID_CELLS = 1 << 20
 
-    The objective is a max over declared hypotheses of a min over truths, so
-    it is not convex in P; minimization over the product of source simplices
-    is heuristic. A vectorized simplex grid scan provides dense coverage
-    (including every hypothesis's own marginals, the binding probes), and
-    entropic mirror descent refines the best starts.
+
+class _TuncelDual:
+    """Certified bounds on the fixed-length slack by Chernoff/Renyi duality.
+
+    The slack v(e) = min_P max_t min_{m != t} (h_m(P) - e[t, m]), with
+    h_m(P) = sum_j beta_j KL(P_j || Q_mj), is the minimum over the choice
+    functions f (t -> f(t) != t) of min_P max_t (h_f(t)(P) - e[t, f(t)])
+    (Tuncel 2005). By weak duality each piece is at least
+    g_f(lambda) = sum_j beta_j c_j(mu) - sum_t lambda_t e[t, f(t)] for every
+    lambda in the simplex, with mu_m = sum_{t: f(t) = m} lambda_t and
+    c_j(mu) = -log sum_x prod_m Q_mj(x)^mu_m; g_f is concave and, by Sion's
+    minimax theorem, its maximum is the piece. The best lambda for a mu puts
+    mu_m on the t with the least e[t, m], eps_f[m], so mu is searched on the
+    simplex of f's image. The tilts P_j ~ prod_m Q_mj^mu_m attain c_j, and
+    h_m(P) - eps_f[m] is the gradient of g_f (up to a constant).
     """
 
-    def __init__(self, Q, betas: np.ndarray, options: TuncelOptions):
-        self.Q = Q
-        self.betas = betas
-        self.options = options
-        self.M = len(Q)
-        self.n = len(Q[0])
-        self.sizes = [len(Q[0][j]) for j in range(self.n)]
-        self.rng = np.random.default_rng(options.seed)
-        grids = [_simplex_grid(k, options.grid_step) for k in self.sizes]
-        total = int(np.prod([len(g) for g in grids]))
-        if total > options.max_grid_points:
-            count = options.max_grid_points
-            grids = [np.vstack([g, self.rng.dirichlet(np.ones(k), size=count)])
-                     if len(g) < count else
-                     g[self.rng.choice(len(g), size=count, replace=False)]
-                     for g, k in zip(grids, self.sizes)]
-            self.joint = None  # sampled rows combined positionally
-            self.grids = [g[:count] for g in grids]
-        else:
-            self.joint = "product"
-            self.grids = grids
-        # Per-source KL(p || Q_theta_j) for every grid row: (G_j, M).
-        self.kl_mats = []
-        for j, g in enumerate(self.grids):
-            ent = np.sum(np.where(g > 0, g * np.log(np.where(g > 0, g, 1.0)), 0.0), axis=1)
-            cross = np.stack([g @ np.log(self.Q[t][j]) for t in range(self.M)], axis=1)
-            self.kl_mats.append(ent[:, None] - cross)
+    def __init__(self, Q, beta_sources: np.ndarray, options: TuncelOptions):
+        self.Q, self.iters = Q, options.descent_iters
+        self.betas = np.asarray(beta_sources, dtype=float).reshape(-1)
+        M, n = len(Q), len(self.betas)
+        if n != len(Q[0]):
+            raise DimensionMismatch("need one sampling proportion per source")
+        self.sizes = [len(q) for q in Q[0]]
+        self.logQ = np.full((n, M, max(self.sizes)), _LOG_ZERO)
+        with np.errstate(divide="ignore"):
+            for j, k in enumerate(self.sizes):
+                for m in range(M):
+                    self.logQ[j, m, :k] = np.maximum(np.log(Q[m][j]), _LOG_ZERO)
+        choices = np.array(list(itertools.product(range(M), repeat=M)), dtype=np.intp)
+        choices = choices[(choices != np.arange(M)).all(axis=1)]
+        self.assign = np.eye(M, dtype=bool)[choices]  # [f, t, m]: f(t) = m
+        self.image = self.assign.any(axis=1)  # [f, m]
+        units = max(1, round(1.0 / options.grid_step))
+        while units > 1 and len(choices) * math.comb(units + M - 1, M - 1) > _GRID_CELLS:
+            units -= 1
+        self.grid = _simplex_grid(M, 1.0 / units)
+        self.c_grid = self._tilt(self.grid)[0]
+        self.off_grid = ((self.grid[None] > 0) & ~self.image[:, None, :]).any(axis=2)
 
-    def _slack(self, h: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """max over declared of min over truths of h[..., m] - targets[t, m]."""
-        per_declared = []
-        for t in range(self.M):
-            ms = [m for m in range(self.M) if m != t]
-            per_declared.append((h[..., ms] - targets[t, ms]).min(axis=-1))
-        return np.max(np.stack(per_declared, axis=-1), axis=-1)
+    def _tilt(self, mu: np.ndarray):
+        """sum_j beta_j c_j(mu), h_m of the tilted P, and P, for each row of mu."""
+        logits = np.einsum("rm,jmk->rjk", mu, self.logQ)
+        lse = logsumexp(logits, axis=-1)
+        logp = logits - lse[..., None]
+        p = np.exp(logp)
+        h = ((p * logp).sum(axis=-1) @ self.betas)[:, None] \
+            - np.einsum("rjk,jmk,j->rm", p, self.logQ, self.betas)
+        return -lse @ self.betas, h, p
 
-    def _grid_best(self, targets: np.ndarray):
-        if self.joint == "product":
-            # Broadcast the weighted per-source KL matrices over the product.
-            shape = [len(g) for g in self.grids]
-            h = np.zeros(shape + [self.M])
-            for j, mat in enumerate(self.kl_mats):
-                dims = [1] * len(shape) + [self.M]
-                dims[j] = shape[j]
-                h = h + self.betas[j] * mat.reshape(dims)
-            vals = self._slack(h, targets)
-            flat_idx = int(np.argmin(vals))
-            idx = np.unravel_index(flat_idx, vals.shape)
-            P = [self.grids[j][idx[j]].copy() for j in range(self.n)]
-            return float(vals.reshape(-1)[flat_idx]), P
-        h = sum(self.betas[j] * self.kl_mats[j] for j in range(self.n))
-        vals = self._slack(h, targets)
-        i = int(np.argmin(vals))
-        return float(vals[i]), [self.grids[j][i].copy() for j in range(self.n)]
+    def _newton(self, p, slack, free):
+        """Maximiser of g_f's quadratic model on the free coordinates of the
+        simplex (the others held at their value), as a step of at most 1 in
+        every coordinate. The Hessian in mu is -sum_j beta_j Cov_P_j(log Q_j)."""
+        L = self.logQ
+        mean = np.einsum("rjk,jmk->rjm", p, L)
+        cov = np.einsum("rjk,jmk,jnk->rjmn", p, L, L) - mean[..., :, None] * mean[..., None, :]
+        R, M = slack.shape
+        kkt = np.zeros((R, M + 1, M + 1))
+        kkt[:, :M, :M] = np.where(free[:, :, None] & free[:, None, :],
+                                  -np.einsum("j,rjmn->rmn", self.betas, cov), -np.eye(M))
+        kkt[:, :M, M] = kkt[:, M, :M] = free
+        rhs = np.append(np.where(free, -slack, 0.0), np.zeros((R, 1)), axis=1)
+        step = (np.linalg.pinv(kkt) @ rhs[..., None])[:, :M, 0]
+        return step / np.maximum(1.0, np.abs(step).max(axis=1))[:, None]
 
-    def min_slack(self, targets: np.ndarray) -> tuple[float, tuple[np.ndarray, ...]]:
-        Q, betas, options = self.Q, self.betas, self.options
-        floor = 1e-12
+    def bounds(self, e: np.ndarray) -> tuple[float, tuple[np.ndarray, ...]]:
+        """The lower bound for the target matrix e and the tilt of least slack
+        seen, whose _tuncel_objective is the upper bound: a grid scan for every
+        f at once, then, until lower >= 0 or a tilt's slack below -1e-9
+        settles the verdict, damped Newton steps on each f with g_f < 0 and
+        an open duality gap."""
+        eps = np.where(self.assign, e[None], np.inf).min(axis=1)  # eps_f, inf off image
+        eps0 = np.where(self.image, eps, 0.0)
+        e_off = np.where(np.eye(len(e), dtype=bool), -np.inf, e)
 
-        def value(P):
-            return _tuncel_objective(P, Q, betas, targets)[0]
+        def at(rows, mu):
+            c, h, p = self._tilt(mu)
+            g = c - np.sum(mu * eps0[rows], axis=1)
+            return g, np.where(self.image[rows], h - eps[rows], -np.inf), h, p
 
-        candidates: list[list[np.ndarray]] = []
-        for t in range(self.M):
-            candidates.append([Q[t][j].copy() for j in range(self.n)])
-        candidates.append([np.full(k, 1.0 / k) for k in self.sizes])
-        grid_val, grid_P = self._grid_best(targets)
-        candidates.append(grid_P)
-        for _ in range(max(0, options.descent_starts - len(candidates))):
-            candidates.append([self.rng.dirichlet(np.ones(k)) for k in self.sizes])
+        def objective(h):
+            return np.min(h[:, None, :] - e_off, axis=2).max(axis=1)
 
-        best_val, best_P = grid_val, [p.copy() for p in grid_P]
-        for start in candidates:
-            P = [np.maximum(p, floor) / np.maximum(p, floor).sum() for p in start]
-            cur = value(P)
-            if cur < best_val:
-                best_val, best_P = cur, [p.copy() for p in P]
-            for it in range(options.descent_iters):
-                _, _, m_star = _tuncel_objective(P, Q, betas, targets)
-                eta = 0.5 / np.sqrt(1.0 + it)
-                for j in range(self.n):
-                    grad = betas[j] * (np.log(P[j] / Q[m_star][j]) + 1.0)
-                    P[j] = P[j] * np.exp(-eta * grad)
-                    P[j] = np.maximum(P[j], floor)
-                    P[j] /= P[j].sum()
-                cur = value(P)
-                if cur < best_val:
-                    best_val, best_P = cur, [p.copy() for p in P]
-        return float(best_val), tuple(best_P)
+        rows = np.arange(len(eps))
+        g_grid = np.where(self.off_grid, -np.inf, self.c_grid - eps0 @ self.grid.T)
+        mu = self.grid[np.argmax(g_grid, axis=1)]
+        g, slack, h, p = at(rows, mu)
+        obj = objective(h)
+        best_obj, best_p = obj.min(), p[np.argmin(obj)]
+        damp = np.ones(len(rows))
+        for _ in range(self.iters):
+            if g.min() >= 0 or best_obj < -1e-9:
+                break
+            act = rows[(g < 0) & (damp > 1e-9) & (slack.max(axis=1) - g > 1e-13)]
+            if not act.size:
+                break
+            free = self.image[act] & ((mu[act] > 0) | (slack[act] > g[act, None]))
+            step = self._newton(p[act], slack[act], free)
+            cand = np.maximum(mu[act] + damp[act, None] * step, 0.0) * self.image[act]
+            cand /= cand.sum(axis=1, keepdims=True)
+            g2, slack2, h2, p2 = at(act, cand)
+            obj2 = objective(h2)
+            if obj2.min() < best_obj:
+                best_obj, best_p = obj2.min(), p2[np.argmin(obj2)]
+            up = g2 > g[act]
+            better = act[up]
+            mu[better], g[better], slack[better], p[better] = cand[up], g2[up], slack2[up], p2[up]
+            damp[act] = np.where(up, 1.0, damp[act] / 4)
+        return float(g.min()), tuple(best_p[j, :k].copy() for j, k in enumerate(self.sizes))
 
 
 def tuncel_membership(exponents: np.ndarray, model: JointModel,
                       beta_sources: np.ndarray,
                       options: TuncelOptions | None = None) -> TuncelResult:
     """Membership in the fixed-length comparison region at a fixed per-source
-    sampling proportion.
-
-    A tuple is in the region when every auxiliary product distribution (every
-    possible sample type) can be assigned to some declared hypothesis whose
-    exponent demands it meets against all truths. Returns "in" when the
-    minimized slack stayed nonnegative under the grid-plus-descent search
-    (heuristic: the objective is a nonconvex max-min), "out" with an exact
-    witness when it drops below -1e-9, "unresolved" in the boundary band.
-    """
-    options = options or TuncelOptions()
+    sampling proportion: a tuple is in when every sample type (auxiliary
+    product distribution) can be assigned to a declared hypothesis whose
+    demands it meets against all truths, that is when the slack is >= 0.
+    "in" is certified by the dual lower bound, "out" comes with a witness
+    whose slack is below -1e-9, and "unresolved" is the band between."""
     e = _as_matrix(exponents, model.M)
-    Q = source_marginals(model)
-    betas = np.asarray(beta_sources, dtype=float).reshape(-1)
-    if betas.size != model.n:
-        raise DimensionMismatch("need one sampling proportion per source")
-    val, witness = _TuncelEvaluator(Q, betas, options).min_slack(e)
-    if abs(val) <= 1e-12:
-        val = 0.0
-    if val < -1e-9:
-        return TuncelResult("out", val, witness)
-    if val >= 0.0:
-        return TuncelResult("in", val, None)
-    return TuncelResult("unresolved", val, witness)
-
-
-def _e_tuple_targets(e_vec: np.ndarray, M: int) -> np.ndarray:
-    # Per-truth exponents: demanding e_m of every declared hypothesis is the
-    # easiest tuple consistent with a per-truth floor of e_m.
-    e_vec = np.asarray(e_vec, dtype=float).reshape(-1)
-    return np.tile(e_vec, (M, 1))
+    dual = _TuncelDual(source_marginals(model), beta_sources, options or TuncelOptions())
+    lower, witness = dual.bounds(e)
+    upper = _tuncel_objective(list(witness), dual.Q, dual.betas, e)[0]
+    if lower >= 0.0:
+        return TuncelResult("in", lower, upper, None)
+    if upper < -1e-9:
+        return TuncelResult("out", lower, upper, witness)
+    return TuncelResult("unresolved", lower, upper, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -757,39 +759,35 @@ def tuncel_slice(model: JointModel, beta_sources: np.ndarray,
                  fixed: dict[int, float], samples: int = 17,
                  options: TuncelOptions | None = None) -> SlicePolyline:
     """Sampled boundary of the fixed-length region slice at one sampling
-    proportion: for a sweep of x values, bisect the largest feasible y."""
+    proportion: for a sweep of x values, bisect the largest y whose tuple the
+    dual certifies "in", so every returned point lies inside the region."""
     if model.M != 3 or len(fixed) != 1:
         raise UnsupportedDimension("fixed-length slices cover M=3 with one fixed axis")
-    options = options or TuncelOptions(grid_step=0.1, descent_starts=4,
-                                       descent_iters=120)
     (k, v), = fixed.items()
     i, j = [t for t in range(3) if t != k]
     Q = source_marginals(model)
-    betas = np.asarray(beta_sources, dtype=float).reshape(-1)
-    evaluator = _TuncelEvaluator(Q, betas, options)
+    dual = _TuncelDual(Q, beta_sources, options or TuncelOptions())
 
     def feasible(x: float, y: float) -> bool:
         e = np.zeros(3)
         e[k], e[i], e[j] = v, x, y
-        val, _ = evaluator.min_slack(_e_tuple_targets(e, 3))
-        return val >= -1e-12
+        # Per-truth exponents: demanding e_m of every declared hypothesis is
+        # the easiest tuple consistent with a per-truth floor of e_m.
+        return dual.bounds(np.tile(e, (3, 1)))[0] >= 0.0
 
-    hi_guess = max(kl(Q[a][jj], Q[b][jj]) for a in range(3) for b in range(3)
-                   for jj in range(model.n) if a != b) * model.n
-    if not feasible(0.0, 0.0):
-        return SlicePolyline((i, j), np.zeros((0, 2)))
-    lo, hi = 0.0, hi_guess
-    for _ in range(20):
-        mid = (lo + hi) / 2
-        lo, hi = (mid, hi) if feasible(mid, 0.0) else (lo, mid)
-    x_max = lo
-    pts = []
-    for x in np.linspace(0.0, x_max, samples):
-        lo, hi = 0.0, hi_guess
-        if not feasible(float(x), 0.0):
-            continue
+    top = max(kl(Q[a][jj], Q[b][jj]) for a in range(3) for b in range(3)
+              for jj in range(model.n) if a != b) * model.n
+
+    def largest(pred) -> float:
+        lo, hi = 0.0, top
         for _ in range(20):
             mid = (lo + hi) / 2
-            lo, hi = (mid, hi) if feasible(float(x), mid) else (lo, mid)
-        pts.append(np.array([float(x), lo]))
+            lo, hi = (mid, hi) if pred(mid) else (lo, mid)
+        return lo
+
+    if not feasible(0.0, 0.0):
+        return SlicePolyline((i, j), np.zeros((0, 2)))
+    x_max = largest(lambda x: feasible(x, 0.0))
+    pts = [(x, largest(lambda y: feasible(x, y)))
+           for x in np.linspace(0.0, x_max, samples).tolist() if feasible(x, 0.0)]
     return SlicePolyline((i, j), np.array(pts))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .divergence import DivergenceTable, build_instance_table
+from .divergence import DivergenceTable
 from .errors import TrialBudgetExceeded
 from .model import Instance
 from .policy import TestParams, TrialKernel, build_params, run_trial
@@ -164,7 +164,7 @@ def estimate_errors(config: ExperimentConfig) -> ExperimentReport:
     from .model import validate_model
 
     report_info = validate_model(inst.model, inst.avail, inst.actions, inst.budgets)
-    table = build_instance_table(inst)
+    table = report_info.table
     betas = resolve_betas(config, table)
     truths = config.truths if config.truths is not None else tuple(range(inst.model.M))
     workers = config.workers or int(os.environ.get("ASEQ_THREADS", "1"))

@@ -1,6 +1,7 @@
 import itertools
 import json
 from bisect import bisect_right
+from dataclasses import dataclass
 from operator import add
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from aseq.model import (ActionSpace, AvailabilityDist, BudgetSpec, Instance,
                         JointModel, omega, selection_matrix)
 from aseq.modelio import instance_from_dict, load_instance
+from aseq.region import _simplex_grid, _tuncel_objective
 
 MODEL_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -188,3 +190,139 @@ def oracle_max_margin(e_sub: np.ndarray, pair_rows_m: np.ndarray,
                   method="highs")
     assert res.status == 0, f"oracle LP failed: {res.message}"
     return float(-res.fun)
+
+
+# ------------------------------------------------- fixed-length search oracle
+
+@dataclass(frozen=True)
+class ReferenceTuncelOptions:
+    """Search controls for the fixed-length region membership test."""
+
+    grid_step: float = 0.05
+    descent_starts: int = 6
+    descent_iters: int = 400
+    max_grid_points: int = 200_000
+    seed: int = 0
+
+
+class ReferenceTuncelEvaluator:
+    """Reusable grid + descent minimizer of the worst-case divergence slack.
+
+    The objective is a max over declared hypotheses of a min over truths, so
+    it is not convex in P; minimization over the product of source simplices
+    is heuristic. A vectorized simplex grid scan provides dense coverage
+    (including every hypothesis's own marginals, the binding probes), and
+    entropic mirror descent refines the best starts.
+
+    The package's fixed-length search before the exact dual replaced it,
+    kept as an oracle: every slack it finds is the value of a real sample
+    type, so it can never fall below a certified lower bound.
+    """
+
+    def __init__(self, Q, betas: np.ndarray, options: ReferenceTuncelOptions):
+        self.Q = Q
+        self.betas = betas
+        self.options = options
+        self.M = len(Q)
+        self.n = len(Q[0])
+        self.sizes = [len(Q[0][j]) for j in range(self.n)]
+        self.rng = np.random.default_rng(options.seed)
+        grids = [_simplex_grid(k, options.grid_step) for k in self.sizes]
+        total = int(np.prod([len(g) for g in grids]))
+        if total > options.max_grid_points:
+            count = options.max_grid_points
+            grids = [np.vstack([g, self.rng.dirichlet(np.ones(k), size=count)])
+                     if len(g) < count else
+                     g[self.rng.choice(len(g), size=count, replace=False)]
+                     for g, k in zip(grids, self.sizes)]
+            self.joint = None  # sampled rows combined positionally
+            self.grids = [g[:count] for g in grids]
+        else:
+            self.joint = "product"
+            self.grids = grids
+        # Per-source KL(p || Q_theta_j) for every grid row: (G_j, M).
+        self.kl_mats = []
+        for j, g in enumerate(self.grids):
+            ent = np.sum(np.where(g > 0, g * np.log(np.where(g > 0, g, 1.0)), 0.0), axis=1)
+            cross = np.stack([g @ np.log(self.Q[t][j]) for t in range(self.M)], axis=1)
+            self.kl_mats.append(ent[:, None] - cross)
+
+    def _slack(self, h: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """max over declared of min over truths of h[..., m] - targets[t, m]."""
+        per_declared = []
+        for t in range(self.M):
+            ms = [m for m in range(self.M) if m != t]
+            per_declared.append((h[..., ms] - targets[t, ms]).min(axis=-1))
+        return np.max(np.stack(per_declared, axis=-1), axis=-1)
+
+    def _grid_best(self, targets: np.ndarray):
+        if self.joint == "product":
+            # Broadcast the weighted per-source KL matrices over the product.
+            shape = [len(g) for g in self.grids]
+            h = np.zeros(shape + [self.M])
+            for j, mat in enumerate(self.kl_mats):
+                dims = [1] * len(shape) + [self.M]
+                dims[j] = shape[j]
+                h = h + self.betas[j] * mat.reshape(dims)
+            vals = self._slack(h, targets)
+            flat_idx = int(np.argmin(vals))
+            idx = np.unravel_index(flat_idx, vals.shape)
+            P = [self.grids[j][idx[j]].copy() for j in range(self.n)]
+            return float(vals.reshape(-1)[flat_idx]), P
+        h = sum(self.betas[j] * self.kl_mats[j] for j in range(self.n))
+        vals = self._slack(h, targets)
+        i = int(np.argmin(vals))
+        return float(vals[i]), [self.grids[j][i].copy() for j in range(self.n)]
+
+    def min_slack(self, targets: np.ndarray) -> tuple[float, tuple[np.ndarray, ...]]:
+        Q, betas, options = self.Q, self.betas, self.options
+        floor = 1e-12
+
+        def value(P):
+            return _tuncel_objective(P, Q, betas, targets)[0]
+
+        candidates: list[list[np.ndarray]] = []
+        for t in range(self.M):
+            candidates.append([Q[t][j].copy() for j in range(self.n)])
+        candidates.append([np.full(k, 1.0 / k) for k in self.sizes])
+        grid_val, grid_P = self._grid_best(targets)
+        candidates.append(grid_P)
+        for _ in range(max(0, options.descent_starts - len(candidates))):
+            candidates.append([self.rng.dirichlet(np.ones(k)) for k in self.sizes])
+
+        best_val, best_P = grid_val, [p.copy() for p in grid_P]
+        for start in candidates:
+            P = [np.maximum(p, floor) / np.maximum(p, floor).sum() for p in start]
+            cur = value(P)
+            if cur < best_val:
+                best_val, best_P = cur, [p.copy() for p in P]
+            for it in range(options.descent_iters):
+                _, _, m_star = _tuncel_objective(P, Q, betas, targets)
+                eta = 0.5 / np.sqrt(1.0 + it)
+                for j in range(self.n):
+                    grad = betas[j] * (np.log(P[j] / Q[m_star][j]) + 1.0)
+                    P[j] = P[j] * np.exp(-eta * grad)
+                    P[j] = np.maximum(P[j], floor)
+                    P[j] /= P[j].sum()
+                cur = value(P)
+                if cur < best_val:
+                    best_val, best_P = cur, [p.copy() for p in P]
+        return float(best_val), tuple(best_P)
+
+
+def criterion3_tuples(table, count: int = 1000) -> list[np.ndarray]:
+    """Criterion 3's fixed-length queries: the example's corner at sources
+    sampled half and half, scaled entrywise by U(0, 0.9) from seed 11."""
+    from aseq.divergence import exponent
+
+    bfull = np.zeros((3, 1))
+    bfull[1, 0] = bfull[2, 0] = 0.5
+    corner = np.array([[exponent(bfull, table, m, t) if t != m else 0.0 for t in range(3)]
+                       for m in range(3)])
+    rng = np.random.default_rng(11)
+    out = []
+    for _ in range(count):
+        e = corner * rng.uniform(0, 0.9, size=(3, 3))
+        np.fill_diagonal(e, 0.0)
+        out.append(e)
+    return out

@@ -18,9 +18,8 @@ from aseq.divergence import build_instance_table, exponent
 from aseq.model import BudgetSpec, Instance, validate_model
 from aseq.policy import (TrialKernel, build_params, offset_correction,
                          solve_drift_margin)
-from aseq.region import (TuncelOptions, build_polytope, compute_region,
-                         decision_risk_exponents, membership,
-                         nonadaptive_feasibility, nonadaptive_membership,
+from aseq.region import (build_polytope, compute_region, decision_risk_exponents,
+                         membership, nonadaptive_feasibility, nonadaptive_membership,
                          tuncel_membership)
 from aseq.sim import ExperimentConfig, estimate_errors, fit_exponents, verify_constraints
 
@@ -185,13 +184,12 @@ def test_criterion_3_containment_chain(example_instance):
             if t != m:
                 corner[m, t] = exponent(bfull, table, m, t)
     rng = np.random.default_rng(11)
-    options = TuncelOptions(grid_step=0.1, descent_starts=4, descent_iters=80)
     n_in = 0
     violations = 0
     for _ in range(1000):
         e = corner * rng.uniform(0, 0.9, size=(3, 3))
         np.fill_diagonal(e, 0.0)
-        res = tuncel_membership(e, inst.model, beta_sources, options)
+        res = tuncel_membership(e, inst.model, beta_sources)
         if res.status == "in":
             n_in += 1
             if not nonadaptive_membership(e, table, poly):

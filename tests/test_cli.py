@@ -6,6 +6,7 @@ import itertools
 import json
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -259,13 +260,28 @@ MUTATION = st.tuples(st.sampled_from(["set", "drop", "dup"]), st.sampled_from(FU
                      st.sampled_from(FUZZ_VALUES))
 
 
-def _mutated(zeros, mutations) -> dict:
-    cfg = copy.deepcopy(FUZZ_BASE)
+@st.composite
+def _grown(draw) -> dict:
+    """An independent-source model with 2 to 4 hypotheses and 1 to 3 sources
+    of 2 to 4 symbols, every source always available, one action each."""
+    M, n = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(2, 4), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return {"M": M, "n": n, "alphabets": sizes,
+            "hypotheses": [{"independent": [rng.dirichlet(np.ones(k)).tolist() for k in sizes]}
+                           for _ in range(M)],
+            "availability": [{"subset": list(range(1, n + 1)), "prob": 1.0}],
+            "actions": [[j] for j in range(1, n + 1)], "budgets": []}
+
+
+def _mutated(base, zeros, mutations) -> dict:
+    cfg = copy.deepcopy(base)
     for j, k in zeros:  # symbol k of source j gets zero mass under every hypothesis
         for h in cfg["hypotheses"]:
-            row = h["independent"][j]
-            row[k] = 0.0
-            h["independent"][j] = [v / sum(row) for v in row]
+            row = h["independent"][j] if j < len(h["independent"]) else []
+            if k < len(row) and sum(row) > row[k]:
+                row[k] = 0.0
+                h["independent"][j] = [v / sum(row) for v in row]
     for op, keys, value in mutations:
         found = _resolve(cfg, keys)
         if found is None:
@@ -282,29 +298,45 @@ def _mutated(zeros, mutations) -> dict:
 
 def _with_bad_values(test):
     for keys, _, value in BAD_VALUES.values():
-        test = example(zeros=[], mutations=[("set", keys, value)])(test)
+        test = example(base=FUZZ_BASE, zeros=[], mutations=[("set", keys, value)],
+                       slice_at=0.3)(test)
     return test
 
 
 @settings(max_examples=300, deadline=None)
-@given(zeros=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2)), max_size=2),
-       mutations=st.lists(MUTATION, max_size=3))
-@example(zeros=[], mutations=[])
-@example(zeros=[(1, 2)], mutations=[("set", ("budgets", 0, "rate"), 0)])
+@given(base=st.one_of(st.just(FUZZ_BASE), _grown()),
+       zeros=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)), max_size=2),
+       mutations=st.lists(MUTATION, max_size=3),
+       slice_at=st.sampled_from([0.0, 0.02, 0.1, 0.3, 1.0]))
+@example(base=FUZZ_BASE, zeros=[], mutations=[], slice_at=0.3)
+@example(base=FUZZ_BASE, zeros=[(1, 2)], mutations=[("set", ("budgets", 0, "rate"), 0)],
+         slice_at=0.3)
 @_with_bad_values
-def test_cli_fuzz_mutated_model(zeros, mutations):
-    """validate, region and a small simulate on a mutated model each end in
-    exit 0, 1 or 2, with a one-line message when they fail."""
+def test_cli_fuzz_mutated_model(base, zeros, mutations, slice_at):
+    """validate, region and a small simulate on the example (with a budget and
+    two availability sets) or on a grown model, then mutated, each end in
+    exit 0, 1 or 2, with a one-line message when they fail and no numpy
+    RuntimeWarning. With M = 3, the e2 slice runs too, so the fixed-length
+    dual meets random models and zero-mass symbols."""
+    cfg = _mutated(base, zeros, mutations)
     with tempfile.TemporaryDirectory() as tmp:
         model = Path(tmp) / "model.json"
-        model.write_text(json.dumps(_mutated(zeros, mutations)), encoding="utf-8")
-        for args in (["validate"], ["region", "--out", f"{tmp}/region.json"],
-                     ["simulate", "--T", "4", "--trials", "20", "--seed", "1",
-                      "--epsilon", "0", "--out", f"{tmp}/runs.csv"]):
+        model.write_text(json.dumps(cfg), encoding="utf-8")
+        runs = [["validate"], ["region", "--out", f"{tmp}/region.json"],
+                ["simulate", "--T", "4", "--trials", "20", "--seed", "1",
+                 "--epsilon", "0", "--out", f"{tmp}/runs.csv"]]
+        if cfg.get("M") == 3:
+            runs.append(["region", "--slice", f"e2={slice_at}", "--grid-step", "0.05",
+                         "--out", f"{tmp}/slice.csv"])
+        for args in runs:
             err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 code = main([args[0], "--model", str(model)] + args[1:])
             assert code in (0, 1, 2)
-            event(f"{args[0]} exit {code}")
+            event(f"{' '.join(args[:2])} exit {code}")
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
+                [str(w.message) for w in caught]
             if code:
                 assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()

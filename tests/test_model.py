@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ def test_validate_example_model(example_instance):
     rep = validate_model(inst.model, inst.avail, inst.actions, inst.budgets)
     assert rep.assumption2_ok
     assert np.isfinite(rep.llr_bound)
+    assert np.array_equal(rep.table.table, build_instance_table(inst).table)
     # brute-force the log-ratio bound over the product support
     worst = 0.0
     for t in range(3):
@@ -103,10 +106,31 @@ def test_sample_empty_action(example_instance):
 def test_sample_point_mass():
     inst = make_instance(2, 1, (2,), pmf_rows=[[[1.0, 0.0]], [[1.0, 0.0]]])
     rng = np.random.default_rng(1)
-    with np.errstate(divide="ignore"):  # the zero-mass symbol's log-likelihood
-        kernel = _always_kernel(inst, 1)
+    kernel = _always_kernel(inst, 1)
     for ai, sym, _ in kernel_path(kernel, 0, rng, 20):
         assert (ai, sym) == (1, 0)
+
+
+class _LastDraw:
+    """A generator whose every draw is 1 - 2**-53, the largest rng.random()."""
+
+    def random(self):
+        return 1.0 - 2.0 ** -53
+
+
+def test_kernel_clamp_skips_zero_mass_symbol():
+    # Ten masses of 0.1 sum to 1 - 2**-53, so the largest draw falls past the
+    # sampling CDF and is clamped; it must land on the last symbol of
+    # positive mass, not on the zero-mass symbol after it.
+    inst = make_instance(2, 1, (11,), pmf_rows=[[[0.1] * 10 + [0.0]],
+                                                [[0.05, 0.15] * 5 + [0.0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        kernel = _always_kernel(inst, 1)
+        path = list(kernel_path(kernel, 0, _LastDraw(), 5))
+    assert [(ai, sym) for ai, sym, _ in path] == [(1, 9)] * 5
+    assert np.all(np.isfinite(path[-1][2]))
+    assert path[-1][2][0][1] == pytest.approx(5 * np.log(0.1 / 0.15))
 
 
 def test_sample_frequencies_match_marginal(example_instance):

@@ -1,21 +1,25 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+import hypothesis
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aseq.divergence import build_instance_table, exponent
-from aseq.errors import DimensionMismatch, NotChernoffForm, UnsupportedDimension
+from aseq.divergence import build_instance_table, exponent, kl
+from aseq.errors import (DimensionMismatch, NotChernoffForm, SupportMismatch,
+                         UnsupportedDimension)
 from aseq.model import ActionSpace, AvailabilityDist, BudgetSpec, Instance
-from aseq.region import (TuncelOptions, build_polytope, chernoff_region,
-                         compute_region, constraint_grid, decision_risk_exponents,
-                         enumerate_vertices, individual_hypothesis_region_slice,
-                         membership, nonadaptive_feasibility, nonadaptive_membership,
-                         nonadaptive_slice, region_polytope, tuncel_membership)
-from aseq.region import _corner_lp_contains, _pareto_max, _unique_rows
+from aseq.region import (build_polytope, chernoff_region, compute_region, constraint_grid,
+                         decision_risk_exponents, enumerate_vertices,
+                         individual_hypothesis_region_slice, membership,
+                         nonadaptive_feasibility, nonadaptive_membership, nonadaptive_slice,
+                         region_polytope, source_marginals, tuncel_membership, tuncel_slice)
+from aseq.region import _corner_lp_contains, _pareto_max, _tuncel_objective, _unique_rows
 
-from conftest import grid_betas, make_instance, oracle_max_margin, random_instance
+from conftest import (ReferenceTuncelEvaluator, ReferenceTuncelOptions, criterion3_tuples,
+                      grid_betas, make_instance, oracle_max_margin, random_instance)
 from test_model import P01, P02, P11, P12, P21, P22
 
 
@@ -344,6 +348,99 @@ def test_tuncel_requires_product_model():
     inst = make_instance(2, 2, (2, 2), rng=rng)  # random joint, not product
     with pytest.raises(ValueError):
         tuncel_membership(np.zeros((2, 2)), inst.model, np.array([0.5, 0.5]))
+
+
+def test_tuncel_requires_shared_support():
+    inst = make_instance(2, 1, (3,), pmf_rows=[[[0.0, 0.5, 0.5]], [[0.2, 0.4, 0.4]]])
+    with pytest.raises(SupportMismatch):
+        tuncel_membership(np.zeros((2, 2)), inst.model, np.array([1.0]))
+
+
+@pytest.fixture(scope="module")
+def c3_tuples(example):
+    return criterion3_tuples(example[1])
+
+
+def test_tuncel_criterion3_tuple_63_is_out(example, c3_tuples):
+    # The grid-and-descent search called this tuple "in" (slack +1.04e-3 at
+    # criterion 3's old options), but a sample type of slack about -1.95e-4
+    # exists: the tilt of the dual's minimising choice function.
+    inst, _, _ = example
+    beta = np.array([0.5, 0.5])
+    res = tuncel_membership(c3_tuples[63], inst.model, beta)
+    assert res.status == "out"
+    Q = source_marginals(inst.model)
+    assert _tuncel_objective(list(res.witness), Q, beta, c3_tuples[63])[0] < -1e-4
+
+
+def _dual_against_oracle(model, beta, e, oracle_options):
+    """The oracle's slack (the value of a real sample type) never falls
+    below the certified lower bound, "in" means lower >= 0, and an "out"
+    witness has slack below -1e-9 under _tuncel_objective."""
+    res = tuncel_membership(e, model, beta)
+    assert res.lower <= res.upper
+    Q = source_marginals(model)
+    oracle, _ = ReferenceTuncelEvaluator(Q, beta, oracle_options).min_slack(e)
+    assert oracle >= res.lower - 1e-9
+    assert (res.status == "in") == (res.lower >= 0)
+    if res.status == "out":
+        assert _tuncel_objective(list(res.witness), Q, beta, e)[0] < -1e-9
+    return res
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), M=st.sampled_from([3, 4]), n=st.integers(2, 3),
+       scale=st.sampled_from([0.2, 0.5, 0.9]))
+def test_tuncel_dual_brackets_oracle_random(seed, M, n, scale):
+    rng = np.random.default_rng(seed)
+    sizes = tuple(int(k) for k in rng.integers(2, 5, size=n))
+    rows = [[rng.dirichlet(np.ones(k)) for k in sizes] for _ in range(M)]
+    beta = rng.dirichlet(np.ones(n))
+    corner = np.array([[sum(b * kl(p, q) for b, p, q in zip(beta, rows[m], rows[t]))
+                        for t in range(M)] for m in range(M)])
+    e = corner * rng.uniform(0.0, scale, size=(M, M))
+    np.fill_diagonal(e, 0.0)
+    _dual_against_oracle(make_instance(M, n, sizes, pmf_rows=rows).model, beta, e,
+                         ReferenceTuncelOptions(grid_step=0.2, descent_starts=3,
+                                                descent_iters=60))
+
+
+@settings(max_examples=25, deadline=None)
+@given(index=st.integers(0, 999))
+@hypothesis.example(index=63)
+def test_tuncel_dual_brackets_oracle_criterion3(example, c3_tuples, index):
+    _dual_against_oracle(example[0].model, np.array([0.5, 0.5]), c3_tuples[index],
+                         ReferenceTuncelOptions(grid_step=0.1, descent_starts=4,
+                                                descent_iters=80))
+
+
+def test_tuncel_zero_mass_symbol_changes_nothing(example, c3_tuples):
+    # A symbol no hypothesis emits leaves the region as it is: the same
+    # verdicts and bounds, no witness mass on the symbol, and no nan warning.
+    inst, _, _ = example
+    beta = np.array([0.5, 0.5])
+    Q = source_marginals(inst.model)
+    padded = make_instance(3, 2, (4, 3), pmf_rows=[[np.append(Q[t][0], 0.0), Q[t][1]]
+                                                   for t in range(3)]).model
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e in c3_tuples[:40]:
+            a = tuncel_membership(e, inst.model, beta)
+            b = tuncel_membership(e, padded, beta)
+            assert (a.status, a.lower) == (b.status, pytest.approx(b.lower, abs=1e-12))
+            assert b.witness is None or b.witness[0][3] == 0.0
+
+
+def test_tuncel_slice_points_certified_in(example):
+    inst, table, poly = example
+    beta = np.array([0.5, 0.5])
+    pts = tuncel_slice(inst.model, beta, {2: 0.3}, samples=5).points
+    assert len(pts) == 5
+    for x, y in pts:
+        e = np.tile([x, y, 0.3], (3, 1))
+        assert tuncel_membership(e, inst.model, beta).status == "in"
+        if min(x, y) > 0:
+            assert nonadaptive_membership(e, table, poly)
 
 
 # -------------------------------------------------------------------- slices
