@@ -77,37 +77,57 @@ def build_polytope(avail: AvailabilityDist, actions: ActionSpace,
                               G, budgets.rates.copy())
 
 
-def enumerate_vertices(poly: ConstraintPolytope, tol: float = VERTEX_TOL) -> np.ndarray:
-    """All extreme points of the constraint polytope, deduplicated.
+# Basic solutions tried per batched rank test and solve; bounds the memory of
+# one batch whatever the model's size.
+_VERTEX_CHUNK = 1 << 14
+# Largest active-set count enumerate_vertices accepts: about a minute of work
+# on a 2-vCPU desk machine (see the README's "Region cost").
+MAX_ACTIVE_SETS = 5_000_000
 
-    Active-set enumeration: a vertex is the unique solution of the equality
-    system plus a choice of tight inequalities completing it to full rank.
-    Dimension stays small at desk scale, so exhaustive choice is affordable.
+
+def enumerate_vertices(poly: ConstraintPolytope, tol: float = VERTEX_TOL) -> np.ndarray:
+    """All extreme points of the constraint polytope, deduplicated, in
+    lexicographic row order.
+
+    Every vertex of {x >= 0 : E x = p, G x <= r} is a basic feasible
+    solution: for a set B of tight budgets and a support F of n_z + |B|
+    coordinates with [E_F; G_BF] nonsingular, x_F solves
+    [E_F; G_BF] x_F = [p; r_B] and every other coordinate is 0. Summed over
+    B, the (B, F) pairs are the C(d + n_b, d - n_z) active sets of the full
+    system, so that count is checked against ``MAX_ACTIVE_SETS`` before any
+    work. Each chunk of supports gets one batched rank test and one batched
+    solve.
     """
-    d = poly.dim
-    n_z = poly.eq_matrix.shape[0]
-    k = d - n_z
-    # Inequality rows: nonnegativity (-x_i <= 0) then budgets (G x <= r).
-    rows = [(-np.eye(d)[i], 0.0) for i in range(d)]
-    rows += [(poly.budget_matrix[i], float(poly.budget_rhs[i]))
-             for i in range(poly.budget_matrix.shape[0])]
+    E, p = poly.eq_matrix, poly.eq_rhs
+    G, r = poly.budget_matrix, poly.budget_rhs
+    d, n_z, n_b = poly.dim, E.shape[0], G.shape[0]
+    total = math.comb(d + n_b, d - n_z)
+    if total > MAX_ACTIVE_SETS:
+        raise ValueError(f"vertex enumeration needs {total} active sets, over the cap of "
+                         f"{MAX_ACTIVE_SETS}; use fewer actions, availability sets or budgets")
 
     found: list[np.ndarray] = []
-    for combo in itertools.combinations(range(len(rows)), k):
-        M_act = np.vstack([poly.eq_matrix] + [rows[i][0] for i in combo])
-        rhs = np.concatenate([poly.eq_rhs, [rows[i][1] for i in combo]])
-        if np.linalg.matrix_rank(M_act, tol=1e-10) < d:
-            continue
-        x = np.linalg.solve(M_act, rhs)
-        if np.any(x < -tol):
-            continue
-        if poly.budget_matrix.shape[0] and np.any(
-                poly.budget_matrix @ x > poly.budget_rhs + tol):
-            continue
-        found.append(np.where(np.abs(x) < tol, 0.0, x))
-    if not found:
+    for B in itertools.chain.from_iterable(
+            itertools.combinations(range(n_b), k) for k in range(n_b + 1)):
+        A = np.vstack([E, G[list(B)]])
+        b = np.concatenate([p, r[list(B)]])
+        supports = itertools.combinations(range(d), len(b))
+        while chunk := list(itertools.islice(supports, _VERTEX_CHUNK)):
+            F = np.array(chunk, dtype=np.intp)
+            systems = A[:, F].transpose(1, 0, 2)
+            full = np.linalg.svd(systems, compute_uv=False)[:, -1] > 1e-10
+            F, xF = F[full], np.linalg.solve(systems[full], b)
+            ok = np.all(xF >= -tol, axis=1) & np.all(
+                np.einsum("kcj,cj->ck", G[:, F], xF) <= r + tol, axis=1)
+            F, xF = F[ok], xF[ok]
+            x = np.zeros((len(F), d))
+            np.put_along_axis(x, F, np.where(np.abs(xF) < tol, 0.0, xF), axis=1)
+            found.append(x)
+    found = np.concatenate(found)
+    if not len(found):
         raise InfeasiblePolytope("constraint set has no vertices; inputs malformed")
-    return np.array(sorted(_unique_rows(np.array(found), tol), key=tuple))
+    V = _unique_rows(found, tol)
+    return V[np.lexsort(V.T[::-1])]
 
 
 def _unique_rows(points: np.ndarray, tol: float) -> np.ndarray:

@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from aseq.errors import InfeasiblePolytope
 from aseq.model import (ActionSpace, AvailabilityDist, BudgetSpec, Instance,
                         JointModel, omega, selection_matrix)
 from aseq.modelio import instance_from_dict, load_instance
-from aseq.region import _simplex_grid, _tuncel_objective
+from aseq.region import VERTEX_TOL, _simplex_grid, _tuncel_objective, _unique_rows
 
 MODEL_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -28,6 +29,36 @@ def two_set_instance(coeff) -> Instance:
     d.update(availability=[{"subset": [1, 2], "prob": 0.7}, {"subset": [1], "prob": 0.3}],
              actions=[[1], [2], [1, 2]], budgets=[{"coeff": coeff, "rate": 1.2}])
     return instance_from_dict(d)
+
+
+def reference_enumerate_vertices(poly, tol: float = VERTEX_TOL) -> np.ndarray:
+    """The active-set loop that ``region.enumerate_vertices`` replaced: one
+    rank test and one solve of the full d x d system per choice of
+    d - n_z tight inequalities."""
+    d = poly.dim
+    n_z = poly.eq_matrix.shape[0]
+    k = d - n_z
+    # Inequality rows: nonnegativity (-x_i <= 0) then budgets (G x <= r).
+    rows = [(-np.eye(d)[i], 0.0) for i in range(d)]
+    rows += [(poly.budget_matrix[i], float(poly.budget_rhs[i]))
+             for i in range(poly.budget_matrix.shape[0])]
+
+    found: list[np.ndarray] = []
+    for combo in itertools.combinations(range(len(rows)), k):
+        M_act = np.vstack([poly.eq_matrix] + [rows[i][0] for i in combo])
+        rhs = np.concatenate([poly.eq_rhs, [rows[i][1] for i in combo]])
+        if np.linalg.matrix_rank(M_act, tol=1e-10) < d:
+            continue
+        x = np.linalg.solve(M_act, rhs)
+        if np.any(x < -tol):
+            continue
+        if poly.budget_matrix.shape[0] and np.any(
+                poly.budget_matrix @ x > poly.budget_rhs + tol):
+            continue
+        found.append(np.where(np.abs(x) < tol, 0.0, x))
+    if not found:
+        raise InfeasiblePolytope("constraint set has no vertices; inputs malformed")
+    return np.array(sorted(_unique_rows(np.array(found), tol), key=tuple))
 
 
 def kernel_path(kernel, zi, rng, steps):

@@ -214,6 +214,34 @@ def test_slice_grid_too_large_exits_1(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "exceeds cap" in err
 
 
+def test_region_too_many_active_sets_exits_1(tmp_path, capsys):
+    # Five binary sources, all 32 actions, four availability sets and a
+    # budget: 128 coordinates and C(129, 124) active sets, refused up front.
+    cfg = _many_action_model()
+    cfg.update(n=5, alphabets=[2] * 5,
+               actions=[list(s) for r in range(6) for s in itertools.combinations(range(1, 6), r)],
+               availability=[{"subset": [1, 2, 3, 4, 5], "prob": 0.4},
+                             {"subset": [1, 2], "prob": 0.3},
+                             {"subset": [3, 4, 5], "prob": 0.2},
+                             {"subset": [1], "prob": 0.1}],
+               budgets=[{"coeff": [1] * 5, "rate": 1.5}])
+    for h in cfg["hypotheses"]:
+        h["independent"].append([0.5, 0.5])
+    model = tmp_path / "wide.json"
+    model.write_text(json.dumps(cfg), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["region", "--model", str(model), "--out", str(tmp_path / "r.json")]) == 1
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "275234400 active sets" in err
+    assert not (tmp_path / "r.json").exists()
+    # Simulation enumerates no vertices and still runs on the same model.
+    out = tmp_path / "runs.csv"
+    assert main(["simulate", "--model", str(model), "--T", "4", "--trials", "20",
+                 "--seed", "3", "--epsilon", "0", "--out", str(out)]) == 0
+    assert out.exists()
+
+
 def test_simulate_failure_leaves_no_outputs(tmp_path, monkeypatch):
     def broken(report):
         raise RuntimeError("summary failed")

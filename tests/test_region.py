@@ -1,25 +1,28 @@
 import itertools
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import hypothesis
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from aseq.divergence import build_instance_table, exponent, kl
-from aseq.errors import (DimensionMismatch, NotChernoffForm, SupportMismatch,
-                         UnsupportedDimension)
+from aseq.errors import (DimensionMismatch, InfeasiblePolytope, NotChernoffForm,
+                         SupportMismatch, UnsupportedDimension)
 from aseq.model import ActionSpace, AvailabilityDist, BudgetSpec, Instance
-from aseq.region import (build_polytope, chernoff_region, compute_region, constraint_grid,
-                         decision_risk_exponents, enumerate_vertices,
+from aseq.region import (ConstraintPolytope, build_polytope, chernoff_region, compute_region,
+                         constraint_grid, decision_risk_exponents, enumerate_vertices,
                          individual_hypothesis_region_slice, membership,
                          nonadaptive_feasibility, nonadaptive_membership, nonadaptive_slice,
                          region_polytope, source_marginals, tuncel_membership, tuncel_slice)
 from aseq.region import _corner_lp_contains, _pareto_max, _tuncel_objective, _unique_rows
 
 from conftest import (ReferenceTuncelEvaluator, ReferenceTuncelOptions, criterion3_tuples,
-                      grid_betas, make_instance, oracle_max_margin, random_instance)
+                      grid_betas, make_instance, oracle_max_margin, random_instance,
+                      reference_enumerate_vertices)
 from test_model import P01, P02, P11, P12, P21, P22
 
 
@@ -85,6 +88,113 @@ def test_vertices_satisfy_constraints_random():
             assert np.allclose(beta.sum(axis=0), inst.avail.probs, atol=1e-9)
             if inst.budgets.size:
                 assert np.all(poly.budget_matrix @ v <= poly.budget_rhs + 1e-9)
+
+
+def raw_polytope(sets, probs, acts, coeffs, rates) -> ConstraintPolytope:
+    """The polytope of ``build_polytope`` from raw parts, without the model
+    checks, so that a set may have probability 0 and the empty action may be
+    missing. Budget i costs coeffs[i] @ (sources selected) per step."""
+    E = np.kron(np.ones(len(acts)), np.eye(len(sets)))
+    G = np.zeros((0, E.shape[1]))
+    if coeffs:
+        W = np.array([[float(j in a and j in z) for a in acts for z in sets]
+                      for j in range(1, len(coeffs[0]) + 1)])
+        G = np.array(coeffs) @ W
+    return ConstraintPolytope(SimpleNamespace(size=len(acts)), SimpleNamespace(sets=sets),
+                              None, E, np.array(probs, dtype=float), G,
+                              np.array(rates, dtype=float))
+
+
+@st.composite
+def polytope_parts(draw):
+    """1-3 availability sets (one may have probability 0), the empty action
+    present or absent, and 0-2 budgets whose rates are a fraction of the
+    largest cost, the cost of one vertex of the unbudgeted polytope (tight
+    there), zero, or half the smallest cost (no feasible point when every
+    action costs something). Coordinates stay at 10 or fewer."""
+    n = draw(st.integers(1, 3))
+    subsets = [s for r in range(1, n + 1) for s in itertools.combinations(range(1, n + 1), r)]
+    sets = draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=3, unique=True))
+    weights = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=len(sets), max_size=len(sets)))
+    if len(sets) > 1 and draw(st.booleans()):
+        weights[draw(st.integers(0, len(sets) - 1))] = 0
+    probs = [w / sum(weights) for w in weights]
+    acts = draw(st.lists(st.sampled_from(subsets), min_size=1,
+                         max_size=max(1, 10 // len(sets) - 1), unique=True))
+    if draw(st.booleans()):
+        acts = [()] + acts
+    coeffs, rates = [], []
+    for _ in range(draw(st.integers(0, 2))):
+        c = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=n, max_size=n))
+        cost = np.array([[sum(c[j - 1] for j in set(a) & set(z)) for z in sets] for a in acts])
+        kind = draw(st.sampled_from(["fraction", "vertex", "zero", "below"]))
+        if kind == "fraction":
+            rate = draw(st.sampled_from([0.25, 0.5, 0.75])) * float(cost.max(axis=0) @ probs)
+        elif kind == "vertex":
+            pick = draw(st.lists(st.integers(0, len(acts) - 1), min_size=len(sets),
+                                 max_size=len(sets)))
+            rate = float(cost[pick, range(len(sets))] @ probs)
+        else:
+            rate = 0.0 if kind == "zero" else 0.5 * float(cost.min(axis=0) @ probs)
+        coeffs.append(c)
+        rates.append(rate)
+    if coeffs and draw(st.booleans()):
+        coeffs.append(coeffs[0])
+        rates.append(rates[0])
+    return sets, probs, acts, coeffs, rates
+
+
+@settings(max_examples=80, deadline=None)
+@given(polytope_parts())
+# A set with probability 0, no empty action, a duplicated budget row tight at
+# the vertex that gives set {1, 2} to action {2} and set {1} to action {1, 2},
+# and a zero-rate budget.
+@hypothesis.example(([(1, 2), (1,), (2,)], [0.5, 0.5, 0.0], [(1,), (2,), (1, 2)],
+                     [[1.0, 2.0], [1.0, 2.0], [0.0, 1.0]], [1.5, 1.5, 0.0]))
+# Every action selects a source, and the budget allows half the cheapest.
+@hypothesis.example(([(1, 2)], [1.0], [(1,), (2,)], [[1.0, 1.0]], [0.5]))
+def test_enumerate_vertices_matches_active_set_oracle(parts):
+    poly = raw_polytope(*parts)
+    try:
+        want = reference_enumerate_vertices(poly)
+    except InfeasiblePolytope:
+        with pytest.raises(InfeasiblePolytope):
+            enumerate_vertices(poly)
+        return
+    got = enumerate_vertices(poly)
+    assert got.shape == want.shape
+    assert np.array_equal(got, got[np.lexsort(got.T[::-1])])
+    assert np.abs(want[:, None, :] - got[None, :, :]).max(axis=2).min(axis=1).max() <= 1e-12
+
+
+def test_enumerate_vertices_five_sources():
+    # Model (a)'s shape with five sources: all 31 actions and the empty one,
+    # two availability sets and one budget, so 64 coordinates.
+    acts = ActionSpace(tuple(s for r in range(6) for s in itertools.combinations(range(1, 6), r)))
+    avail = AvailabilityDist(((1, 2, 3, 4, 5), (1, 2)), np.array([0.6, 0.4]))
+    poly = build_polytope(avail, acts, BudgetSpec(np.ones((1, 5)), np.array([1.5])))
+    V = enumerate_vertices(poly)
+    assert V.shape == (7984, 64)
+    assert np.all(V >= -1e-9)
+    assert np.abs(V @ poly.eq_matrix.T - poly.eq_rhs).max() <= 1e-9
+    assert np.all(V @ poly.budget_matrix.T <= poly.budget_rhs + 1e-9)
+    rng = np.random.default_rng(7)
+    for c in rng.normal(size=(8, poly.dim)):
+        res = linprog(-c, A_ub=poly.budget_matrix, b_ub=poly.budget_rhs, A_eq=poly.eq_matrix,
+                      b_eq=poly.eq_rhs, bounds=(0, None), method="highs")
+        assert res.status == 0
+        assert abs((V @ c).max() + res.fun) <= 1e-9
+
+
+def test_enumerate_vertices_sized_before_solving():
+    # Five sources, 32 actions and four availability sets with one budget:
+    # C(129, 124) = 275,234,400 active sets, refused before any solve.
+    acts = ActionSpace(tuple(s for r in range(6) for s in itertools.combinations(range(1, 6), r)))
+    avail = AvailabilityDist(((1, 2, 3, 4, 5), (1, 2), (3, 4, 5), (1,)),
+                             np.array([0.4, 0.3, 0.2, 0.1]))
+    poly = build_polytope(avail, acts, BudgetSpec(np.ones((1, 5)), np.array([1.5])))
+    with pytest.raises(ValueError, match="275234400 active sets"):
+        enumerate_vertices(poly)
 
 
 # ------------------------------------------------------------- per-m regions
