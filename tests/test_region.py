@@ -186,17 +186,6 @@ def test_enumerate_vertices_five_sources():
         assert abs((V @ c).max() + res.fun) <= 1e-9
 
 
-def test_enumerate_vertices_sized_before_solving():
-    # Five sources, 32 actions and four availability sets with one budget:
-    # C(129, 124) = 275,234,400 active sets, refused before any solve.
-    acts = ActionSpace(tuple(s for r in range(6) for s in itertools.combinations(range(1, 6), r)))
-    avail = AvailabilityDist(((1, 2, 3, 4, 5), (1, 2), (3, 4, 5), (1,)),
-                             np.array([0.4, 0.3, 0.2, 0.1]))
-    poly = build_polytope(avail, acts, BudgetSpec(np.ones((1, 5)), np.array([1.5])))
-    with pytest.raises(ValueError, match="275234400 active sets"):
-        enumerate_vertices(poly)
-
-
 # ------------------------------------------------------------- per-m regions
 
 def test_region_binary_is_interval(example):
