@@ -77,36 +77,38 @@ def cmd_divergence(args) -> int:
     return 0
 
 
-def _parse_slice(expr: str) -> tuple[int, float]:
+def _parse_slice(expr: str, M: int) -> tuple[int, float]:
     try:
         name, value = expr.split("=")
-        if not name.startswith("e"):
+        k, v = int(name[1:]), float(value)
+        if not name.startswith("e") or not 0 <= k < M or not math.isfinite(v):
             raise ValueError
-        return int(name[1:]), float(value)
+        return k, v
     except ValueError:
-        raise SystemExit2(f"bad slice argument {expr!r}; expected like e2=0.1")
+        raise SystemExit2(f"bad slice argument {expr!r}; expected eK=V with K in "
+                          f"0..{M - 1} and V finite, like e2=0.1")
 
 
 def cmd_region(args) -> int:
     inst = _load(args.model)
+    fixed = dict([_parse_slice(args.slice, inst.model.M)]) if args.slice else None
     table = validate_model(inst.model, inst.avail, inst.actions, inst.budgets).table
     poly = build_polytope(inst.avail, inst.actions, inst.budgets)
     region = compute_region(table, poly)
     gamma, _ = decision_risk_exponents(table, poly)
 
-    if args.slice:
-        k, v = _parse_slice(args.slice)
+    if fixed:
         rows: list[tuple[float, float, str]] = []
-        adaptive = individual_hypothesis_region_slice(region, {k: v})
+        adaptive = individual_hypothesis_region_slice(region, fixed)
         rows += [(float(x), float(y), "adaptive") for x, y in adaptive.points]
-        na = nonadaptive_slice(table, poly, {k: v}, step=args.grid_step)
+        na = nonadaptive_slice(table, poly, fixed)
         rows += [(float(x), float(y), "nonadaptive") for x, y in na.points]
         try:
             spec = args.beta_sources
             if spec is None:
                 spec = ",".join(["%g" % (1.0 / inst.model.n)] * inst.model.n)
             beta_sources = np.array([float(t) for t in spec.split(",")])
-            tc = tuncel_slice(inst.model, beta_sources, {k: v})
+            tc = tuncel_slice(inst.model, beta_sources, fixed)
             rows += [(float(x), float(y), "tuncel") for x, y in tc.points]
         except ValueError as exc:
             print(f"skipping tuncel family: {exc}", file=sys.stderr)
@@ -224,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--beta-sources", default=None,
                    help="per-source proportions for the fixed-length family "
                         "(comma list; default uniform)")
-    r.add_argument("--grid-step", type=float, default=0.01)
     r.set_defaults(fn=cmd_region)
 
     s = subs.add_parser("simulate", help="Monte Carlo error estimation")

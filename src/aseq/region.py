@@ -169,9 +169,13 @@ class PerMRegion:
     ``corners[v]`` holds the exponent tuple reachable at polytope vertex v,
     coordinates ordered by ``thetas``. The sub-region is the downward closure
     of the convex hull of these corners, intersected with the nonnegative
-    orthant. ``facets`` are (unit normal, offset) pairs meaning n.e <= b;
-    None when the dimension made exact facet extraction unavailable, in which
-    case membership falls back to a feasibility LP over the corners.
+    orthant. ``vertices`` are its extreme points. In two dimensions they are
+    the corners on the front that ``_planar_front`` finds, plus the origin
+    and the two axis points, and ``boundary`` is the same polygon in CCW
+    order from the origin; from three on they are qhull's. ``facets`` are
+    (unit normal, offset) pairs meaning n.e <= b; None when qhull rejects a
+    flat corner cloud, in which case membership falls back to a feasibility
+    LP over the corners.
     """
 
     declared: int
@@ -213,23 +217,59 @@ def _corner_lp_contains(corners: np.ndarray, e: np.ndarray, tol: float = 1e-9) -
     return lp_feasible(A_eq, b_eq, A_ub, b_ub, v).status == "optimal"
 
 
-def _pareto_max(points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Planar points no other point dominates, near-repeats removed.
+def _planar_front(best, tol: float = 1e-12) -> list[np.ndarray]:
+    """Upper-right hull vertices of a convex planar set, from its largest x
+    to its largest y, given ``best(w)``, a maximiser of w.p over the set.
 
-    q dominates p when q >= p - tol in both coordinates and q > p + tol in
-    one. As q > p + tol implies q >= p - tol in that coordinate, p is
-    dominated iff some q with qx > px + tol has qy >= py - tol, or some q
-    with qy > py + tol has qx >= px - tol: suffix maxima over each sort.
+    Dichotomic search (Aneja & Nair 1979), one call per vertex and one per
+    edge: from the two axis maximisers, a maximiser along a segment's outward
+    normal that lies over ``tol`` beyond it, inside the box the segment spans
+    (rounding can tilt a short one), is a new vertex. A last pass drops
+    vertices within ``tol`` of their neighbours' chord and dominated axis
+    maximisers.
     """
-    dominated = np.zeros(len(points), dtype=bool)
-    for a in (0, 1):
-        order = np.argsort(points[:, a], kind="stable")
-        other = points[order, 1 - a]
-        best = np.append(np.maximum.accumulate(other[::-1])[::-1], -np.inf)
-        above = np.searchsorted(points[order, a], points[:, a] + tol, side="right")
-        dominated |= best[above] >= points[:, 1 - a] - tol
-    uniq = _unique_rows(points[~dominated], tol)
-    return uniq if len(uniq) else points[:1] * 0.0
+    def beyond(p, q, r) -> bool:
+        normal = np.array([q[1] - p[1], p[0] - q[0]])
+        return normal @ (r - p) > tol * np.hypot(*normal)
+
+    front = [best(np.array([1.0, 0.0])), best(np.array([0.0, 1.0]))]
+    i = 0
+    while i + 1 < len(front):
+        p, q = front[i], front[i + 1]
+        r = best(np.array([q[1] - p[1], p[0] - q[0]]))
+        if (beyond(p, q, r) and q[0] - tol <= r[0] <= p[0] + tol
+                and p[1] - tol <= r[1] <= q[1] + tol):
+            front.insert(i + 1, r)
+        else:
+            i += 1
+    hull: list[np.ndarray] = []
+    for r in front:
+        while len(hull) > 1 and not beyond(hull[-2], r, hull[-1]):
+            hull.pop()
+        hull.append(r)
+    if len(hull) > 1 and hull[1][0] >= hull[0][0] - tol:
+        hull.pop(0)
+    if len(hull) > 1 and hull[-2][1] >= hull[-1][1] - tol:
+        hull.pop()
+    return hull
+
+
+def _closure_boundary(front: list[np.ndarray], xmax: float, ymax: float) -> np.ndarray:
+    """CCW boundary, from the origin, of the downward closure of ``front``
+    (ordered from max-x to max-y) in the nonnegative quadrant."""
+    return _drop_repeats([np.zeros(2), np.array([xmax, 0.0]), *front, np.array([0.0, ymax])])
+
+
+def _drop_repeats(points: list[np.ndarray]) -> np.ndarray:
+    """Polygon vertices without repeats (1e-12) of the one before, the first
+    vertex counting as after the last."""
+    dedup: list[np.ndarray] = []
+    for p in points:
+        if not dedup or np.max(np.abs(p - dedup[-1])) > 1e-12:
+            dedup.append(p)
+    if len(dedup) > 1 and np.max(np.abs(dedup[0] - dedup[-1])) <= 1e-12:
+        dedup.pop()
+    return np.array(dedup) if dedup else np.zeros((0, 2))
 
 
 def _staircase_2d(corners: np.ndarray):
@@ -238,42 +278,16 @@ def _staircase_2d(corners: np.ndarray):
     ymax = float(corners[:, 1].max(initial=0.0))
     facets = [((-1.0, 0.0), 0.0), ((0.0, -1.0), 0.0),
               ((1.0, 0.0), xmax), ((0.0, 1.0), ymax)]
-    if xmax <= 0 and ymax <= 0:
-        verts = np.zeros((1, 2))
-        return tuple(facets), verts, verts
-    pts = _pareto_max(corners)
-    pts = pts[np.lexsort((-pts[:, 1], pts[:, 0]))]
-    # Upper-concave chain over the Pareto points (clockwise turns only).
-    chain: list[np.ndarray] = []
-    for p in pts:
-        while len(chain) >= 2:
-            a, b = chain[-2], chain[-1]
-            cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-            if cross >= -1e-12:
-                chain.pop()
-            else:
-                break
-        chain.append(p)
-    for p, q in zip(chain, chain[1:]):
+    pts = _unique_rows(corners, 1e-12)
+    front = _planar_front(lambda w: pts[np.argmax(pts @ w)])
+    chain = front[::-1]
+    for p, q in zip(chain, chain[1:]):  # front vertices lie over 1e-12 apart
         n = np.array([p[1] - q[1], q[0] - p[0]])
-        norm = float(np.linalg.norm(n))
-        if norm > 1e-12:
-            n /= norm
-            facets.append(((float(n[0]), float(n[1])), float(np.dot(n, p))))
-    boundary = [np.zeros(2)]
-    if xmax > 0:
-        boundary.append(np.array([xmax, 0.0]))
-    boundary.extend(reversed(chain))
-    if ymax > 0:
-        boundary.append(np.array([0.0, ymax]))
-    dedup = [boundary[0]]
-    for p in boundary[1:]:
-        if np.max(np.abs(p - dedup[-1])) > 1e-12:
-            dedup.append(p)
-    boundary_arr = np.array(dedup)
+        n /= np.linalg.norm(n)
+        facets.append(((float(n[0]), float(n[1])), float(np.dot(n, p))))
     verts = np.array(chain + [np.zeros(2), np.array([xmax, 0.0]),
                               np.array([0.0, ymax])])
-    return tuple(facets), _unique_rows(verts, 1e-12), boundary_arr
+    return tuple(facets), _unique_rows(verts, 1e-12), _closure_boundary(front, xmax, ymax)
 
 
 def _masked_points(corners: np.ndarray) -> np.ndarray:
@@ -674,13 +688,7 @@ def _clip_polygon(points: np.ndarray, normal: np.ndarray, offset: float) -> np.n
         if (dp < -1e-12 < dq) or (dq < -1e-12 < dp):
             t = dp / (dp - dq)
             out.append(p + t * (q - p))
-    dedup: list[np.ndarray] = []
-    for p in out:
-        if not dedup or np.max(np.abs(p - dedup[-1])) > 1e-12:
-            dedup.append(p)
-    if len(dedup) > 1 and np.max(np.abs(dedup[0] - dedup[-1])) <= 1e-12:
-        dedup.pop()
-    return np.array(dedup) if dedup else np.zeros((0, 2))
+    return _drop_repeats(out)
 
 
 def individual_hypothesis_region_slice(region: ExponentRegion,
@@ -722,57 +730,41 @@ def individual_hypothesis_region_slice(region: ExponentRegion,
     return SlicePolyline((i, j), poly_pts)
 
 
-def constraint_grid(poly: ConstraintPolytope, step: float = 0.02,
-                    max_points: int = 500_000) -> np.ndarray:
-    """Feasible selection frequencies on a per-availability-set simplex grid."""
-    n_a = poly.actions.size
-    n_z = len(poly.avail.probs)
-    # Size the grid before building it: one simplex grid has C(units+k-1, k-1) rows.
-    total = math.comb(max(1, round(1.0 / step)) + n_a - 1, n_a - 1) ** n_z
-    if total > max_points:
-        raise ValueError(f"grid of {total} points exceeds cap; coarsen the step")
-    per_set = [_simplex_grid(n_a, step) * float(alpha) for alpha in poly.avail.probs]
-    out = np.zeros((total, n_a * n_z))
-    for row, combo in enumerate(itertools.product(*per_set)):
-        beta = np.stack(combo, axis=1)  # (n_a, n_z)
-        out[row] = beta.reshape(-1)
-    if poly.budget_matrix.shape[0]:
-        ok = np.all(out @ poly.budget_matrix.T <= poly.budget_rhs + 1e-12, axis=1)
-        out = out[ok]
-    return out
-
-
 def nonadaptive_slice(table: DivergenceTable, poly: ConstraintPolytope,
-                      fixed: dict[int, float], step: float = 0.01) -> SlicePolyline:
-    """Staircase boundary of the shared-frequency per-hypothesis region slice.
+                      fixed: dict[int, float], step: float | None = None) -> SlicePolyline:
+    """Exact slice of the shared-frequency region at e_k = v, as its CCW
+    boundary from the origin; empty when no frequency reaches v.
 
-    The non-adaptive region is a union of boxes over one shared frequency, so
-    its slice boundary is the Pareto staircase of the grid's box corners.
+    (x, y) is in the slice when one beta in the polytope has D(m, i).beta >= x,
+    D(m, j).beta >= y and D(m, k).beta >= v against every declared m. That
+    set is a projection of a polytope, so it is convex, and ``_planar_front``
+    finds its front with one LP over (beta, x, y) per call. ``step`` is
+    accepted and unused.
     """
     if table.M != 3 or len(fixed) != 1:
         raise UnsupportedDimension("non-adaptive slices cover M=3 with one fixed axis")
     (k, v), = fixed.items()
+    if not math.isfinite(v):
+        raise ValueError(f"fixed exponent must be finite, got {v}")
     i, j = [t for t in range(3) if t != k]
-    grid = constraint_grid(poly, step)
     pairs, rows = table.pair_rows()
-    vals = grid @ rows.T  # (N, M(M-1)) pairwise exponents
-    by_truth = {t: [pi for pi, (m, tt) in enumerate(pairs) if tt == t] for t in range(3)}
-    g = np.stack([vals[:, by_truth[t]].min(axis=1) for t in range(3)], axis=1)
-    feas = g[:, k] >= v - 1e-12
-    if not np.any(feas):
+    truth = np.array([t for _, t in pairs])
+    lift = np.stack([truth == i, truth == j], axis=1).astype(float)
+    A_eq = np.hstack([poly.eq_matrix, np.zeros((len(poly.eq_rhs), 2))])
+    A_ub = np.vstack([np.hstack([poly.budget_matrix, np.zeros((len(poly.budget_rhs), 2))]),
+                      np.hstack([-rows, lift])])
+    b_ub = np.concatenate([poly.budget_rhs, np.where(truth == k, -v, 0.0)])
+    if lp_feasible(A_eq, poly.eq_rhs, A_ub, b_ub, poly.dim + 2).status != "optimal":
         return SlicePolyline((i, j), np.zeros((0, 2)))
-    corners = g[feas][:, [i, j]]
-    front = _pareto_max(corners)
-    front = front[np.argsort(-front[:, 0])]
-    pts: list[np.ndarray] = [np.array([front[0, 0], 0.0])]
-    cur_y = 0.0
-    for p in front:
-        if p[1] > cur_y + 1e-12:
-            pts.append(np.array([p[0], cur_y]))
-            pts.append(np.array([p[0], p[1]]))
-            cur_y = p[1]
-    pts.append(np.array([0.0, cur_y]))
-    return SlicePolyline((i, j), np.array(pts))
+
+    def best(w: np.ndarray) -> np.ndarray:
+        res = solve_lp(np.concatenate([np.zeros(poly.dim), w]), A_eq, poly.eq_rhs, A_ub, b_ub)
+        if res.status != "optimal":
+            raise RuntimeError(f"slice LP unexpectedly {res.status}")
+        return res.x[poly.dim:]
+
+    front = _planar_front(best)
+    return SlicePolyline((i, j), _closure_boundary(front, front[0][0], front[-1][1]))
 
 
 def tuncel_slice(model: JointModel, beta_sources: np.ndarray,

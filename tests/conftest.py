@@ -191,6 +191,21 @@ def grid_betas(inst: Instance, step: float) -> np.ndarray:
     return grid
 
 
+def oracle_constraints(inst: Instance, extra: int = 0):
+    """The constraint set of ``inst`` built without the package's polytope
+    code, as (A_eq, b_eq, G, r) over the d frequencies followed by ``extra``
+    zero columns."""
+    n_a, n_z = inst.actions.size, len(inst.avail.sets)
+    A_eq = np.zeros((n_z, n_a * n_z + extra))
+    for zi in range(n_z):
+        for ai in range(n_a):
+            A_eq[zi, ai * n_z + zi] = 1.0
+    G = np.zeros((0, n_a * n_z))
+    if inst.budgets.size:
+        G = inst.budgets.coeffs @ selection_matrix(inst.actions, inst.avail, inst.model.n)
+    return A_eq, inst.avail.probs, np.hstack([G, np.zeros((len(G), extra))]), inst.budgets.rates
+
+
 def oracle_max_margin(e_sub: np.ndarray, pair_rows_m: np.ndarray,
                       inst: Instance) -> float:
     """Reference value of max over the constraint set of the worst coordinate
@@ -203,24 +218,137 @@ def oracle_max_margin(e_sub: np.ndarray, pair_rows_m: np.ndarray,
     # variables: beta (d), t; maximize t s.t. t <= rows @ beta - e
     c = np.zeros(d + 1)
     c[-1] = -1.0
-    A_ub = np.hstack([-pair_rows_m, np.ones((n_th, 1))])
-    b_ub = -np.asarray(e_sub, dtype=float)
-    n_z = len(inst.avail.sets)
-    A_eq = np.zeros((n_z, d + 1))
-    for zi in range(n_z):
-        for ai in range(inst.actions.size):
-            A_eq[zi, ai * n_z + zi] = 1.0
-    b_eq = inst.avail.probs
-    if inst.budgets.size:
-        W = selection_matrix(inst.actions, inst.avail, inst.model.n)
-        G = inst.budgets.coeffs @ W
-        A_ub = np.vstack([A_ub, np.hstack([G, np.zeros((G.shape[0], 1))])])
-        b_ub = np.concatenate([b_ub, inst.budgets.rates])
+    A_eq, b_eq, G, r = oracle_constraints(inst, 1)
+    A_ub = np.vstack([np.hstack([-pair_rows_m, np.ones((n_th, 1))]), G])
+    b_ub = np.concatenate([-np.asarray(e_sub, dtype=float), r])
     bounds = [(0, None)] * d + [(None, None)]
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
                   method="highs")
     assert res.status == 0, f"oracle LP failed: {res.message}"
     return float(-res.fun)
+
+
+def oracle_slice_support(inst: Instance, table, k: int, v: float,
+                         w: np.ndarray | None) -> float | None:
+    """max of w.(x, y) over the shared-frequency slice at e_k = v: one beta
+    in the constraint set with D(m, t).beta >= x, y, v for the two free truths
+    and truth k against every declared m. HiGHS, not the package's solver;
+    None when the slice is empty. With w None, only feasibility is tested."""
+    from scipy.optimize import linprog
+
+    i, j = [t for t in range(3) if t != k]
+    A_eq, b_eq, G, r = oracle_constraints(inst, 2)
+    rows, rhs = [G], [r]
+    for m in range(3):
+        for t, lift in ((i, [1.0, 0.0]), (j, [0.0, 1.0]), (k, [0.0, 0.0])):
+            if t != m:
+                rows.append(np.append(-table.pair_matrix(m, t).reshape(-1), lift)[None])
+                rhs.append([-v if t == k else 0.0])
+    c = np.zeros(A_eq.shape[1])
+    if w is not None:
+        c[-2:] = -np.asarray(w, dtype=float)
+    res = linprog(c, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs), A_eq=A_eq, b_eq=b_eq,
+                  bounds=[(0, None)] * len(c), method="highs")
+    if res.status == 2:
+        return None
+    assert res.status == 0, f"oracle LP failed: {res.message}"
+    return float(-res.fun)
+
+
+# ------------------------------------------- planar fronts the package replaced
+
+def reference_pareto_max(points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Planar points no other point dominates, near-repeats removed.
+
+    q dominates p when q >= p - tol in both coordinates and q > p + tol in
+    one. As q > p + tol implies q >= p - tol in that coordinate, p is
+    dominated iff some q with qx > px + tol has qy >= py - tol, or some q
+    with qy > py + tol has qx >= px - tol: suffix maxima over each sort.
+    """
+    dominated = np.zeros(len(points), dtype=bool)
+    for a in (0, 1):
+        order = np.argsort(points[:, a], kind="stable")
+        other = points[order, 1 - a]
+        best = np.append(np.maximum.accumulate(other[::-1])[::-1], -np.inf)
+        above = np.searchsorted(points[order, a], points[:, a] + tol, side="right")
+        dominated |= best[above] >= points[:, 1 - a] - tol
+    uniq = _unique_rows(points[~dominated], tol)
+    return uniq if len(uniq) else points[:1] * 0.0
+
+
+def reference_staircase_2d(corners: np.ndarray):
+    """The Pareto filter and monotone chain that ``region._staircase_2d``
+    replaced: facets, hull vertices and CCW boundary of the planar
+    closure-hull."""
+    xmax = float(corners[:, 0].max(initial=0.0))
+    ymax = float(corners[:, 1].max(initial=0.0))
+    facets = [((-1.0, 0.0), 0.0), ((0.0, -1.0), 0.0),
+              ((1.0, 0.0), xmax), ((0.0, 1.0), ymax)]
+    if xmax <= 0 and ymax <= 0:
+        verts = np.zeros((1, 2))
+        return tuple(facets), verts, verts
+    pts = reference_pareto_max(corners)
+    pts = pts[np.lexsort((-pts[:, 1], pts[:, 0]))]
+    # Upper-concave chain over the Pareto points (clockwise turns only).
+    chain: list[np.ndarray] = []
+    for p in pts:
+        while len(chain) >= 2:
+            a, b = chain[-2], chain[-1]
+            cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+            if cross >= -1e-12:
+                chain.pop()
+            else:
+                break
+        chain.append(p)
+    for p, q in zip(chain, chain[1:]):
+        n = np.array([p[1] - q[1], q[0] - p[0]])
+        norm = float(np.linalg.norm(n))
+        if norm > 1e-12:
+            n /= norm
+            facets.append(((float(n[0]), float(n[1])), float(np.dot(n, p))))
+    boundary = [np.zeros(2)]
+    if xmax > 0:
+        boundary.append(np.array([xmax, 0.0]))
+    boundary.extend(reversed(chain))
+    if ymax > 0:
+        boundary.append(np.array([0.0, ymax]))
+    dedup = [boundary[0]]
+    for p in boundary[1:]:
+        if np.max(np.abs(p - dedup[-1])) > 1e-12:
+            dedup.append(p)
+    boundary_arr = np.array(dedup)
+    verts = np.array(chain + [np.zeros(2), np.array([xmax, 0.0]),
+                              np.array([0.0, ymax])])
+    return tuple(facets), _unique_rows(verts, 1e-12), boundary_arr
+
+
+def reference_nonadaptive_slice(inst: Instance, table, k: int, v: float,
+                                step: float) -> np.ndarray:
+    """The grid staircase that ``region.nonadaptive_slice`` replaced: the
+    per-truth exponents of every frequency on the ``grid_betas`` grid that
+    reaches v on truth k, reduced to the Pareto staircase of their (x, y)
+    box corners, from (x_max, 0) to (0, y_max). Every point is achievable,
+    so the exact slice must contain them all."""
+    i, j = [t for t in range(3) if t != k]
+    grid = grid_betas(inst, step)
+    pairs, rows = table.pair_rows()
+    vals = grid @ rows.T  # (N, M(M-1)) pairwise exponents
+    by_truth = {t: [pi for pi, (m, tt) in enumerate(pairs) if tt == t] for t in range(3)}
+    g = np.stack([vals[:, by_truth[t]].min(axis=1) for t in range(3)], axis=1)
+    feas = g[:, k] >= v - 1e-12
+    if not np.any(feas):
+        return np.zeros((0, 2))
+    front = reference_pareto_max(g[feas][:, [i, j]])
+    front = front[np.argsort(-front[:, 0])]
+    pts: list[np.ndarray] = [np.array([front[0, 0], 0.0])]
+    cur_y = 0.0
+    for p in front:
+        if p[1] > cur_y + 1e-12:
+            pts.append(np.array([p[0], cur_y]))
+            pts.append(np.array([p[0], p[1]]))
+            cur_y = p[1]
+    pts.append(np.array([0.0, cur_y]))
+    return np.array(pts)
 
 
 # ------------------------------------------------- fixed-length search oracle

@@ -16,8 +16,11 @@ from hypothesis import strategies as st
 
 from aseq import cli, sim
 from aseq.cli import main
+from aseq.divergence import build_instance_table
 from aseq.errors import InvalidPmf
 from aseq.modelio import instance_to_dict, load_instance
+
+from conftest import oracle_constraints
 
 MODEL = str(Path(__file__).resolve().parent.parent / "models" / "chernoff3x2.json")
 
@@ -169,8 +172,11 @@ def test_slice_csv_families(tmp_path):
         assert all(x >= 0 and y >= 0 for x, y in pts)
 
 
-def test_slice_bad_spec():
-    assert main(["region", "--model", MODEL, "--slice", "q=0.1"]) == 2
+@pytest.mark.parametrize("spec", ["q=0.1", "e5=0.3", "e-1=0.3", "e2=nan", "e2=inf"])
+def test_slice_bad_spec(capsys, spec):
+    assert main(["region", "--model", MODEL, "--slice", spec]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and repr(spec) in err
 
 
 def test_simulate_budgeted_model(tmp_path):
@@ -203,15 +209,32 @@ def _many_action_model():
             "budgets": [{"coeff": [1, 1, 1, 1], "rate": 1.5}]}
 
 
-def test_slice_grid_too_large_exits_1(tmp_path, capsys):
+def test_slice_many_actions_shared_frequency(tmp_path):
+    # 32 frequencies, too many for a grid. The slice is a few LPs, and HiGHS
+    # finds a shared frequency for each of its nonadaptive points.
+    from scipy.optimize import linprog
+
     model = tmp_path / "many.json"
     model.write_text(json.dumps(_many_action_model()), encoding="utf-8")
+    out = tmp_path / "slice.csv"
     start = time.perf_counter()
-    assert main(["region", "--model", str(model), "--slice", "e2=0.3",
-                 "--out", str(tmp_path / "slice.csv")]) == 1
+    assert main(["region", "--model", str(model), "--slice", "e2=0.3", "--out", str(out)]) == 0
     assert time.perf_counter() - start < 60
-    err = capsys.readouterr().err.strip()
-    assert len(err.splitlines()) == 1 and "exceeds cap" in err
+    inst = load_instance(model)
+    table = build_instance_table(inst)
+    A_eq, b_eq, G, r = oracle_constraints(inst)
+    rows = [(float(row["x"]), float(row["y"])) for row in csv.DictReader(out.open())
+            if row["family"] == "nonadaptive"]
+    assert len(rows) >= 3
+    D = np.stack([table.pair_matrix(m, t).reshape(-1)
+                  for m in range(3) for t in range(3) if t != m])
+    for x, y in rows:
+        # Truths 0, 1 and 2 need x, y and 0.3 against every declared m.
+        e = np.tile([x, y, 0.3], (3, 1))[~np.eye(3, dtype=bool)]
+        res = linprog(np.zeros(D.shape[1]), A_ub=np.vstack([G, -D]),
+                      b_ub=np.concatenate([r, -(e - 1e-9 * (1 + e))]), A_eq=A_eq, b_eq=b_eq,
+                      method="highs")
+        assert res.status == 0, (x, y)
 
 
 def test_region_too_many_active_sets_exits_1(tmp_path, capsys):
@@ -343,7 +366,8 @@ def _with_bad_values(test):
 def test_cli_fuzz_mutated_model(base, zeros, mutations, slice_at):
     """validate, region and a small simulate on the example (with a budget and
     two availability sets) or on a grown model, then mutated, each end in
-    exit 0, 1 or 2, with a one-line message when they fail and no numpy
+    exit 0 or 1 (every argument list is valid, so a 2 would mean a stale
+    flag), with a one-line message when they fail and no numpy
     RuntimeWarning. With M = 3, the e2 slice runs too, so the fixed-length
     dual meets random models and zero-mass symbols."""
     cfg = _mutated(base, zeros, mutations)
@@ -354,15 +378,14 @@ def test_cli_fuzz_mutated_model(base, zeros, mutations, slice_at):
                 ["simulate", "--T", "4", "--trials", "20", "--seed", "1",
                  "--epsilon", "0", "--out", f"{tmp}/runs.csv"]]
         if cfg.get("M") == 3:
-            runs.append(["region", "--slice", f"e2={slice_at}", "--grid-step", "0.05",
-                         "--out", f"{tmp}/slice.csv"])
+            runs.append(["region", "--slice", f"e2={slice_at}", "--out", f"{tmp}/slice.csv"])
         for args in runs:
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
                     warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 code = main([args[0], "--model", str(model)] + args[1:])
-            assert code in (0, 1, 2)
+            assert code in (0, 1)
             event(f"{' '.join(args[:2])} exit {code}")
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
                 [str(w.message) for w in caught]

@@ -14,15 +14,16 @@ from aseq.errors import (DimensionMismatch, InfeasiblePolytope, NotChernoffForm,
                          SupportMismatch, UnsupportedDimension)
 from aseq.model import ActionSpace, AvailabilityDist, BudgetSpec, Instance
 from aseq.region import (ConstraintPolytope, build_polytope, chernoff_region, compute_region,
-                         constraint_grid, decision_risk_exponents, enumerate_vertices,
+                         decision_risk_exponents, enumerate_vertices,
                          individual_hypothesis_region_slice, membership,
                          nonadaptive_feasibility, nonadaptive_membership, nonadaptive_slice,
                          region_polytope, source_marginals, tuncel_membership, tuncel_slice)
-from aseq.region import _corner_lp_contains, _pareto_max, _tuncel_objective, _unique_rows
+from aseq.region import _corner_lp_contains, _staircase_2d, _tuncel_objective, _unique_rows
 
 from conftest import (ReferenceTuncelEvaluator, ReferenceTuncelOptions, criterion3_tuples,
-                      grid_betas, make_instance, oracle_max_margin, random_instance,
-                      reference_enumerate_vertices)
+                      grid_betas, make_instance, oracle_max_margin, oracle_slice_support,
+                      random_instance, reference_enumerate_vertices,
+                      reference_nonadaptive_slice, reference_staircase_2d, two_set_instance)
 from test_model import P01, P02, P11, P12, P21, P22
 
 
@@ -578,7 +579,7 @@ def test_slice_adaptive_encloses_nonadaptive(example):
     region = compute_region(table, poly)
     v = 0.3
     ad = individual_hypothesis_region_slice(region, {2: v})
-    na = nonadaptive_slice(table, poly, {2: v}, step=0.02)
+    na = nonadaptive_slice(table, poly, {2: v})
     assert len(ad.points) >= 3 and len(na.points) >= 2
 
     def poly_max_y(points, x):
@@ -597,6 +598,43 @@ def test_slice_adaptive_encloses_nonadaptive(example):
 
     for x in np.linspace(0, min(ad.points[:, 0].max(), na.points[:, 0].max()), 7):
         assert poly_max_y(ad.points, x) >= poly_max_y(na.points, x) - 1e-6
+
+
+@pytest.mark.parametrize("name", ["example", "budgeted", "two_sets"])
+def test_nonadaptive_slice_exact(example_instance, name):
+    """At e2 in {0, 0.1, 0.3, above its maximum}, and at 97% of the maximum,
+    where e2 binds, the slice is empty exactly when HiGHS finds no shared
+    frequency; otherwise its support function equals HiGHS's and it contains
+    every point of the grid staircase. A non-finite e2 is refused."""
+    ex = example_instance
+    inst, step = {
+        "example": (ex, 0.02),
+        "budgeted": (Instance(ex.model, ex.avail, ex.actions,
+                              BudgetSpec(np.array([[1.0, 1.0]]), np.array([0.8]))), 0.02),
+        # C(10 + 3, 3)^2 grid points at step 0.1; at 0.02 there would be 5e8.
+        "two_sets": (two_set_instance([1, 1]), 0.1)}[name]
+    table = build_instance_table(inst)
+    poly = build_polytope(inst.avail, inst.actions, inst.budgets)
+    rows_2 = np.stack([table.pair_matrix(m, 2).reshape(-1) for m in (0, 1)])
+    top = oracle_max_margin(np.zeros(2), rows_2, inst)
+    with pytest.raises(ValueError, match="finite"):
+        nonadaptive_slice(table, poly, {2: np.inf})
+    rng = np.random.default_rng(29)
+    for v in (0.0, 0.1, 0.3, 0.97 * top, top + 0.05):
+        pts = nonadaptive_slice(table, poly, {2: v}).points
+        assert (len(pts) == 0) == (oracle_slice_support(inst, table, 2, v, None) is None)
+        assert len(pts) or v > top
+        if not len(pts):
+            continue
+        for w in rng.normal(size=(50, 2)):
+            want = oracle_slice_support(inst, table, 2, v, w)
+            assert abs(float(np.max(pts @ w)) - want) <= 1e-9 * (1 + abs(want))
+        grid = reference_nonadaptive_slice(inst, table, 2, v, step)
+        assert len(grid)
+        # Inside the CCW polygon: on the left of (or on) every edge.
+        for p, q in zip(pts, np.roll(pts, -1, axis=0)):
+            cross = (q[0] - p[0]) * (grid[:, 1] - p[1]) - (q[1] - p[1]) * (grid[:, 0] - p[0])
+            assert np.all(cross >= -1e-9)
 
 
 # ------------------------------------------------------------ region properties
@@ -640,9 +678,8 @@ def test_budget_shrinks_region():
 
 # ------------------------------------------------- tolerance dedup and Pareto
 
-# Reference oracles: the greedy loops that _unique_rows and _pareto_max
-# replaced. The first was the duplicate check of enumerate_vertices, the
-# second half of _pareto_max, and _pareto_unique.
+# Reference oracles: the greedy loops that _unique_rows replaced, the
+# duplicate check of enumerate_vertices and of the facet rows.
 
 def greedy_unique(points, tol):
     uniq = []
@@ -659,20 +696,6 @@ def greedy_dedup_facets(facets):
                for n2, b2 in out):
             out.append((n, b))
     return out
-
-
-def greedy_pareto_max(points, tol=1e-12):
-    keep = []
-    for i, p in enumerate(points):
-        dominated = False
-        for j, q in enumerate(points):
-            if j != i and np.all(q >= p - tol) and np.any(q > p + tol):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-    uniq = greedy_unique(points[keep], tol)
-    return uniq if len(uniq) else points[:1] * 0.0
 
 
 @st.composite
@@ -701,10 +724,33 @@ def test_unique_rows_matches_greedy(case):
 
 @settings(max_examples=300, deadline=None)
 @given(planted_rows(dims=(2,)))
-def test_pareto_max_matches_greedy(case):
-    points, tol = case
-    assert np.array_equal(_pareto_max(points, tol), greedy_pareto_max(points, tol))
-    assert np.array_equal(_pareto_max(points), greedy_pareto_max(points))
+@hypothesis.example(case=(np.array([[0.250000001, 0.0], [0.25, 0.25], [0.2500000005, 0.2499999995],
+                         [0.2500000005, 0.25]]), 1e-9))  # first-found ties would dent the front
+def test_staircase_2d_matches_reference(case):
+    """On clusters of nearly equal corners (clipped at 0, as corners are),
+    vertices and boundary have the support function of the closure-hull
+    within 3e-12: the 1e-12 dedup moves it by up to sqrt(2) * 1e-12 along a
+    unit direction, and the search misses only points within 1e-12 of the
+    front. No facet cuts off a corner by more than that, and each edge of
+    the front faces up and right (a dominated axis maximiser would add an
+    axis-parallel one). The replaced staircase drops points up to
+    1e-12 / (chord length) beyond a chord, which on these clusters came to
+    1.4e-9 in 30,000 examples, so it is held to 1e-8."""
+    points = np.maximum(case[0], 0.0)
+    if not len(points):
+        return
+    facets, verts, boundary = _staircase_2d(points)
+    _, ref_verts, ref_boundary = reference_staircase_2d(points)
+    w = np.random.default_rng(31).normal(size=(2, 50))
+    w /= np.linalg.norm(w, axis=0)
+    closure = np.vstack([points, np.zeros(2), [points[:, 0].max(), 0.0],
+                         [0.0, points[:, 1].max()]])
+    exact = np.max(closure @ w, axis=0)
+    for got, want in ((verts, ref_verts), (boundary, ref_boundary)):
+        assert np.allclose(np.max(got @ w, axis=0), exact, rtol=0, atol=3e-12)
+        assert np.allclose(np.max(got @ w, axis=0), np.max(want @ w, axis=0), rtol=0, atol=1e-8)
+    assert max(float(np.max(points @ n)) - b for n, b in facets) <= 3e-12
+    assert all(n[0] > 0 and n[1] > 0 for n, _ in facets[4:])
 
 
 @settings(max_examples=200, deadline=None)
@@ -742,13 +788,3 @@ def test_hull_fallback_on_flat_corner_cloud():
     assert verdicts == [_corner_lp_contains(sub.corners, e) for e in probes]
     assert any(verdicts) and not all(verdicts)
     assert region_polytope(table, poly, 2).facets is not None
-
-
-def test_constraint_grid_sized_before_building():
-    # 16 actions over 4 sources: C(115, 15) grid points per availability set
-    # at step 0.01, which must be refused before anything is built.
-    acts = ActionSpace(tuple(s for r in range(5) for s in itertools.combinations(range(1, 5), r)))
-    avail = AvailabilityDist(((1, 2, 3, 4), (1, 2)), np.array([0.6, 0.4]))
-    poly = build_polytope(avail, acts, BudgetSpec.none(4))
-    with pytest.raises(ValueError, match="exceeds cap"):
-        constraint_grid(poly, 0.01)
