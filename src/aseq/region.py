@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .divergence import DivergenceTable, kl
 from .errors import (DimensionMismatch, InfeasiblePolytope, NotChernoffForm,
@@ -360,6 +359,8 @@ def _as_matrix(exponents: np.ndarray, M: int) -> np.ndarray:
     e = np.asarray(exponents, dtype=float)
     if e.shape != (M, M):
         raise DimensionMismatch(f"exponent tuple must be ({M}, {M}) with zero diagonal")
+    if not np.isfinite(e).all():
+        raise ValueError("exponents must be finite")
     return e
 
 
@@ -521,6 +522,20 @@ _LOG_ZERO = -1e4
 _GRID_CELLS = 1 << 20
 
 
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log sum exp over the last axis of a finite array, computed as scipy's
+    ``logsumexp`` computes it (Blanchard, Higham & Higham 2021, the shifted
+    form): with m entries equal to the row max a_max and s the sum of
+    exp(a - a_max) over the others, log1p(s / m) + log(m) + a_max. Importing
+    scipy.special would double the package's start-up, and on the dual's
+    arrays of a few dozen entries its dispatch costs more than the sum."""
+    a_max = a.max(axis=-1, keepdims=True)
+    top = a == a_max
+    m = top.sum(axis=-1, keepdims=True, dtype=float)
+    s = np.where(top, 0.0, np.exp(a - a_max)).sum(axis=-1, keepdims=True)
+    return (np.log1p(s / m) + np.log(m) + a_max)[..., 0]
+
+
 class _TuncelDual:
     """Certified bounds on the fixed-length slack by Chernoff/Renyi duality.
 
@@ -563,7 +578,7 @@ class _TuncelDual:
     def _tilt(self, mu: np.ndarray):
         """sum_j beta_j c_j(mu), h_m of the tilted P, and P, for each row of mu."""
         logits = np.einsum("rm,jmk->rjk", mu, self.logQ)
-        lse = logsumexp(logits, axis=-1)
+        lse = _logsumexp(logits)
         logp = logits - lse[..., None]
         p = np.exp(logp)
         h = ((p * logp).sum(axis=-1) @ self.betas)[:, None] \
@@ -691,6 +706,16 @@ def _clip_polygon(points: np.ndarray, normal: np.ndarray, offset: float) -> np.n
     return _drop_repeats(out)
 
 
+def _slice_axes(fixed: dict[int, float]) -> tuple[int, float, int, int]:
+    """The fixed axis k and its value v of an M = 3 slice, then the free axes
+    i < j."""
+    (k, v), = fixed.items()
+    if not math.isfinite(v):
+        raise ValueError(f"fixed exponent must be finite, got {v}")
+    i, j = [t for t in range(3) if t != k]
+    return k, v, i, j
+
+
 def individual_hypothesis_region_slice(region: ExponentRegion,
                                        fixed: dict[int, float] | None = None
                                        ) -> SlicePolyline:
@@ -715,8 +740,7 @@ def individual_hypothesis_region_slice(region: ExponentRegion,
         raise UnsupportedDimension("2-D slices cover M in {2, 3} only")
     if len(fixed) != 1:
         raise UnsupportedDimension("fix exactly one coordinate for M=3")
-    (k, v), = fixed.items()
-    i, j = [t for t in range(3) if t != k]
+    k, v, i, j = _slice_axes(fixed)
     sub_k = region.sub(k)
     poly_pts = sub_k.boundary.copy()
     cap_i = _cap_along(region.sub(j), region.sub(j).thetas.index(k), v,
@@ -743,10 +767,7 @@ def nonadaptive_slice(table: DivergenceTable, poly: ConstraintPolytope,
     """
     if table.M != 3 or len(fixed) != 1:
         raise UnsupportedDimension("non-adaptive slices cover M=3 with one fixed axis")
-    (k, v), = fixed.items()
-    if not math.isfinite(v):
-        raise ValueError(f"fixed exponent must be finite, got {v}")
-    i, j = [t for t in range(3) if t != k]
+    k, v, i, j = _slice_axes(fixed)
     pairs, rows = table.pair_rows()
     truth = np.array([t for _, t in pairs])
     lift = np.stack([truth == i, truth == j], axis=1).astype(float)
@@ -775,8 +796,7 @@ def tuncel_slice(model: JointModel, beta_sources: np.ndarray,
     dual certifies "in", so every returned point lies inside the region."""
     if model.M != 3 or len(fixed) != 1:
         raise UnsupportedDimension("fixed-length slices cover M=3 with one fixed axis")
-    (k, v), = fixed.items()
-    i, j = [t for t in range(3) if t != k]
+    k, v, i, j = _slice_axes(fixed)
     Q = source_marginals(model)
     dual = _TuncelDual(Q, beta_sources, options or TuncelOptions())
 

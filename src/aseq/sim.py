@@ -20,11 +20,9 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .divergence import DivergenceTable
 from .errors import TrialBudgetExceeded
@@ -90,11 +88,16 @@ class ExperimentReport:
         return self.config.instance.model.M
 
 
+def _normal_quantile(p: float) -> float:
+    from scipy.special import ndtri  # deferred: slow import
+    return float(ndtri(p))
+
+
 def wilson_interval(k: int, n: int, level: float = 0.95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if n == 0:
         return 0.0, 1.0
-    z = float(ndtri(0.5 + level / 2.0))
+    z = _normal_quantile(0.5 + level / 2.0)
     phat = k / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -185,6 +188,7 @@ def estimate_errors(config: ExperimentConfig) -> ExperimentReport:
                      for s in range(0, n, chunk)]
     size = _pool_size(workers, len(jobs), os.cpu_count())
     if size > 1:
+        from concurrent.futures import ProcessPoolExecutor  # deferred: slow import
         with ProcessPoolExecutor(max_workers=size) as pool:
             results = list(pool.map(_run_chunk_star, [args for _, args in jobs]))
     else:
@@ -296,7 +300,7 @@ def verify_constraints(report: ExperimentReport, confidence: float = 0.99
                        ) -> list[ConstraintCheck]:
     """One-sided upper-confidence checks of the stopping-time and budget
     constraints for every simulated cell."""
-    z = float(ndtri(confidence))
+    z = _normal_quantile(confidence)
     inst = report.config.instance
     checks: list[ConstraintCheck] = []
     for (T, truth), cell in sorted(report.cells.items()):

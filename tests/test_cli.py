@@ -4,6 +4,9 @@ import csv
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -287,6 +290,39 @@ def test_internal_error_exits_1(monkeypatch, capsys):
     err = capsys.readouterr().err.strip()
     assert err == ("internal error: InvalidPmf: action probabilities exceed 1 by 1e-3 "
                    "second line")
+
+
+SCIPY_LOADED = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+def _fresh(code: str):
+    """The JSON value that code prints last, run in a fresh interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", "import json, sys\n" + code],
+                         capture_output=True, text=True, check=True, timeout=300,
+                         env={**os.environ, "PYTHONPATH": src})
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    """import aseq, import aseq.cli and `aseq region` on the M = 3 example
+    load no scipy module; an M = 4 region still exits 0 through the qhull
+    import deferred to its hull."""
+    assert _fresh(f"import aseq\nfirst = {SCIPY_LOADED}\nimport aseq.cli\n"
+                  f"print(json.dumps([first, {SCIPY_LOADED}]))") == [[], []]
+    region = f"from aseq import cli\nrc = cli.main(['region', '--model', {{!r}}, '--out', {{!r}}])\n"
+    assert _fresh(region.format(MODEL, str(tmp_path / "m3.json"))
+                  + f"print(json.dumps([rc, {SCIPY_LOADED}]))") == [0, []]
+    rng = np.random.default_rng(4)
+    cfg = {"M": 4, "n": 2, "alphabets": [3, 3],
+           "hypotheses": [{"independent": [rng.dirichlet(np.ones(3)).tolist() for _ in range(2)]}
+                          for _ in range(4)],
+           "availability": [{"subset": [1, 2], "prob": 1.0}],
+           "actions": [[1], [2]], "budgets": []}
+    model = tmp_path / "m4_model.json"
+    model.write_text(json.dumps(cfg), encoding="utf-8")
+    assert _fresh(region.format(str(model), str(tmp_path / "m4.json"))
+                  + "print(json.dumps([rc, 'scipy.spatial' in sys.modules]))") == [0, True]
 
 
 # ------------------------------------------------------------------- fuzz

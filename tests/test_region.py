@@ -8,17 +8,20 @@ import hypothesis
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.special import logsumexp as scipy_logsumexp
 
+from aseq import region
 from aseq.divergence import build_instance_table, exponent, kl
 from aseq.errors import (DimensionMismatch, InfeasiblePolytope, NotChernoffForm,
                          SupportMismatch, UnsupportedDimension)
 from aseq.model import ActionSpace, AvailabilityDist, BudgetSpec, Instance
-from aseq.region import (ConstraintPolytope, build_polytope, chernoff_region, compute_region,
-                         decision_risk_exponents, enumerate_vertices,
+from aseq.region import (ConstraintPolytope, TuncelOptions, build_polytope, chernoff_region,
+                         compute_region, decision_risk_exponents, enumerate_vertices,
                          individual_hypothesis_region_slice, membership,
                          nonadaptive_feasibility, nonadaptive_membership, nonadaptive_slice,
                          region_polytope, source_marginals, tuncel_membership, tuncel_slice)
-from aseq.region import _corner_lp_contains, _staircase_2d, _tuncel_objective, _unique_rows
+from aseq.region import (_LOG_ZERO, _TuncelDual, _corner_lp_contains, _logsumexp,
+                         _staircase_2d, _tuncel_objective, _unique_rows)
 
 from conftest import (ReferenceTuncelEvaluator, ReferenceTuncelOptions, criterion3_tuples,
                       grid_betas, make_instance, oracle_max_margin, oracle_slice_support,
@@ -531,6 +534,46 @@ def test_tuncel_zero_mass_symbol_changes_nothing(example, c3_tuples):
             assert b.witness is None or b.witness[0][3] == 0.0
 
 
+@settings(max_examples=300, deadline=None)
+@given(shape=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       scale=st.sampled_from([1e-3, 1.0, 30.0, 1e3]), ties=st.booleans(),
+       pad=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@hypothesis.example(shape=[4, 1], scale=1.0, ties=False, pad=False, seed=0)
+@hypothesis.example(shape=[2, 3, 5], scale=1e3, ties=True, pad=True, seed=1)
+def test_logsumexp_matches_scipy(shape, scale, ties, pad, seed):
+    """The dual's log-sum-exp is scipy's, bit for bit: ties at the row max,
+    single-entry rows, _LOG_ZERO padding and scales up to 1e3."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=shape) * scale
+    if ties:
+        a = np.where(rng.random(shape) < 0.4, a.max(axis=-1, keepdims=True), a)
+    if pad:
+        a = np.where(rng.random(shape) < 0.3, _LOG_ZERO, a)
+    assert np.array_equal(_logsumexp(a), scipy_logsumexp(a, axis=-1))
+
+
+def test_tuncel_dual_same_with_scipy_logsumexp(example, c3_tuples, monkeypatch):
+    """The dual's bounds and witnesses on criterion 3's queries, and the
+    example's e2 = 0.3 slice, are unchanged bit for bit when _tilt takes
+    scipy's logsumexp."""
+    inst, _, _ = example
+    beta = np.array([0.5, 0.5])
+    Q = source_marginals(inst.model)
+
+    def run():
+        dual = _TuncelDual(Q, beta, TuncelOptions())
+        return ([dual.bounds(e) for e in c3_tuples],
+                tuncel_slice(inst.model, beta, {2: 0.3}).points)
+
+    ours, ours_slice = run()
+    monkeypatch.setattr(region, "_logsumexp", lambda a: scipy_logsumexp(a, axis=-1))
+    theirs, theirs_slice = run()
+    assert np.array_equal(ours_slice, theirs_slice)
+    for (lower, witness), (lower2, witness2) in zip(ours, theirs):
+        assert lower == lower2
+        assert all(np.array_equal(p, p2) for p, p2 in zip(witness, witness2))
+
+
 def test_tuncel_slice_points_certified_in(example):
     inst, table, poly = example
     beta = np.array([0.5, 0.5])
@@ -572,6 +615,34 @@ def test_slice_unsupported_dimension(example):
     region = compute_region(table, poly)
     with pytest.raises(UnsupportedDimension):
         individual_hypothesis_region_slice(region, {0: 0.1, 1: 0.2})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", ["region_slice", "nonadaptive_slice", "tuncel_slice",
+                                   "membership", "nonadaptive_membership",
+                                   "tuncel_membership"])
+def test_non_finite_exponents_refused(example, entry, bad):
+    """A non-finite fixed value or exponent entry raises ValueError with no
+    numpy warning. Unchecked, nan clipped nothing from the adaptive slice,
+    inf emptied the fixed-length slice with warnings, the shared-frequency
+    LP failed inside the simplex and the fixed-length verdict had lower=nan."""
+    inst, table, poly = example
+    beta = np.array([0.5, 0.5])
+    e = np.full((3, 3), 0.1)
+    np.fill_diagonal(e, 0.0)
+    e[0, 1] = bad
+    call = {
+        "region_slice": lambda: individual_hypothesis_region_slice(
+            compute_region(table, poly), {2: bad}),
+        "nonadaptive_slice": lambda: nonadaptive_slice(table, poly, {2: bad}),
+        "tuncel_slice": lambda: tuncel_slice(inst.model, beta, {2: bad}),
+        "membership": lambda: membership(e, compute_region(table, poly)),
+        "nonadaptive_membership": lambda: nonadaptive_membership(e, table, poly),
+        "tuncel_membership": lambda: tuncel_membership(e, inst.model, beta)}[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            call()
 
 
 def test_slice_adaptive_encloses_nonadaptive(example):

@@ -219,7 +219,8 @@ def test_huge_worker_count_starts_small_pool(monkeypatch):
             sizes.append(len(jobs))
             return map(fn, jobs)
 
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+    # sim imports the pool class only where it builds a pool
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
     monkeypatch.setenv("ASEQ_THREADS", "5000")
     inst = weak_binary()
