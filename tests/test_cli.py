@@ -23,7 +23,7 @@ from aseq.divergence import build_instance_table
 from aseq.errors import InvalidPmf
 from aseq.modelio import instance_to_dict, load_instance
 
-from conftest import oracle_constraints
+from conftest import make_instance, oracle_constraints
 
 MODEL = str(Path(__file__).resolve().parent.parent / "models" / "chernoff3x2.json")
 
@@ -313,14 +313,9 @@ def test_cold_start_loads_no_scipy(tmp_path):
     region = f"from aseq import cli\nrc = cli.main(['region', '--model', {{!r}}, '--out', {{!r}}])\n"
     assert _fresh(region.format(MODEL, str(tmp_path / "m3.json"))
                   + f"print(json.dumps([rc, {SCIPY_LOADED}]))") == [0, []]
-    rng = np.random.default_rng(4)
-    cfg = {"M": 4, "n": 2, "alphabets": [3, 3],
-           "hypotheses": [{"independent": [rng.dirichlet(np.ones(3)).tolist() for _ in range(2)]}
-                          for _ in range(4)],
-           "availability": [{"subset": [1, 2], "prob": 1.0}],
-           "actions": [[1], [2]], "budgets": []}
     model = tmp_path / "m4_model.json"
-    model.write_text(json.dumps(cfg), encoding="utf-8")
+    inst = make_instance(4, 2, (3, 3), rng=np.random.default_rng(4))
+    model.write_text(json.dumps(instance_to_dict(inst)), encoding="utf-8")
     assert _fresh(region.format(str(model), str(tmp_path / "m4.json"))
                   + "print(json.dumps([rc, 'scipy.spatial' in sys.modules]))") == [0, True]
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.special import logsumexp as scipy_logsumexp
 
-from aseq import region
 from aseq.divergence import build_instance_table, exponent, kl
 from aseq.errors import (DimensionMismatch, InfeasiblePolytope, NotChernoffForm,
                          SupportMismatch, UnsupportedDimension)
@@ -566,7 +565,7 @@ def test_tuncel_dual_same_with_scipy_logsumexp(example, c3_tuples, monkeypatch):
                 tuncel_slice(inst.model, beta, {2: 0.3}).points)
 
     ours, ours_slice = run()
-    monkeypatch.setattr(region, "_logsumexp", lambda a: scipy_logsumexp(a, axis=-1))
+    monkeypatch.setattr("aseq.region._logsumexp", lambda a: scipy_logsumexp(a, axis=-1))
     theirs, theirs_slice = run()
     assert np.array_equal(ours_slice, theirs_slice)
     for (lower, witness), (lower2, witness2) in zip(ours, theirs):
