@@ -24,7 +24,7 @@ from .errors import ModelFormatError
 from .model import validate_model
 from .region import (build_polytope, compute_region, decision_risk_exponents,
                      individual_hypothesis_region_slice, nonadaptive_slice,
-                     tuncel_slice)
+                     source_marginals, tuncel_slice)
 
 USAGE_EXIT = 2
 DATA_EXIT = 1
@@ -89,9 +89,19 @@ def _parse_slice(expr: str, M: int) -> tuple[int, float]:
                           f"0..{M - 1} and V finite, like e2=0.1")
 
 
+def _parse_beta_sources(spec: str) -> np.ndarray:
+    try:
+        return np.array([float(t) for t in spec.split(",")])
+    except ValueError:
+        raise SystemExit2(f"bad --beta-sources {spec!r}; expected a comma list of "
+                          f"per-source proportions, like 0.5,0.5")
+
+
 def cmd_region(args) -> int:
     inst = _load(args.model)
     fixed = dict([_parse_slice(args.slice, inst.model.M)]) if args.slice else None
+    spec = args.beta_sources or ",".join(["%g" % (1.0 / inst.model.n)] * inst.model.n)
+    beta_sources = _parse_beta_sources(spec)
     table = validate_model(inst.model, inst.avail, inst.actions, inst.budgets).table
     poly = build_polytope(inst.avail, inst.actions, inst.budgets)
     region = compute_region(table, poly)
@@ -104,14 +114,15 @@ def cmd_region(args) -> int:
         na = nonadaptive_slice(table, poly, fixed)
         rows += [(float(x), float(y), "nonadaptive") for x, y in na.points]
         try:
-            spec = args.beta_sources
-            if spec is None:
-                spec = ",".join(["%g" % (1.0 / inst.model.n)] * inst.model.n)
-            beta_sources = np.array([float(t) for t in spec.split(",")])
-            tc = tuncel_slice(inst.model, beta_sources, fixed)
-            rows += [(float(x), float(y), "tuncel") for x, y in tc.points]
-        except ValueError as exc:
+            source_marginals(inst.model)
+        except ValueError as exc:  # dependent sources or differing supports
             print(f"skipping tuncel family: {exc}", file=sys.stderr)
+        else:
+            try:
+                tc = tuncel_slice(inst.model, beta_sources, fixed)
+            except ValueError as exc:  # proportions the fixed-length dual refuses
+                raise SystemExit2(f"bad --beta-sources {spec!r}: {exc}")
+            rows += [(float(x), float(y), "tuncel") for x, y in tc.points]
         out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
         try:
             w = csv.writer(out)

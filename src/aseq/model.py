@@ -21,9 +21,8 @@ from .errors import InvalidDistribution, SupportMismatch
 if TYPE_CHECKING:
     from .divergence import DivergenceTable
 
-# Default tolerances. Probability normalization is checked tightly; affine
-# constraint membership allows solver-level noise. Both can be overridden
-# through function arguments.
+# Tolerances. Probability normalization is checked tightly; affine
+# constraint membership allows solver-level noise.
 PROB_TOL = 1e-12
 AFFINE_TOL = 1e-9
 BUDGET_TOL = 1e-12
@@ -208,23 +207,22 @@ def selection_matrix(actions: ActionSpace, avail: AvailabilityDist, n: int) -> n
 
 
 def in_constraint_set(beta: np.ndarray, avail: AvailabilityDist, actions: ActionSpace,
-                      budgets: BudgetSpec, *, affine_tol: float = AFFINE_TOL,
-                      budget_tol: float = BUDGET_TOL) -> bool:
+                      budgets: BudgetSpec) -> bool:
     """Membership of a selection-frequency tuple in the feasible set.
 
-    Requires beta >= 0 (within ``affine_tol``), per-availability totals equal
-    to alpha_z (within ``affine_tol``), and every budget inequality
-    <c_i, omega(beta)> <= r_i (within ``budget_tol``).
+    Requires beta >= 0 (within ``AFFINE_TOL``), per-availability totals equal
+    to alpha_z (within ``AFFINE_TOL``), and every budget inequality
+    <c_i, omega(beta)> <= r_i (within ``BUDGET_TOL``).
     """
     if beta.shape != (actions.size, len(avail.sets)):
         raise ValueError("beta shape must be (n_actions, n_sets)")
-    if np.any(beta < -affine_tol):
+    if np.any(beta < -AFFINE_TOL):
         return False
-    if np.any(np.abs(beta.sum(axis=0) - avail.probs) > affine_tol):
+    if np.any(np.abs(beta.sum(axis=0) - avail.probs) > AFFINE_TOL):
         return False
     if budgets.size:
         w = omega(actions, avail, beta, n=budgets.coeffs.shape[1])
-        if np.any(budgets.coeffs @ w > budgets.rates + budget_tol):
+        if np.any(budgets.coeffs @ w > budgets.rates + BUDGET_TOL):
             return False
     return True
 

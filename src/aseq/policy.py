@@ -179,16 +179,15 @@ def _offdiag_min(mat: np.ndarray) -> float:
 
 def build_params(T: float, inst: Instance, table: DivergenceTable, llr_bound: float,
                  betas: list[np.ndarray] | tuple[np.ndarray, ...],
-                 epsilon: float | None = None,
-                 plan: ExplorationPlan | None = None) -> TestParams:
+                 epsilon: float | None = None) -> TestParams:
     """Assemble test parameters for budget T and per-hypothesis frequencies.
 
     ``epsilon`` overrides the exploration probability (experimentation knob;
     0 disables exploration and forces the adaptive regime, forfeiting the
     finite-budget regime guarantee).
     """
-    if T < 1:
-        raise ValueError("expected-stopping-time budget must be at least 1")
+    if not (math.isfinite(T) and T >= 1):
+        raise ValueError(f"expected-stopping-time budget must be finite and at least 1, got {T}")
     M = table.M
     if len(betas) != M:
         raise InvalidBeta(f"need one selection-frequency tuple per hypothesis, got {len(betas)}")
@@ -197,14 +196,13 @@ def build_params(T: float, inst: Instance, table: DivergenceTable, llr_bound: fl
         if not in_constraint_set(b, inst.avail, inst.actions, inst.budgets):
             raise InvalidBeta(f"frequencies for hypothesis {t} violate the constraint set")
     degenerate_plan = False
-    if plan is None:
-        try:
-            plan = choose_exploration_rate(inst.avail, inst.actions, inst.budgets, table)
-        except NoExplorationPossible:
-            plan = ExplorationPlan(0.0, ())
-            # Pure exploitation never explores anyway; otherwise the adaptive
-            # regime is unreachable and the test degenerates to the guess.
-            degenerate_plan = epsilon != 0.0
+    try:
+        plan = choose_exploration_rate(inst.avail, inst.actions, inst.budgets, table)
+    except NoExplorationPossible:
+        plan = ExplorationPlan(0.0, ())
+        # Pure exploitation never explores anyway; otherwise the adaptive
+        # regime is unreachable and the test degenerates to the guess.
+        degenerate_plan = epsilon != 0.0
 
     exploit = np.zeros((M, M))
     for t in range(M):
@@ -281,7 +279,7 @@ def build_params(T: float, inst: Instance, table: DivergenceTable, llr_bound: fl
 
 
 def action_pmf(z: tuple[int, ...] | int, theta_hat: int, params: TestParams,
-               inst: Instance, beta: np.ndarray | None = None) -> np.ndarray:
+               inst: Instance) -> np.ndarray:
     """Conditional action distribution given the available set and the MLE.
 
     Nonempty actions get the exploitation share of the MLE's frequencies plus
@@ -291,7 +289,7 @@ def action_pmf(z: tuple[int, ...] | int, theta_hat: int, params: TestParams,
     """
     if params.regime != 2:
         raise ValueError("action distribution is defined in the adaptive regime only")
-    b = params.betas[theta_hat] if beta is None else np.asarray(beta, dtype=float)
+    b = params.betas[theta_hat]
     zi = int(z) if isinstance(z, (int, np.integer)) else \
         inst.avail.sets.index(tuple(sorted(z)))
     alpha = float(inst.avail.probs[zi])

@@ -96,6 +96,14 @@ def enumerate_vertices(poly: ConstraintPolytope, tol: float = VERTEX_TOL) -> np.
     system, so that count is checked against ``MAX_ACTIVE_SETS`` before any
     work. Each chunk of supports gets one batched rank test and one batched
     solve.
+
+    Degenerate vertices are found once per active set that fixes them, so
+    repeats are dropped by structure, not by distance: each solution is keyed
+    by its support (x != 0) and its tight budgets (G x >= r - tol), and only
+    the first solution with each key is kept. Two vertices can share a
+    support, but not a support and a tight set as well: both would solve the
+    same system [E_S; G_BS] x_S = [p; r_B], which has full column rank at a
+    vertex.
     """
     E, p = poly.eq_matrix, poly.eq_rhs
     G, r = poly.budget_matrix, poly.budget_rhs
@@ -106,6 +114,7 @@ def enumerate_vertices(poly: ConstraintPolytope, tol: float = VERTEX_TOL) -> np.
                          f"{MAX_ACTIVE_SETS}; use fewer actions, availability sets or budgets")
 
     found: list[np.ndarray] = []
+    keys: list[np.ndarray] = []
     for B in itertools.chain.from_iterable(
             itertools.combinations(range(n_b), k) for k in range(n_b + 1)):
         A = np.vstack([E, G[list(B)]])
@@ -121,44 +130,31 @@ def enumerate_vertices(poly: ConstraintPolytope, tol: float = VERTEX_TOL) -> np.
             F, xF = F[ok], xF[ok]
             x = np.zeros((len(F), d))
             np.put_along_axis(x, F, np.where(np.abs(xF) < tol, 0.0, xF), axis=1)
-            found.append(x)
+            key = np.packbits(np.hstack([x != 0, x @ G.T >= r - tol]), axis=1)
+            first = _first_of_each(key)
+            found.append(x[first])
+            keys.append(key[first])
     found = np.concatenate(found)
     if not len(found):
         raise InfeasiblePolytope("constraint set has no vertices; inputs malformed")
-    V = _unique_rows(found, tol)
+    V = found[_first_of_each(np.concatenate(keys))]
     return V[np.lexsort(V.T[::-1])]
+
+
+def _first_of_each(keys: np.ndarray) -> np.ndarray:
+    """Indices, in input order, of the first row of each distinct row."""
+    return np.sort(np.unique(keys, axis=0, return_index=True)[1])
 
 
 def _unique_rows(points: np.ndarray, tol: float) -> np.ndarray:
     """Rows in input order, each dropped when it lies within ``tol``
-    (max-abs) of an earlier kept row."""
-    # A repeat of an earlier row is always dropped, so only first copies need
-    # the pairwise test; without this, k copies would make k^2/2 close pairs.
-    first = np.sort(np.unique(points, axis=0, return_index=True)[1])
-    points = points[first]
-    n, d = points.shape
-    # Close rows differ by at most tol * sum(w) along w (plus rounding), so in
-    # projection order they sit within a short window; widen it until empty.
-    w = np.sqrt(np.arange(2.0, d + 2.0))
-    reach = w.sum() * (tol + 4 * d * np.finfo(float).eps * np.abs(points).max(initial=0.0))
-    proj = points @ w
-    order = np.argsort(proj, kind="stable")
-    proj = proj[order]
-    pairs = [np.zeros((0, 2), dtype=np.intp)]
-    for gap in range(1, n):
-        near = np.flatnonzero(proj[gap:] - proj[:-gap] <= reach)
-        if near.size == 0:
-            break
-        a, b = order[near], order[near + gap]
-        close = np.max(np.abs(points[a] - points[b]), axis=1) <= tol
-        pairs.append(np.sort(np.stack([a[close], b[close]], axis=1), axis=1))
-    pairs = np.concatenate(pairs)
-    pairs = pairs[np.argsort(pairs[:, 1], kind="stable")]
-    keep = np.ones(n, dtype=bool)
-    later, starts = np.unique(pairs[:, 1], return_index=True)
-    for j, earlier in zip(later, np.split(pairs[:, 0], starts[1:])):
-        keep[j] = not keep[earlier].any()
-    return points[keep]
+    (max-abs) of an earlier kept row. Quadratic in the row count: meant for
+    short lists such as facet rows and polygon vertices."""
+    kept, k = np.empty_like(points), 0
+    for p in points:
+        if not k or np.abs(kept[:k] - p).max(axis=1).min() > tol:
+            kept[k], k = p, k + 1
+    return kept[:k]
 
 
 @dataclass(frozen=True)
@@ -256,19 +252,8 @@ def _planar_front(best, tol: float = 1e-12) -> list[np.ndarray]:
 def _closure_boundary(front: list[np.ndarray], xmax: float, ymax: float) -> np.ndarray:
     """CCW boundary, from the origin, of the downward closure of ``front``
     (ordered from max-x to max-y) in the nonnegative quadrant."""
-    return _drop_repeats([np.zeros(2), np.array([xmax, 0.0]), *front, np.array([0.0, ymax])])
-
-
-def _drop_repeats(points: list[np.ndarray]) -> np.ndarray:
-    """Polygon vertices without repeats (1e-12) of the one before, the first
-    vertex counting as after the last."""
-    dedup: list[np.ndarray] = []
-    for p in points:
-        if not dedup or np.max(np.abs(p - dedup[-1])) > 1e-12:
-            dedup.append(p)
-    if len(dedup) > 1 and np.max(np.abs(dedup[0] - dedup[-1])) <= 1e-12:
-        dedup.pop()
-    return np.array(dedup) if dedup else np.zeros((0, 2))
+    return _unique_rows(np.array([np.zeros(2), np.array([xmax, 0.0]), *front,
+                                  np.array([0.0, ymax])]), 1e-12)
 
 
 def _staircase_2d(corners: np.ndarray):
@@ -277,8 +262,7 @@ def _staircase_2d(corners: np.ndarray):
     ymax = float(corners[:, 1].max(initial=0.0))
     facets = [((-1.0, 0.0), 0.0), ((0.0, -1.0), 0.0),
               ((1.0, 0.0), xmax), ((0.0, 1.0), ymax)]
-    pts = _unique_rows(corners, 1e-12)
-    front = _planar_front(lambda w: pts[np.argmax(pts @ w)])
+    front = _planar_front(lambda w: corners[np.argmax(corners @ w)])
     chain = front[::-1]
     for p, q in zip(chain, chain[1:]):  # front vertices lie over 1e-12 apart
         n = np.array([p[1] - q[1], q[0] - p[0]])
@@ -293,7 +277,7 @@ def _masked_points(corners: np.ndarray) -> np.ndarray:
     d = corners.shape[1]
     masks = np.array(list(itertools.product([0.0, 1.0], repeat=d)))
     pts = (corners[:, None, :] * masks[None, :, :]).reshape(-1, d)
-    return _unique_rows(pts, 1e-12)
+    return pts[_first_of_each(pts)]
 
 
 def region_polytope(table: DivergenceTable, poly: ConstraintPolytope, m: int) -> PerMRegion:
@@ -326,7 +310,7 @@ def _hull_facets(corners: np.ndarray):
     try:
         hull = ConvexHull(pts)
     except QhullError:  # flat cloud: membership falls back to the corner LP
-        return None, _unique_rows(pts, 1e-12)
+        return None, pts
     eqs = hull.equations
     norms = np.array([np.linalg.norm(n) for n in eqs[:, :-1]])
     rows = _unique_rows(np.column_stack([eqs[:, :-1], -eqs[:, -1]]) / norms[:, None], 1e-9)
@@ -558,6 +542,8 @@ class _TuncelDual:
         M, n = len(Q), len(self.betas)
         if n != len(Q[0]):
             raise DimensionMismatch("need one sampling proportion per source")
+        if not np.all(np.isfinite(self.betas) & (self.betas >= 0)):
+            raise ValueError("sampling proportions must be finite and nonnegative")
         self.sizes = [len(q) for q in Q[0]]
         self.logQ = np.full((n, M, max(self.sizes)), _LOG_ZERO)
         with np.errstate(divide="ignore"):
@@ -703,7 +689,7 @@ def _clip_polygon(points: np.ndarray, normal: np.ndarray, offset: float) -> np.n
         if (dp < -1e-12 < dq) or (dq < -1e-12 < dp):
             t = dp / (dp - dq)
             out.append(p + t * (q - p))
-    return _drop_repeats(out)
+    return _unique_rows(np.reshape(out, (-1, 2)), 1e-12)
 
 
 def _slice_axes(fixed: dict[int, float]) -> tuple[int, float, int, int]:

@@ -182,6 +182,24 @@ def test_slice_bad_spec(capsys, spec):
     assert len(err.splitlines()) == 1 and repr(spec) in err
 
 
+@pytest.mark.parametrize("spec", ["abc", "0.5", "-1,2", "nan,1", "inf,0"])
+def test_slice_bad_beta_sources(capsys, spec):
+    assert main(["region", "--model", MODEL, "--slice", "e2=0.3",
+                 f"--beta-sources={spec}"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and repr(spec) in err
+
+
+@pytest.mark.parametrize("args", [["--truth", "7"], ["--T", "inf"], ["--T", "nan"]])
+def test_simulate_bad_argument_exits_1(tmp_path, capsys, args):
+    out = tmp_path / "runs.csv"
+    assert main(["simulate", "--model", MODEL, "--T", "5", "--trials", "10",
+                 "--out", str(out), *args]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_budgeted_model(tmp_path):
     cfg = json.loads(Path(MODEL).read_text())
     cfg["budgets"] = [{"coeff": [1, 1], "rate": 0.8}]

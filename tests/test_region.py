@@ -156,6 +156,9 @@ def polytope_parts(draw):
                      [[1.0, 2.0], [1.0, 2.0], [0.0, 1.0]], [1.5, 1.5, 0.0]))
 # Every action selects a source, and the budget allows half the cheapest.
 @hypothesis.example(([(1, 2)], [1.0], [(1,), (2,)], [[1.0, 1.0]], [0.5]))
+# Two vertices, (0.5, 0.5) and (0.3, 0.7), that share a support and differ
+# only in which budget is tight.
+@hypothesis.example(([(1, 2)], [1.0], [(1,), (2,)], [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.7]))
 def test_enumerate_vertices_matches_active_set_oracle(parts):
     poly = raw_polytope(*parts)
     try:
@@ -748,8 +751,8 @@ def test_budget_shrinks_region():
 
 # ------------------------------------------------- tolerance dedup and Pareto
 
-# Reference oracles: the greedy loops that _unique_rows replaced, the
-# duplicate check of enumerate_vertices and of the facet rows.
+# Reference oracles, written apart from _unique_rows: the greedy row dedup
+# and the facet rows' duplicate check.
 
 def greedy_unique(points, tol):
     uniq = []
@@ -833,7 +836,7 @@ def test_facet_rows_dedup_matches_greedy(case):
 
 
 def test_unique_rows_long_duplicate_runs():
-    # Clusters far longer than the window's first gap, in shuffled order.
+    # Long clusters of near-repeats, in shuffled order.
     rng = np.random.default_rng(5)
     base = rng.integers(0, 3, size=(12, 4)).astype(float)
     points = base[rng.integers(0, 12, size=400)]
