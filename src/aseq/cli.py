@@ -97,6 +97,12 @@ def _parse_beta_sources(spec: str) -> np.ndarray:
                           f"per-source proportions, like 0.5,0.5")
 
 
+def _check_ci(level: float) -> None:
+    if not 0.0 < level < 1.0:  # nan fails too
+        raise SystemExit2(f"bad --ci {level!r}; expected a confidence level strictly "
+                          f"between 0 and 1, like 0.95")
+
+
 def cmd_region(args) -> int:
     inst = _load(args.model)
     fixed = dict([_parse_slice(args.slice, inst.model.M)]) if args.slice else None
@@ -155,6 +161,7 @@ def cmd_region(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_ci(args.ci)
     inst = _load(args.model)
     T_grid = tuple(float(t) for t in args.T.split(","))
     if args.beta == "auto":
@@ -190,6 +197,7 @@ def _temp_beside(path: str) -> Path:
 
 
 def cmd_exponents(args) -> int:
+    _check_ci(args.ci)
     cells: dict[tuple[float, int], dict[int, int]] = {}
     with open(args.infile, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):

@@ -481,7 +481,9 @@ def _simplex_grid(k: int, step: float) -> np.ndarray:
 
 def _tuncel_objective(P: list[np.ndarray], Q, betas: np.ndarray,
                       targets: np.ndarray) -> tuple[float, int, int]:
-    """Worst-case slack of one auxiliary product distribution.
+    """Worst-case slack of one auxiliary product distribution, the slow path
+    kept as the test oracle of ``_TuncelDual.bounds``' upper bound (only the
+    tests call it).
 
     ``targets[t, m]`` is the exponent demanded of declared t against truth m.
     A sample type P is assigned to the declared hypothesis that tolerates it
@@ -538,7 +540,8 @@ class _TuncelDual:
 
     def __init__(self, Q, beta_sources: np.ndarray, options: TuncelOptions):
         self.Q, self.iters = Q, options.descent_iters
-        self.betas = np.asarray(beta_sources, dtype=float).reshape(-1)
+        # a copy: a reused dual must not see the caller's array change
+        self.betas = np.array(beta_sources, dtype=float).reshape(-1)
         M, n = len(Q), len(self.betas)
         if n != len(Q[0]):
             raise DimensionMismatch("need one sampling proportion per source")
@@ -587,12 +590,13 @@ class _TuncelDual:
         step = (np.linalg.pinv(kkt) @ rhs[..., None])[:, :M, 0]
         return step / np.maximum(1.0, np.abs(step).max(axis=1))[:, None]
 
-    def bounds(self, e: np.ndarray) -> tuple[float, tuple[np.ndarray, ...]]:
-        """The lower bound for the target matrix e and the tilt of least slack
-        seen, whose _tuncel_objective is the upper bound: a grid scan for every
-        f at once, then, until lower >= 0 or a tilt's slack below -1e-9
-        settles the verdict, damped Newton steps on each f with g_f < 0 and
-        an open duality gap."""
+    def bounds(self, e: np.ndarray) -> tuple[float, float, tuple[np.ndarray, ...]]:
+        """(lower, upper, witness) for the target matrix e: the witness is
+        the tilt of least slack seen and upper its slack, computed from the
+        same h as the search (_tuncel_objective gives the same value to
+        rounding). A grid scan for every f at once, then, until lower >= 0
+        or a tilt's slack below -1e-9 settles the verdict, damped Newton
+        steps on each f with g_f < 0 and an open duality gap."""
         eps = np.where(self.assign, e[None], np.inf).min(axis=1)  # eps_f, inf off image
         eps0 = np.where(self.image, eps, 0.0)
         e_off = np.where(np.eye(len(e), dtype=bool), -np.inf, e)
@@ -630,7 +634,33 @@ class _TuncelDual:
             better = act[up]
             mu[better], g[better], slack[better], p[better] = cand[up], g2[up], slack2[up], p2[up]
             damp[act] = np.where(up, 1.0, damp[act] / 4)
-        return float(g.min()), tuple(best_p[j, :k].copy() for j, k in enumerate(self.sizes))
+        return (float(g.min()), float(best_obj),
+                tuple(best_p[j, :k].copy() for j, k in enumerate(self.sizes)))
+
+
+# The last dual built and the exact content it was built from: one slot, so
+# a batch of queries on one model, proportion and options builds it once.
+_last_dual: tuple[tuple, _TuncelDual] | None = None
+
+
+def _dual_for(model: JointModel, beta_sources: np.ndarray,
+              options: TuncelOptions) -> _TuncelDual:
+    """The dual of ``model`` at ``beta_sources``, reused while the content
+    matches: M, the alphabet, every pmf's shape and float64 bytes, the
+    proportions' shape and float64 bytes, and the options. A pmf changed in
+    place gets a new dual; a model or proportion the dual refuses is never
+    stored, so it raises on every call."""
+    global _last_dual
+    betas = np.asarray(beta_sources, dtype=np.float64)
+    key = (model.M, model.alphabet,
+           tuple((p.shape, np.asarray(p, dtype=np.float64).tobytes()) for p in model.pmfs),
+           betas.shape, betas.tobytes(), options)
+    memo = _last_dual
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    dual = _TuncelDual(source_marginals(model), betas, options)
+    _last_dual = (key, dual)
+    return dual
 
 
 def tuncel_membership(exponents: np.ndarray, model: JointModel,
@@ -643,9 +673,7 @@ def tuncel_membership(exponents: np.ndarray, model: JointModel,
     "in" is certified by the dual lower bound, "out" comes with a witness
     whose slack is below -1e-9, and "unresolved" is the band between."""
     e = _as_matrix(exponents, model.M)
-    dual = _TuncelDual(source_marginals(model), beta_sources, options or TuncelOptions())
-    lower, witness = dual.bounds(e)
-    upper = _tuncel_objective(list(witness), dual.Q, dual.betas, e)[0]
+    lower, upper, witness = _dual_for(model, beta_sources, options or TuncelOptions()).bounds(e)
     if lower >= 0.0:
         return TuncelResult("in", lower, upper, None)
     if upper < -1e-9:
@@ -783,8 +811,8 @@ def tuncel_slice(model: JointModel, beta_sources: np.ndarray,
     if model.M != 3 or len(fixed) != 1:
         raise UnsupportedDimension("fixed-length slices cover M=3 with one fixed axis")
     k, v, i, j = _slice_axes(fixed)
-    Q = source_marginals(model)
-    dual = _TuncelDual(Q, beta_sources, options or TuncelOptions())
+    dual = _dual_for(model, beta_sources, options or TuncelOptions())
+    Q = dual.Q
 
     def feasible(x: float, y: float) -> bool:
         e = np.zeros(3)

@@ -51,6 +51,8 @@ class ExperimentConfig:
             raise ValueError("need at least one trial per cell")
         if any(b >= a for a, b in zip(self.T_grid[1:], self.T_grid)):
             raise ValueError("T grid must be strictly increasing")
+        if not 0.0 < self.ci_level < 1.0:
+            raise ValueError(f"ci_level must lie strictly between 0 and 1, got {self.ci_level!r}")
         M = self.instance.model.M
         if any(not 0 <= t < M for t in self.truths or ()):
             raise ValueError(f"truths must be in 0..{M - 1}, got {self.truths}")

@@ -200,6 +200,25 @@ def test_simulate_bad_argument_exits_1(tmp_path, capsys, args):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("level", ["1.5", "nan", "0", "1"])
+def test_bad_ci_level_exits_2(tmp_path, capsys, level):
+    """A confidence level outside (0, 1) is refused by both commands that
+    take one, before any output is written; unchecked, 1.5 and nan wrote
+    ci_lo 0 and ci_hi 1 on every row."""
+    out = tmp_path / "runs.csv"
+    assert main(["simulate", "--model", MODEL, "--T", "5", "--trials", "10",
+                 "--out", str(out), "--ci", level]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "--ci" in err
+    assert list(tmp_path.iterdir()) == []
+    runs = tmp_path / "given.csv"
+    runs.write_text("T,truth,declared,count\n5.0,0,1,3\n", encoding="utf-8")
+    assert main(["exponents", "--in", str(runs), "--ci", level]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
+    assert "--ci" in captured.err
+
+
 def test_simulate_budgeted_model(tmp_path):
     cfg = json.loads(Path(MODEL).read_text())
     cfg["budgets"] = [{"coeff": [1, 1], "rate": 0.8}]

@@ -19,7 +19,7 @@ from aseq.region import (ConstraintPolytope, TuncelOptions, build_polytope, cher
                          individual_hypothesis_region_slice, membership,
                          nonadaptive_feasibility, nonadaptive_membership, nonadaptive_slice,
                          region_polytope, source_marginals, tuncel_membership, tuncel_slice)
-from aseq.region import (_LOG_ZERO, _TuncelDual, _corner_lp_contains, _logsumexp,
+from aseq.region import (_LOG_ZERO, _TuncelDual, _corner_lp_contains, _dual_for, _logsumexp,
                          _staircase_2d, _tuncel_objective, _unique_rows)
 
 from conftest import (ReferenceTuncelEvaluator, ReferenceTuncelOptions, criterion3_tuples,
@@ -557,12 +557,14 @@ def test_logsumexp_matches_scipy(shape, scale, ties, pad, seed):
 def test_tuncel_dual_same_with_scipy_logsumexp(example, c3_tuples, monkeypatch):
     """The dual's bounds and witnesses on criterion 3's queries, and the
     example's e2 = 0.3 slice, are unchanged bit for bit when _tilt takes
-    scipy's logsumexp."""
+    scipy's logsumexp. The memo is cleared before each run, so the slice's
+    dual (and its grid tilt) is built with the log-sum-exp under test."""
     inst, _, _ = example
     beta = np.array([0.5, 0.5])
     Q = source_marginals(inst.model)
 
     def run():
+        monkeypatch.setattr("aseq.region._last_dual", None)
         dual = _TuncelDual(Q, beta, TuncelOptions())
         return ([dual.bounds(e) for e in c3_tuples],
                 tuncel_slice(inst.model, beta, {2: 0.3}).points)
@@ -571,9 +573,76 @@ def test_tuncel_dual_same_with_scipy_logsumexp(example, c3_tuples, monkeypatch):
     monkeypatch.setattr("aseq.region._logsumexp", lambda a: scipy_logsumexp(a, axis=-1))
     theirs, theirs_slice = run()
     assert np.array_equal(ours_slice, theirs_slice)
-    for (lower, witness), (lower2, witness2) in zip(ours, theirs):
-        assert lower == lower2
+    for (lower, upper, witness), (lower2, upper2, witness2) in zip(ours, theirs):
+        assert (lower, upper) == (lower2, upper2)
         assert all(np.array_equal(p, p2) for p, p2 in zip(witness, witness2))
+
+
+def _fresh_membership(e, model, beta, options):
+    """tuncel_membership's verdict from a dual built for this call alone."""
+    lower, upper, witness = _TuncelDual(source_marginals(model), beta, options).bounds(e)
+    status = "in" if lower >= 0 else "out" if upper < -1e-9 else "unresolved"
+    return status, lower, upper, None if status == "in" else witness
+
+
+def _same_result(res, fresh):
+    status, lower, upper, witness = fresh
+    assert (res.status, res.lower, res.upper) == (status, lower, upper)
+    assert (res.witness is None) == (witness is None)
+    if witness is not None:
+        assert all(np.array_equal(p, p2) for p, p2 in zip(res.witness, witness))
+
+
+def test_tuncel_memo_matches_fresh_dual(example, c3_tuples):
+    """On criterion 3's queries the reused dual answers as a fresh one does,
+    bit for bit, and upper (the dual's own slack of its witness) agrees with
+    the slow _tuncel_objective to within rounding."""
+    inst, _, _ = example
+    beta = np.array([0.5, 0.5])
+    Q = source_marginals(inst.model)
+    for e in c3_tuples:
+        res = tuncel_membership(e, inst.model, beta)
+        _same_result(res, _fresh_membership(e, inst.model, beta, TuncelOptions()))
+        lower, upper, witness = _TuncelDual(Q, beta, TuncelOptions()).bounds(e)
+        assert abs(upper - _tuncel_objective(list(witness), Q, beta, e)[0]) <= 1e-12
+
+
+def test_tuncel_memo_never_stale(example, c3_tuples, monkeypatch):
+    """Calls that alternate between two models, two proportions and two
+    option sets, with one pmf and one proportion array rewritten in place
+    between calls, each answer as a fresh dual does; a refused proportion
+    raises on every call, and the slice reuses the same dual."""
+    inst, _, _ = example
+    Q = source_marginals(inst.model)
+    rows = [[Q[t][0], Q[t][1]] for t in (1, 2, 0)]
+    other = make_instance(3, 2, (3, 3), pmf_rows=rows).model
+    betas = [np.array([0.5, 0.5]), np.array([0.2, 0.8])]
+    options = [TuncelOptions(), TuncelOptions(grid_step=0.1, descent_iters=50)]
+    tuples = [c3_tuples[i] for i in (0, 5, 63, 100)]
+    for model, beta, opts, e in itertools.product([inst.model, other], betas, options, tuples):
+        _same_result(tuncel_membership(e, model, beta, opts),
+                     _fresh_membership(e, model, beta, opts))
+        if model is other and beta is betas[1] and opts is options[0] and e is tuples[0]:
+            # the memo holds this model's dual; its hypothesis 0 now emits
+            # the example's hypothesis 0
+            other.pmfs[0][...] = np.multiply.outer(Q[0][0], Q[0][1])
+        _same_result(tuncel_membership(e, other, betas[1], options[0]),
+                     _fresh_membership(e, other, betas[1], options[0]))
+    mine = betas[0].copy()
+    dual = _dual_for(inst.model, mine, options[0])
+    assert _dual_for(inst.model, betas[0].copy(), options[0]) is dual
+    mine[...] = betas[1]  # the stored dual keeps its own copy of the proportions
+    _same_result(tuncel_membership(tuples[2], inst.model, betas[0], options[0]),
+                 _fresh_membership(tuples[2], inst.model, betas[0], options[0]))
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            tuncel_membership(tuples[0], inst.model, np.array([0.5, np.nan]))
+        with pytest.raises(DimensionMismatch):
+            tuncel_membership(tuples[0], inst.model, np.array([1.0]))
+    sliced = tuncel_slice(inst.model, betas[1], {2: 0.3}, samples=3, options=options[1])
+    monkeypatch.setattr("aseq.region._last_dual", None)
+    fresh = tuncel_slice(inst.model, betas[1], {2: 0.3}, samples=3, options=options[1])
+    assert np.array_equal(sliced.points, fresh.points)
 
 
 def test_tuncel_slice_points_certified_in(example):

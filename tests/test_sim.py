@@ -29,6 +29,9 @@ def test_config_validation():
         ExperimentConfig(inst, (10.0, 5.0), 100, 0)
     with pytest.raises(ValueError):
         ExperimentConfig(inst, (5.0, 10.0), 0, 0)
+    for level in (0.0, 1.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="ci_level"):
+            ExperimentConfig(inst, (5.0, 10.0), 100, 0, ci_level=level)
 
 
 def test_reproducible_reports(tmp_path):
