@@ -22,7 +22,8 @@ class NotChernoffForm(ValueError):
 
 
 class DimensionMismatch(ValueError):
-    """An exponent tuple has the wrong shape for the region."""
+    """An input array has the wrong shape: an exponent tuple for the region,
+    or an LP's matrices and right-hand sides for each other."""
 
 
 class UnsupportedDimension(ValueError):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from aseq.errors import InfeasiblePolytope
+from aseq.linprog import _TOL, LpResult
 from aseq.model import (ActionSpace, AvailabilityDist, BudgetSpec, Instance,
                         JointModel, omega, selection_matrix)
 from aseq.modelio import instance_from_dict, load_instance
@@ -253,6 +254,111 @@ def oracle_slice_support(inst: Instance, table, k: int, v: float,
         return None
     assert res.status == 0, f"oracle LP failed: {res.message}"
     return float(-res.fun)
+
+
+# ---------------------------------------------- the LP kernel the package replaced
+
+# Revised simplex with three fresh solves per pivot and the same pivot rule
+# (Bland): aseq.linprog.solve_lp must return bit for bit what this returns.
+def _reference_bland_simplex(A: np.ndarray, b: np.ndarray, cost: np.ndarray,
+                             basis: list[int]) -> tuple[str, list[int]]:
+    """Run simplex iterations (maximization) from a feasible basis, in place.
+
+    Returns (status, basis) with status "optimal" or "unbounded".
+    """
+    m = A.shape[0]
+    for _ in range(20000):
+        B = A[:, basis]
+        xb = np.maximum(np.linalg.solve(B, b), 0.0)
+        y = np.linalg.solve(B.T, cost[basis])
+        reduced = cost - A.T @ y
+        entering = -1
+        in_basis = set(basis)
+        for j in range(A.shape[1]):
+            if j not in in_basis and reduced[j] > _TOL:
+                entering = j
+                break
+        if entering < 0:
+            return "optimal", basis
+        d = np.linalg.solve(B, A[:, entering])
+        ratios = [(xb[i] / d[i], basis[i], i) for i in range(m) if d[i] > _TOL]
+        if not ratios:
+            return "unbounded", basis
+        best = min(r for r, _, _ in ratios)
+        # Bland tie-break: among minimal ratios, leave the smallest column id.
+        leave_row = min((col, i) for r, col, i in ratios if r <= best + _TOL)[1]
+        basis[leave_row] = entering
+    raise RuntimeError("simplex failed to terminate")
+
+
+def reference_solve_lp(c: np.ndarray, A_eq: np.ndarray | None = None,
+                       b_eq: np.ndarray | None = None, A_ub: np.ndarray | None = None,
+                       b_ub: np.ndarray | None = None) -> LpResult:
+    c = np.asarray(c, dtype=float)
+    n = c.size
+    A_eq = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float).reshape(-1, n)
+    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).reshape(-1)
+    A_ub = np.zeros((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float).reshape(-1, n)
+    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).reshape(-1)
+    m_eq, m_ub = A_eq.shape[0], A_ub.shape[0]
+
+    # Standard form: slack per inequality row, then flip rows to make b >= 0.
+    A = np.hstack([np.vstack([A_eq, A_ub]),
+                   np.vstack([np.zeros((m_eq, m_ub)), np.eye(m_ub)])])
+    b = np.concatenate([b_eq, b_ub])
+    m, n_std = A.shape
+    if m == 0:
+        if np.all(c <= _TOL):
+            return LpResult("optimal", np.zeros(n), 0.0)
+        return LpResult("unbounded")
+    flip = b < 0
+    A[flip] *= -1.0
+    b = np.abs(b)
+
+    # Phase 1: artificials with cost -1, start basis = artificials.
+    A1 = np.hstack([A, np.eye(m)])
+    cost1 = np.concatenate([np.zeros(n_std), -np.ones(m)])
+    basis = list(range(n_std, n_std + m))
+    status, basis = _reference_bland_simplex(A1, b, cost1, basis)
+    B = A1[:, basis]
+    obj1 = float(cost1[basis] @ np.linalg.solve(B, b))
+    if obj1 < -1e-7:
+        # Farkas: y = B^{-T} cost1_B has y.A_j >= 0 for real columns, y.b < 0.
+        y = np.linalg.solve(B.T, cost1[basis])
+        y = -y  # now y.A <= 0, y.b > 0 over the standardized system
+        y[flip] *= -1.0  # undo row negations
+        y_eq, y_ub = y[:m_eq].copy(), y[m_eq:].copy()
+        return LpResult("infeasible", farkas_eq=y_eq, farkas_ub=y_ub)
+
+    # Drive artificials out of the basis; drop rows that prove redundant.
+    keep_rows = list(range(m))
+    for i in range(m):
+        if basis[i] >= n_std:
+            Binv_row = np.linalg.solve(A1[:, basis].T, np.eye(m)[:, i])
+            found = -1
+            for j in range(n_std):
+                if j not in basis and abs(Binv_row @ A1[:, j]) > _TOL:
+                    found = j
+                    break
+            if found >= 0:
+                basis[i] = found
+            else:
+                keep_rows.remove(i)
+    if len(keep_rows) < m:
+        A = A[keep_rows]
+        b = b[keep_rows]
+        basis = [basis[i] for i in keep_rows]
+        m = len(keep_rows)
+
+    cost2 = np.concatenate([c, np.zeros(n_std - n)])
+    status, basis = _reference_bland_simplex(A, b, cost2, basis)
+    if status == "unbounded":
+        return LpResult("unbounded")
+    xb = np.linalg.solve(A[:, basis], b)
+    x = np.zeros(n_std)
+    x[basis] = xb
+    x_out = np.maximum(x[:n], 0.0)
+    return LpResult("optimal", x_out, float(c @ x_out))
 
 
 # ------------------------------------------- planar fronts the package replaced
