@@ -5,7 +5,7 @@ slack), and at that size per-call overhead decides the speed. Each phase
 inverts its start basis once, then pivots by rank-1 updates of the tableau
 B^-1 [A | b] and its reduced-cost row. Bland's rule picks every pivot, which
 guarantees termination and fixes which of several optima is returned. A
-non-adaptive membership query on a 32-variable model takes about 0.8 ms
+non-adaptive membership query on a 32-variable model takes 0.8 to 0.9 ms
 (2 vCPUs); scipy's HiGHS takes 3.2 ms through ``scipy.optimize.linprog``,
 and an infeasible query would need a second LP for its Farkas certificate.
 
