@@ -34,6 +34,24 @@ class SystemExit2(Exception):
     """Usage-level failure; main() maps it to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line in one line, like every other usage error."""
+
+    def error(self, message):
+        print(f"usage error: {message}", file=sys.stderr)
+        raise SystemExit(USAGE_EXIT)
+
+
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _load(path: str):
     p = Path(path)
     if not p.exists():
@@ -223,9 +241,8 @@ def cmd_exponents(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="aseq",
-                                description="Active sequential multi-hypothesis "
-                                            "testing: regions, policy, simulation.")
+    p = _Parser(prog="aseq", description="Active sequential multi-hypothesis "
+                                         "testing: regions, policy, simulation.")
     subs = p.add_subparsers(dest="cmd", required=True)
 
     v = subs.add_parser("validate", help="check a model file, print diagnostics")
@@ -253,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--beta", default="auto", help="'auto' or a frequency file")
     s.add_argument("--truth", default="all")
     s.add_argument("--trials", type=int, required=True)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--max-steps", type=int, default=None)
     s.add_argument("--epsilon", type=float, default=None,
                    help="exploration probability override (0 disables exploration "

@@ -134,10 +134,11 @@ def solve_lp(c: np.ndarray, A_eq: np.ndarray | None = None, b_eq: np.ndarray | N
             keep[i] = False
     A, b, basis = A1[keep, :n_std], b[keep], basis[keep]
 
-    cost2 = np.concatenate([c, np.zeros(m_ub)])
-    status, _ = _bland_simplex(A, b, cost2, basis)
-    if status == "unbounded":
-        return LpResult("unbounded")
+    # A zero objective has no improving column: phase 2 would not pivot.
+    if c.any():
+        status, _ = _bland_simplex(A, b, np.concatenate([c, np.zeros(m_ub)]), basis)
+        if status == "unbounded":
+            return LpResult("unbounded")
     xb = np.linalg.solve(A[:, basis], b)
     x = np.zeros(n_std)
     x[basis] = xb

@@ -3,10 +3,15 @@ checks.
 
 Trials are independent given their derived seeds, so estimates are
 reproducible bit-for-bit regardless of worker scheduling: trial k under truth
-theta and budget T always uses the generator seeded by (master, theta,
-bits(T), k), and aggregation is a sum of integer counts merged in chunk
-order. Budget costs are formed from those counts once per cell, so they do
-not depend on the chunking either.
+theta and budget T always uses the PCG64 generator seeded by
+SeedSequence((master, theta, bits(T), k)), and aggregation is a sum of
+integer counts merged in chunk order. Budget costs are formed from those
+counts once per cell, so they do not depend on the chunking either.
+
+A chunk computes its trials' seed words in one numpy pass of SeedSequence's
+own hash (``_seed_words``) rather than one SeedSequence per trial, which
+cost a third of a short trial. The words are SeedSequence's, and a test
+holds them to it bit for bit.
 
 Each (T, truth) cell is cut into chunks of trials/workers trials (workers
 from the config, else ASEQ_THREADS, else 1). A chunk builds the cell's
@@ -18,6 +23,7 @@ processes; with one process they run in-process.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -47,8 +53,10 @@ class ExperimentConfig:
     workers: int = 0  # 0: take ASEQ_THREADS, default serial
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("need at least one trial per cell")
+        if not 1 <= self.trials <= 2**32:  # trial indices must fit one seed word
+            raise ValueError(f"trials must lie in 1..2**32, got {self.trials!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if any(b >= a for a, b in zip(self.T_grid[1:], self.T_grid)):
             raise ValueError("T grid must be strictly increasing")
         if not 0.0 < self.ci_level < 1.0:
@@ -112,10 +120,89 @@ def wilson_interval(k: int, n: int, level: float = 0.95) -> tuple[float, float]:
     return lo, hi
 
 
-def _trial_seed(master: int, truth: int, T: float, index: int) -> np.random.Generator:
+# numpy.random.SeedSequence's hash constants; its pool holds four words.
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(n: int) -> list[int]:
+    """n as SeedSequence splits an integer: 32-bit words, least significant
+    first; zero is one word."""
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_words(master: int, truth: int, T: float, start: int, stop: int) -> np.ndarray:
+    """Row k - start holds the four uint64 words that
+    SeedSequence((master, truth, bits(T), k)).generate_state(4, np.uint64)
+    returns, for k in start..stop-1 (stop <= 2**32, so k is one word).
+
+    SeedSequence's own mixing, run over the chunk as uint32 arrays: only the
+    last entropy word, the index, differs between rows. There are at least
+    four entropy words, one or more from each input, so they fill the pool."""
     t_bits = int(np.float64(T).view(np.uint64))
-    ss = np.random.SeedSequence((master, truth, t_bits, index))
-    return np.random.Generator(np.random.PCG64(ss))
+    index = np.arange(start, stop, dtype=np.uint32)
+    entropy = [np.full_like(index, w) for w in
+               _uint32_words(master) + _uint32_words(truth) + _uint32_words(t_bits)]
+    entropy.append(index)
+    hash_a = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_a
+        value = value ^ np.uint32(hash_a)
+        hash_a = hash_a * _MULT_A & _MASK32
+        value = value * np.uint32(hash_a)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> 16)
+
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # Eight uint32 words, cycling over the pool, pair up into four uint64s.
+    state = np.empty((index.size, 8), dtype=np.uint32)
+    hash_b = _INIT_B
+    for i in range(8):
+        value = pool[i % _POOL] ^ np.uint32(hash_b)
+        hash_b = hash_b * _MULT_B & _MASK32
+        value = value * np.uint32(hash_b)
+        state[:, i] = value ^ (value >> 16)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _generator_from_words():
+    """A function from one row of ``_seed_words`` to its trial's Generator.
+    PCG64 seeds itself from the row through its own C code. Built on first
+    use, so that ``import aseq`` loads no numpy.random."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """Hands PCG64 the words it asks for: generate_state(4, np.uint64)."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return lambda words: Generator(PCG64(SeedWords(words)))
 
 
 def _run_chunk(inst: Instance, params: TestParams, truth: int, T: float,
@@ -130,8 +217,9 @@ def _run_chunk(inst: Instance, params: TestParams, truth: int, T: float,
     sum_tau = sum_tau2 = 0.0
     source_totals = np.zeros(n)
     source_outer = np.zeros((n, n))
-    for idx in range(start, stop):
-        rng = _trial_seed(seed, truth, T, idx)
+    generator = _generator_from_words()
+    for words in _seed_words(seed, truth, T, start, stop):
+        rng = generator(words)
         try:
             res = run_trial(inst, params, truth, rng, max_steps, kernel=kernel)
         except TrialBudgetExceeded:

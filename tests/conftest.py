@@ -32,6 +32,14 @@ def two_set_instance(coeff) -> Instance:
     return instance_from_dict(d)
 
 
+def reference_trial_seed(master: int, truth: int, T: float, index: int) -> np.random.Generator:
+    """The per-trial seeding that ``sim._seed_words`` replaced: one
+    SeedSequence and one PCG64 per trial."""
+    t_bits = int(np.float64(T).view(np.uint64))
+    ss = np.random.SeedSequence((master, truth, t_bits, index))
+    return np.random.Generator(np.random.PCG64(ss))
+
+
 def reference_enumerate_vertices(poly, tol: float = VERTEX_TOL) -> np.ndarray:
     """The active-set loop that ``region.enumerate_vertices`` replaced: one
     rank test and one solve of the full d x d system per choice of

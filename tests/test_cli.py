@@ -200,6 +200,19 @@ def test_simulate_bad_argument_exits_1(tmp_path, capsys, args):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("seed", ["-1", "-0x1", "1.5", "abc"])
+def test_bad_seed_exits_2_at_parse_time(tmp_path, capsys, monkeypatch, seed):
+    """A seed that is not a non-negative integer is refused by the parser:
+    one line naming --seed, before the model is loaded."""
+    monkeypatch.setattr(cli, "_load", None)  # any call would fail with exit 1
+    out = tmp_path / "runs.csv"
+    assert main(["simulate", "--model", MODEL, "--T", "5", "--trials", "10",
+                 "--out", str(out), f"--seed={seed}"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "--seed" in err and repr(seed) in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("level", ["1.5", "nan", "0", "1"])
 def test_bad_ci_level_exits_2(tmp_path, capsys, level):
     """A confidence level outside (0, 1) is refused by both commands that
@@ -343,10 +356,12 @@ def _fresh(code: str):
 
 def test_cold_start_loads_no_scipy(tmp_path):
     """import aseq, import aseq.cli and `aseq region` on the M = 3 example
-    load no scipy module; an M = 4 region still exits 0 through the qhull
-    import deferred to its hull."""
-    assert _fresh(f"import aseq\nfirst = {SCIPY_LOADED}\nimport aseq.cli\n"
-                  f"print(json.dumps([first, {SCIPY_LOADED}]))") == [[], []]
+    load no scipy module, and the imports load no numpy.random (a simulation
+    loads it on its first chunk); an M = 4 region still exits 0 through the
+    qhull import deferred to its hull."""
+    loaded = f"[{SCIPY_LOADED}, 'numpy.random' in sys.modules]"
+    assert _fresh(f"import aseq\nfirst = {loaded}\nimport aseq.cli\n"
+                  f"print(json.dumps([first, {loaded}]))") == [[[], False], [[], False]]
     region = f"from aseq import cli\nrc = cli.main(['region', '--model', {{!r}}, '--out', {{!r}}])\n"
     assert _fresh(region.format(MODEL, str(tmp_path / "m3.json"))
                   + f"print(json.dumps([rc, {SCIPY_LOADED}]))") == [0, []]

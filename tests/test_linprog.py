@@ -213,3 +213,28 @@ def test_nonadaptive_queries_match_reference_kernel(monkeypatch):
         assert_same_result(got, nonadaptive_feasibility(e, table, poly))
     statuses = [r.status for r in mine]
     assert 50 < statuses.count("optimal") < 270, statuses.count("optimal")
+
+
+def test_zero_objective_runs_phase_one_only(monkeypatch):
+    """A feasibility query stops after phase 1: a zero cost row has no
+    improving column, so phase 2 could not pivot. A nonzero objective runs
+    both phases."""
+    calls = []
+    simplex = linprog._bland_simplex
+
+    def counted(*args):
+        calls.append(args)
+        return simplex(*args)
+
+    monkeypatch.setattr(linprog, "_bland_simplex", counted)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        A_eq, A_ub = rng.normal(size=(2, 5)), rng.normal(size=(3, 5))
+        x = rng.uniform(0.1, 1.0, size=5)  # a feasible point
+        b_eq, b_ub = A_eq @ x, A_ub @ x + 0.1
+        calls.clear()
+        assert lp_feasible(A_eq, b_eq, A_ub, b_ub, 5).status == "optimal"
+        assert len(calls) == 1
+        calls.clear()
+        solve_lp(rng.normal(size=5), A_eq, b_eq, A_ub, b_ub)
+        assert len(calls) == 2

@@ -7,15 +7,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import aseq
 from aseq import sim
-from aseq.model import BudgetSpec, Instance
+from aseq.errors import TrialBudgetExceeded
+from aseq.model import BudgetSpec, Instance, validate_model
+from aseq.policy import TrialKernel, build_params, run_trial
 from aseq.sim import (CellStats, ExperimentConfig, ExperimentReport, _pool_size,
-                      estimate_errors, fit_exponents, verify_constraints,
-                      wilson_interval, write_report_csv)
+                      estimate_errors, fit_exponents, resolve_betas,
+                      verify_constraints, wilson_interval, write_report_csv)
 
-from conftest import make_instance, two_set_instance
+from conftest import make_instance, reference_trial_seed, two_set_instance
 from test_model import P01, P02, P11, P12
 
 
@@ -32,6 +36,17 @@ def test_config_validation():
     for level in (0.0, 1.0, 1.5, float("nan")):
         with pytest.raises(ValueError, match="ci_level"):
             ExperimentConfig(inst, (5.0, 10.0), 100, 0, ci_level=level)
+
+
+def test_config_refuses_negative_seed_and_too_many_trials():
+    """Seeds are non-negative, and every trial index must fit one 32-bit
+    seed word; both are refused before any work, naming the value."""
+    inst = weak_binary()
+    with pytest.raises(ValueError, match="seed.*-1"):
+        ExperimentConfig(inst, (5.0,), 100, -1)
+    with pytest.raises(ValueError, match=f"trials.*{2**32 + 1}"):
+        ExperimentConfig(inst, (5.0,), 2**32 + 1, 0)
+    ExperimentConfig(inst, (5.0,), 2**32, 2**70)  # the largest count, a many-word seed
 
 
 def test_reproducible_reports(tmp_path):
@@ -250,3 +265,71 @@ def test_import_skips_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+# ------------------------------------------------ seeding against its oracle
+
+MASTERS = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                    st.integers(2**64, 2**200))
+WINDOW_STARTS = st.one_of(st.just(0), st.just(2**32 - 3), st.integers(0, 2**32 - 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(master=MASTERS, truth=st.integers(0, 9),
+       T=st.floats(1.0, 1e300, allow_nan=False, allow_infinity=False),
+       start=WINDOW_STARTS, width=st.integers(1, 3))
+@example(master=0, truth=0, T=2.0, start=0, width=3)  # bits(2.0) has a zero low word
+@example(master=2**64, truth=3, T=6.0, start=2**32 - 3, width=3)
+def test_seed_words_match_seed_sequence(master, truth, T, start, width):
+    """A chunk's seed words are SeedSequence's bit for bit, and seed the same
+    stream: trial k's row against reference_trial_seed(..., k)."""
+    words = sim._seed_words(master, truth, T, start, start + width)
+    assert words.dtype == np.uint64 and words.shape == (width, 4)
+    generator = sim._generator_from_words()
+    for k, row in enumerate(words, start):
+        ref = reference_trial_seed(master, truth, T, k)
+        assert np.array_equal(row, ref.bit_generator.seed_seq.generate_state(4, np.uint64))
+        assert generator(row).random(64).tobytes() == ref.random(64).tobytes()
+
+
+def reference_chunk(inst, params, truth, T, seed, start, stop, max_steps):
+    """_run_chunk's aggregates from one reference_trial_seed per trial."""
+    kernel = TrialKernel.build(inst, params, truth)
+    declared = np.zeros(inst.model.M)
+    n_valid = n_invalid = 0
+    sum_tau = sum_tau2 = 0.0
+    source_totals = np.zeros(inst.model.n)
+    source_outer = np.zeros((inst.model.n, inst.model.n))
+    for idx in range(start, stop):
+        rng = reference_trial_seed(seed, truth, T, idx)
+        try:
+            res = run_trial(inst, params, truth, rng, max_steps, kernel=kernel)
+        except TrialBudgetExceeded:
+            n_invalid += 1
+            continue
+        n_valid += 1
+        declared[res.declared] += 1
+        sum_tau += res.stopping_time
+        sum_tau2 += res.stopping_time ** 2
+        source_totals += res.source_counts
+        if inst.budgets.size:
+            source_outer += np.outer(res.source_counts, res.source_counts)
+    return declared, n_valid, n_invalid, sum_tau, sum_tau2, source_totals, source_outer
+
+
+@pytest.mark.parametrize("case", ["weak_binary", "two_set_capped"])
+def test_run_chunk_matches_reference_seeding(case):
+    inst, T, max_steps = ((weak_binary(), 30.0, None) if case == "weak_binary"
+                          else (two_set_instance([0.7, 1.3]), 36.0, 20))
+    cfg = ExperimentConfig(inst, (T,), 60, seed=2**40 + 7, epsilon=0.0, max_steps=max_steps)
+    report = validate_model(inst.model, inst.avail, inst.actions, inst.budgets)
+    params = build_params(T, inst, report.table, report.llr_bound,
+                          resolve_betas(cfg, report.table), epsilon=0.0)
+    invalid = 0
+    for truth in range(inst.model.M):
+        args = (inst, params, truth, T, cfg.seed, 5, 65, max_steps)
+        got, want = sim._run_chunk(*args), reference_chunk(*args)
+        for a, b in zip(got, want, strict=True):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        invalid += got[2]
+    assert (invalid > 0) == (max_steps is not None)
