@@ -170,7 +170,9 @@ def cmd_region(args) -> int:
             for sub in region.per_m
         ],
     }
-    text = json.dumps(payload, indent=2) + "\n"
+    # One line: any indent sends json through its pure-Python encoder, which
+    # took half the call on a region of a thousand vertices.
+    text = json.dumps(payload) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -214,13 +216,35 @@ def _temp_beside(path: str) -> Path:
     return p.with_name(f".{p.name}.{os.getpid()}.tmp")
 
 
+_COUNT_COLUMNS = ("T", "truth", "declared", "count")
+
+
+def _read_counts(path: str) -> dict[tuple[float, int], dict[int, int]]:
+    """Declared-hypothesis counts per (T, truth) cell of a results CSV.
+    Raises ValueError naming a missing column or the line of a bad row."""
+    cells: dict[tuple[float, int], dict[int, int]] = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)  # an empty file has no fieldnames and no rows
+        missing = [c for c in _COUNT_COLUMNS if c not in (reader.fieldnames or _COUNT_COLUMNS)]
+        if missing:
+            raise ValueError(f"{path}: no {', '.join(missing)} column in the header")
+        for row in reader:
+            try:
+                T = float(row["T"])
+                truth, declared, count = (int(row[c]) for c in _COUNT_COLUMNS[1:])
+                ok = 0.0 < T < math.inf and min(truth, declared, count) >= 0
+            except (TypeError, ValueError):  # TypeError: a short row's missing fields
+                ok = False
+            if not ok:
+                raise ValueError(f"{path} line {reader.line_num}: expected T > 0 and "
+                                 f"non-negative integers truth, declared and count")
+            cells.setdefault((T, truth), {})[declared] = count
+    return cells
+
+
 def cmd_exponents(args) -> int:
     _check_ci(args.ci)
-    cells: dict[tuple[float, int], dict[int, int]] = {}
-    with open(args.infile, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            key = (float(row["T"]), int(row["truth"]))
-            cells.setdefault(key, {})[int(row["declared"])] = int(row["count"])
+    cells = _read_counts(args.infile)
     if not cells:
         raise SystemExit2("results file has no rows")
     M = 1 + max(m for counts in cells.values() for m in counts)

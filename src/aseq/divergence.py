@@ -67,24 +67,23 @@ class DivergenceTable:
 def build_table(model: JointModel, avail: AvailabilityDist, actions: ActionSpace) -> DivergenceTable:
     """Compute the full divergence table for a validated model.
 
-    Marginals depend on a∩z only, so they are cached per distinct subset.
+    The M x M divergence matrix depends on a∩z only, so it is computed once
+    per distinct subset.
     """
     n_a, n_z = actions.size, len(avail.sets)
     out = np.zeros((n_a, n_z, model.M, model.M))
-    cache: dict[tuple[int, ...], list[np.ndarray]] = {}
+    cache: dict[tuple[int, ...], np.ndarray] = {}
     for ai, a in enumerate(actions.actions):
         for zi, z in enumerate(avail.sets):
             keep = tuple(sorted(set(a) & set(z)))
             if not keep:
                 continue
             if keep not in cache:
-                cache[keep] = [marginal(model, keep, keep, t).probs.reshape(-1)
-                               for t in range(model.M)]
-            margs = cache[keep]
-            for m in range(model.M):
-                for t in range(model.M):
-                    if t != m:
-                        out[ai, zi, m, t] = kl(margs[m], margs[t])
+                margs = [marginal(model, keep, keep, t).probs.reshape(-1)
+                         for t in range(model.M)]
+                cache[keep] = np.array([[kl(margs[m], margs[t]) if t != m else 0.0
+                                         for t in range(model.M)] for m in range(model.M)])
+            out[ai, zi] = cache[keep]
     return DivergenceTable(out, actions, avail, model.M)
 
 

@@ -123,7 +123,7 @@ def enumerate_vertices(poly: ConstraintPolytope, tol: float = VERTEX_TOL) -> np.
         while chunk := list(itertools.islice(supports, _VERTEX_CHUNK)):
             F = np.array(chunk, dtype=np.intp)
             systems = A[:, F].transpose(1, 0, 2)
-            full = np.linalg.svd(systems, compute_uv=False)[:, -1] > 1e-10
+            full = _full_rank(systems)
             F, xF = F[full], np.linalg.solve(systems[full], b)
             ok = np.all(xF >= -tol, axis=1) & np.all(
                 np.einsum("kcj,cj->ck", G[:, F], xF) <= r + tol, axis=1)
@@ -141,9 +141,32 @@ def enumerate_vertices(poly: ConstraintPolytope, tol: float = VERTEX_TOL) -> np.
     return V[np.lexsort(V.T[::-1])]
 
 
+def _full_rank(systems: np.ndarray) -> np.ndarray:
+    """Whether each square system's smallest singular value exceeds 1e-10.
+
+    Two certificates settle most systems before any SVD. One with an
+    all-zero row is singular: its support misses an availability set. One
+    with |det| > 2e-10 ||S||_F^(k-1) is full rank, since
+    sigma_min >= |det| / sigma_max^(k-1) >= |det| / ||S||_F^(k-1); the factor
+    2 covers the rounding of det. Only the rest go to the SVD, so every
+    decision is the one ``svd(S)[-1] > 1e-10`` makes.
+    """
+    k = systems.shape[1]
+    frob_sq = np.einsum("nij,nij->n", systems, systems)
+    full = np.abs(np.linalg.det(systems)) > 2e-10 * frob_sq ** ((k - 1) / 2)
+    rest = ~full & systems.any(axis=2).all(axis=1)
+    full[rest] = np.linalg.svd(systems[rest], compute_uv=False)[:, -1] > 1e-10
+    return full
+
+
 def _first_of_each(keys: np.ndarray) -> np.ndarray:
-    """Indices, in input order, of the first row of each distinct row."""
-    return np.sort(np.unique(keys, axis=0, return_index=True)[1])
+    """Indices, in input order, of the first row of each distinct row: the
+    same as ``np.sort(np.unique(keys, axis=0, return_index=True)[1])``."""
+    order = np.lexsort(keys.T[::-1])  # stable, so repeats keep input order
+    ranked = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    return np.sort(order[first])
 
 
 def _unique_rows(points: np.ndarray, tol: float) -> np.ndarray:

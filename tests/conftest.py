@@ -40,7 +40,7 @@ def reference_trial_seed(master: int, truth: int, T: float, index: int) -> np.ra
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def reference_enumerate_vertices(poly, tol: float = VERTEX_TOL) -> np.ndarray:
+def reference_active_set_vertices(poly, tol: float = VERTEX_TOL) -> np.ndarray:
     """The active-set loop that ``region.enumerate_vertices`` replaced: one
     rank test and one solve of the full d x d system per choice of
     d - n_z tight inequalities."""
@@ -68,6 +68,46 @@ def reference_enumerate_vertices(poly, tol: float = VERTEX_TOL) -> np.ndarray:
     if not found:
         raise InfeasiblePolytope("constraint set has no vertices; inputs malformed")
     return np.array(sorted(_unique_rows(np.array(found), tol), key=tuple))
+
+
+def reference_first_of_each(keys: np.ndarray) -> np.ndarray:
+    """Indices, in input order, of the first row of each distinct row."""
+    return np.sort(np.unique(keys, axis=0, return_index=True)[1])
+
+
+def reference_enumerate_vertices(poly, tol: float = VERTEX_TOL) -> np.ndarray:
+    """``region.enumerate_vertices`` as it was before its rank test gained
+    the zero-row and determinant certificates: every square system goes to
+    the SVD, and repeats are dropped through ``np.unique``."""
+    E, p = poly.eq_matrix, poly.eq_rhs
+    G, r = poly.budget_matrix, poly.budget_rhs
+    d, n_b = poly.dim, G.shape[0]
+    found: list[np.ndarray] = []
+    keys: list[np.ndarray] = []
+    for B in itertools.chain.from_iterable(
+            itertools.combinations(range(n_b), k) for k in range(n_b + 1)):
+        A = np.vstack([E, G[list(B)]])
+        b = np.concatenate([p, r[list(B)]])
+        supports = itertools.combinations(range(d), len(b))
+        while chunk := list(itertools.islice(supports, 1 << 14)):
+            F = np.array(chunk, dtype=np.intp)
+            systems = A[:, F].transpose(1, 0, 2)
+            full = np.linalg.svd(systems, compute_uv=False)[:, -1] > 1e-10
+            F, xF = F[full], np.linalg.solve(systems[full], b)
+            ok = np.all(xF >= -tol, axis=1) & np.all(
+                np.einsum("kcj,cj->ck", G[:, F], xF) <= r + tol, axis=1)
+            F, xF = F[ok], xF[ok]
+            x = np.zeros((len(F), d))
+            np.put_along_axis(x, F, np.where(np.abs(xF) < tol, 0.0, xF), axis=1)
+            key = np.packbits(np.hstack([x != 0, x @ G.T >= r - tol]), axis=1)
+            first = reference_first_of_each(key)
+            found.append(x[first])
+            keys.append(key[first])
+    found = np.concatenate(found)
+    if not len(found):
+        raise InfeasiblePolytope("constraint set has no vertices; inputs malformed")
+    V = found[reference_first_of_each(np.concatenate(keys))]
+    return V[np.lexsort(V.T[::-1])]
 
 
 def kernel_path(kernel, zi, rng, steps):

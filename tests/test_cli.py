@@ -22,6 +22,7 @@ from aseq.cli import main
 from aseq.divergence import build_instance_table
 from aseq.errors import InvalidPmf
 from aseq.modelio import instance_to_dict, load_instance
+from aseq.region import build_polytope, compute_region, decision_risk_exponents
 
 from conftest import make_instance, oracle_constraints
 
@@ -132,6 +133,37 @@ def test_region_json(tmp_path):
     assert data["per_m"][0]["facets"] is not None
 
 
+@pytest.mark.parametrize("four", [False, True])
+def test_region_json_document(tmp_path, four):
+    """The region JSON is one line plus a newline, and parses to the payload
+    built here from the library (a 2-D staircase on the example, qhull
+    facets on a four-hypothesis model)."""
+    model = MODEL
+    if four:
+        inst = make_instance(4, 2, (2, 3), rng=np.random.default_rng(3))
+        model = tmp_path / "four.json"
+        model.write_text(json.dumps(instance_to_dict(inst)), encoding="utf-8")
+    inst = load_instance(model)
+    table = build_instance_table(inst)
+    poly = build_polytope(inst.avail, inst.actions, inst.budgets)
+    region = compute_region(table, poly)
+    gamma, _ = decision_risk_exponents(table, poly)
+    payload = {
+        "gamma": [float(g) for g in gamma],
+        "per_m": [{"declared": sub.declared, "thetas": list(sub.thetas),
+                   "corners": sub.corners.tolist(), "vertices": sub.vertices.tolist(),
+                   "facets": None if sub.facets is None else
+                   [{"normal": list(n), "offset": b} for n, b in sub.facets]}
+                  for sub in region.per_m],
+    }
+    out = tmp_path / "region.json"
+    assert main(["region", "--model", str(model), "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert json.loads(text) == payload
+    assert len(payload["per_m"][0]["thetas"]) == (3 if four else 2)
+
+
 def test_simulate_byte_identical(tmp_path):
     args = ["simulate", "--model", MODEL, "--T", "6,9", "--trials", "100",
             "--seed", "11", "--epsilon", "0", "--truth", "0"]
@@ -160,6 +192,25 @@ def test_exponents_from_csv(tmp_path, capsys):
     assert [(f["declared"], f["truth"], f["kind"], f["slope"]) for f in fits] == [
         (f["declared"], f["truth"], f["kind"], f["slope"])
         for f in summary["fitted_exponents"]]
+
+
+@pytest.mark.parametrize("text, where", [
+    ("T,truth,count\n5.0,0,3\n", "declared column"),
+    ("T,truth,declared,count\n5.0,0,0,7\n5.0,0,1\n", "line 3"),
+    ("T,truth,declared,count\n5.0,0,-1,3\n", "line 2"),
+], ids=["no_declared_column", "short_row", "negative_declared"])
+def test_exponents_bad_results_exit_1(tmp_path, capsys, text, where):
+    """A results CSV without a needed column, with a short row or with a
+    negative hypothesis index is refused in one line that names the column
+    or the line, and no fit file is written."""
+    runs, out = tmp_path / "runs.csv", tmp_path / "fits.json"
+    runs.write_text(text, encoding="utf-8")
+    assert main(["exponents", "--in", str(runs), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    assert captured.out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: ") and where in err
+    assert not out.exists()
 
 
 def test_slice_csv_families(tmp_path):

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from aseq.divergence import build_instance_table, exponent, kl
 from aseq.errors import SupportMismatch
+from aseq.model import marginal
 
-from conftest import make_instance
+from conftest import make_instance, random_instance
 from test_model import P01, P02, P11, P12, P21, P22
 
 
@@ -53,6 +54,24 @@ def test_table_chernoff_entries(example_instance):
     assert table.table[1, 0, 0, 1] == pytest.approx(direct_kl(P01, P11), abs=1e-12)
     assert table.table[2, 0, 0, 1] == pytest.approx(direct_kl(P02, P12), abs=1e-12)
     assert table.table[1, 0, 2, 0] == pytest.approx(direct_kl(P21, P01), abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_table_matches_per_cell_loop(example_instance, seed):
+    """The table equals one ``kl`` call per action, availability set and
+    ordered pair on that cell's own marginals, bit for bit."""
+    inst = example_instance if seed == 0 else random_instance(np.random.default_rng(seed))
+    M = inst.model.M
+    want = np.zeros((inst.actions.size, len(inst.avail.sets), M, M))
+    for ai, a in enumerate(inst.actions.actions):
+        for zi, z in enumerate(inst.avail.sets):
+            if set(a) & set(z):
+                for m in range(M):
+                    for t in range(M):
+                        if t != m:
+                            want[ai, zi, m, t] = kl(marginal(inst.model, a, z, m).probs,
+                                                    marginal(inst.model, a, z, t).probs)
+    assert build_instance_table(inst).table.tobytes() == want.tobytes()
 
 
 def test_table_empty_action_zero(example_instance):

@@ -19,12 +19,14 @@ from aseq.region import (ConstraintPolytope, TuncelOptions, build_polytope, cher
                          individual_hypothesis_region_slice, membership,
                          nonadaptive_feasibility, nonadaptive_membership, nonadaptive_slice,
                          region_polytope, source_marginals, tuncel_membership, tuncel_slice)
-from aseq.region import (_LOG_ZERO, _TuncelDual, _corner_lp_contains, _dual_for, _logsumexp,
-                         _staircase_2d, _tuncel_objective, _unique_rows)
+from aseq.region import (_LOG_ZERO, _TuncelDual, _corner_lp_contains, _dual_for,
+                         _first_of_each, _full_rank, _logsumexp, _staircase_2d,
+                         _tuncel_objective, _unique_rows)
 
 from conftest import (ReferenceTuncelEvaluator, ReferenceTuncelOptions, criterion3_tuples,
                       grid_betas, make_instance, oracle_max_margin, oracle_slice_support,
-                      random_instance, reference_enumerate_vertices,
+                      random_instance, reference_active_set_vertices,
+                      reference_enumerate_vertices, reference_first_of_each,
                       reference_nonadaptive_slice, reference_staircase_2d, two_set_instance)
 from test_model import P01, P02, P11, P12, P21, P22
 
@@ -109,12 +111,14 @@ def raw_polytope(sets, probs, acts, coeffs, rates) -> ConstraintPolytope:
 
 
 @st.composite
-def polytope_parts(draw):
+def polytope_parts(draw, coeff_values=(0.0, 0.5, 1.0, 2.0), max_budgets=2):
     """1-3 availability sets (one may have probability 0), the empty action
-    present or absent, and 0-2 budgets whose rates are a fraction of the
-    largest cost, the cost of one vertex of the unbudgeted polytope (tight
-    there), zero, or half the smallest cost (no feasible point when every
-    action costs something). Coordinates stay at 10 or fewer."""
+    present or absent, and up to ``max_budgets`` budgets, with coefficients
+    from ``coeff_values``, whose rates are a fraction of the largest cost,
+    the cost of one vertex of the unbudgeted polytope (tight there), zero,
+    or half the smallest cost (no feasible point when every action costs
+    something). A budget row may be repeated. Coordinates stay at 10 or
+    fewer."""
     n = draw(st.integers(1, 3))
     subsets = [s for r in range(1, n + 1) for s in itertools.combinations(range(1, n + 1), r)]
     sets = draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=3, unique=True))
@@ -127,8 +131,8 @@ def polytope_parts(draw):
     if draw(st.booleans()):
         acts = [()] + acts
     coeffs, rates = [], []
-    for _ in range(draw(st.integers(0, 2))):
-        c = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, max_budgets))):
+        c = draw(st.lists(st.sampled_from(coeff_values), min_size=n, max_size=n))
         cost = np.array([[sum(c[j - 1] for j in set(a) & set(z)) for z in sets] for a in acts])
         kind = draw(st.sampled_from(["fraction", "vertex", "zero", "below"]))
         if kind == "fraction":
@@ -162,7 +166,7 @@ def polytope_parts(draw):
 def test_enumerate_vertices_matches_active_set_oracle(parts):
     poly = raw_polytope(*parts)
     try:
-        want = reference_enumerate_vertices(poly)
+        want = reference_active_set_vertices(poly)
     except InfeasiblePolytope:
         with pytest.raises(InfeasiblePolytope):
             enumerate_vertices(poly)
@@ -173,6 +177,84 @@ def test_enumerate_vertices_matches_active_set_oracle(parts):
     assert np.abs(want[:, None, :] - got[None, :, :]).max(axis=2).min(axis=1).max() <= 1e-12
 
 
+@settings(max_examples=150, deadline=None)
+@given(polytope_parts(coeff_values=(0.0, 0.1, 0.2, 0.3, 1 / 3, 0.5, 1.0, 2.0), max_budgets=3))
+# Equal costs: every (2, 1) support of {1} and {2} is exactly singular.
+@hypothesis.example(([(1, 2)], [1.0], [(1,), (2,)], [[0.5, 0.5]], [0.5]))
+# 0.1 + 0.2 against 0.3: the (2, 1) support of {1, 2} and {3} is singular
+# only up to rounding, which the determinant cannot certify either way.
+@hypothesis.example(([(1, 2, 3)], [1.0], [(1, 2), (3,)], [[0.1, 0.2, 0.3]], [0.3]))
+def test_enumerate_vertices_matches_svd_reference(parts):
+    """The zero-row and determinant certificates decide every system as the
+    SVD does, so the vertices are the reference's bit for bit."""
+    poly = raw_polytope(*parts)
+    try:
+        want = reference_enumerate_vertices(poly)
+    except InfeasiblePolytope:
+        with pytest.raises(InfeasiblePolytope):
+            enumerate_vertices(poly)
+        return
+    got = enumerate_vertices(poly)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def square_stacks(draw):
+    """Stacks of k x k systems with entries like the polytope's (0, 1 and
+    budget costs), some with a zero row, some with a last row that is a
+    combination of the others plus a multiple of 1e-12 to 1e-9 of a unit
+    row, so that the smallest singular value lies near the 1e-10 cut."""
+    k = draw(st.integers(1, 5))
+    entry = st.sampled_from([0.0, 0.0, 1.0, 1.0, 0.1, 0.2, 0.3, 1 / 3, 0.5, 2.0, 3.0])
+    stack = []
+    for _ in range(draw(st.integers(1, 12))):
+        S = np.array(draw(st.lists(entry, min_size=k * k, max_size=k * k))).reshape(k, k)
+        kind = draw(st.sampled_from(["plain", "zero_row", "near"]))
+        if kind == "zero_row":
+            S[draw(st.integers(0, k - 1))] = 0.0
+        elif kind == "near":
+            w = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, -1.0, 0.5]),
+                                       min_size=k - 1, max_size=k - 1)))
+            S[-1] = w @ S[:-1]
+            S[-1, draw(st.integers(0, k - 1))] += draw(st.sampled_from(
+                [0.0, 1e-12, 5e-11, 1e-10, 1.5e-10, 2e-10, 3e-10, 1e-9]))
+        stack.append(S)
+    return np.array(stack)
+
+
+@settings(max_examples=400, deadline=None)
+@given(square_stacks())
+def test_full_rank_matches_svd(systems):
+    want = np.linalg.svd(systems, compute_uv=False)[:, -1] > 1e-10
+    assert np.array_equal(_full_rank(systems), want)
+
+
+float_rows = st.integers(1, 4).flatmap(lambda c: st.lists(
+    st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, 2.5, 1e9]),
+             min_size=c, max_size=c), max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_rows, st.data())
+def test_first_of_each_float_rows(rows, data):
+    """Rows drawn from a few values (so they repeat, with -0.0 and 0.0 as
+    the same value), with some rows copied to later positions."""
+    keys = np.array(rows, dtype=float).reshape(len(rows), -1) if rows else np.zeros((0, 2))
+    if len(keys):
+        picks = data.draw(st.lists(st.integers(0, len(keys) - 1), max_size=10))
+        keys = np.vstack([keys, keys[picks]])
+    got = _first_of_each(keys)
+    assert got.dtype == np.intp and np.array_equal(got, reference_first_of_each(keys))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 20).flatmap(lambda c: st.lists(
+    st.lists(st.booleans(), min_size=c, max_size=c), min_size=1, max_size=60)))
+def test_first_of_each_packed_keys(bits):
+    keys = np.packbits(np.array(bits), axis=1)
+    assert np.array_equal(_first_of_each(keys), reference_first_of_each(keys))
+
+
 def test_enumerate_vertices_five_sources():
     # Model (a)'s shape with five sources: all 31 actions and the empty one,
     # two availability sets and one budget, so 64 coordinates.
@@ -181,6 +263,7 @@ def test_enumerate_vertices_five_sources():
     poly = build_polytope(avail, acts, BudgetSpec(np.ones((1, 5)), np.array([1.5])))
     V = enumerate_vertices(poly)
     assert V.shape == (7984, 64)
+    assert V.tobytes() == reference_enumerate_vertices(poly).tobytes()
     assert np.all(V >= -1e-9)
     assert np.abs(V @ poly.eq_matrix.T - poly.eq_rhs).max() <= 1e-9
     assert np.all(V @ poly.budget_matrix.T <= poly.budget_rhs + 1e-9)
