@@ -129,7 +129,6 @@ def cmd_region(args) -> int:
     table = validate_model(inst.model, inst.avail, inst.actions, inst.budgets).table
     poly = build_polytope(inst.avail, inst.actions, inst.budgets)
     region = compute_region(table, poly)
-    gamma, _ = decision_risk_exponents(table, poly)
 
     if fixed:
         rows: list[tuple[float, float, str]] = []
@@ -158,6 +157,7 @@ def cmd_region(args) -> int:
                 out.close()
         return 0
 
+    gamma, _ = decision_risk_exponents(table, poly)
     payload = {
         "gamma": [float(g) for g in gamma],
         "per_m": [
@@ -221,8 +221,11 @@ _COUNT_COLUMNS = ("T", "truth", "declared", "count")
 
 def _read_counts(path: str) -> dict[tuple[float, int], dict[int, int]]:
     """Declared-hypothesis counts per (T, truth) cell of a results CSV.
-    Raises ValueError naming a missing column or the line of a bad row."""
-    cells: dict[tuple[float, int], dict[int, int]] = {}
+    Raises ValueError naming a missing column or the line of a bad row. A
+    results CSV has one row per declared hypothesis in each cell, so a truth
+    or declared index at or past the file's row count is a bad row: M is
+    taken from the indices, and a huge one would build huge count lists."""
+    rows: list[tuple[int, float, int, int, int]] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)  # an empty file has no fieldnames and no rows
         missing = [c for c in _COUNT_COLUMNS if c not in (reader.fieldnames or _COUNT_COLUMNS)]
@@ -238,7 +241,13 @@ def _read_counts(path: str) -> dict[tuple[float, int], dict[int, int]]:
             if not ok:
                 raise ValueError(f"{path} line {reader.line_num}: expected T > 0 and "
                                  f"non-negative integers truth, declared and count")
-            cells.setdefault((T, truth), {})[declared] = count
+            rows.append((reader.line_num, T, truth, declared, count))
+    cells: dict[tuple[float, int], dict[int, int]] = {}
+    for line, T, truth, declared, count in rows:
+        if max(truth, declared) >= len(rows):
+            raise ValueError(f"{path} line {line}: truth and declared must be below the "
+                             f"file's {len(rows)} rows (one row per hypothesis in each cell)")
+        cells.setdefault((T, truth), {})[declared] = count
     return cells
 
 

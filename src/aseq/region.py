@@ -502,26 +502,6 @@ def _simplex_grid(k: int, step: float) -> np.ndarray:
     return (np.diff(np.hstack([ends[0], cuts, ends[1]]), axis=1) - 1) / units
 
 
-def _tuncel_objective(P: list[np.ndarray], Q, betas: np.ndarray,
-                      targets: np.ndarray) -> tuple[float, int, int]:
-    """Worst-case slack of one auxiliary product distribution, the slow path
-    kept as the test oracle of ``_TuncelDual.bounds``' upper bound (only the
-    tests call it).
-
-    ``targets[t, m]`` is the exponent demanded of declared t against truth m.
-    A sample type P is assigned to the declared hypothesis that tolerates it
-    best: for candidate t, the margin is the worst over truths m of
-    (sum_j beta_j KL(P_j || Q_m_j)) - targets[t, m]. Returns the best margin
-    and the active (declared, truth) pair.
-    """
-    h = np.array([sum(b * kl(p, q) for b, p, q in zip(betas, P, Q_m)) for Q_m in Q])
-    slack = h[None, :] - targets
-    np.fill_diagonal(slack, np.inf)
-    worst_m = np.argmin(slack, axis=1)
-    best_t = int(np.argmax(slack[np.arange(len(Q)), worst_m]))
-    return float(slack[best_t, worst_m[best_t]]), best_t, int(worst_m[best_t])
-
-
 # Stands in for log 0, and pads the source alphabets to one length. The
 # hypotheses share each source's support, so a zero-mass symbol's logit is
 # _LOG_ZERO * sum_m mu_m = _LOG_ZERO and its weight exactly 0, while
@@ -586,16 +566,35 @@ class _TuncelDual:
         self.grid = _simplex_grid(M, 1.0 / units)
         self.c_grid = self._tilt(self.grid)[0]
         self.off_grid = ((self.grid[None] > 0) & ~self.image[:, None, :]).any(axis=2)
+        # [f, grid point]: sum_j beta_j c_j, -inf where mu leaves f's image
+        self.c_on = np.where(self.off_grid, -np.inf, self.c_grid)
+        self.identity = np.eye(M)
+        self.diagonal = self.identity == 1
 
-    def _tilt(self, mu: np.ndarray):
-        """sum_j beta_j c_j(mu), h_m of the tilted P, and P, for each row of mu."""
+    def _tilt(self, mu: np.ndarray, blocks: list[np.ndarray] | None = None):
+        """sum_j beta_j c_j(mu), h_m of the tilted P, and P, for each row of
+        mu; ``blocks`` groups the rows of a stack by target (None: one
+        target), as ``_weigh`` takes them."""
         logits = np.einsum("rm,jmk->rjk", mu, self.logQ)
         lse = _logsumexp(logits)
         logp = logits - lse[..., None]
         p = np.exp(logp)
-        h = ((p * logp).sum(axis=-1) @ self.betas)[:, None] \
+        h = self._weigh((p * logp).sum(axis=-1), blocks)[:, None] \
             - np.einsum("rjk,jmk,j->rm", p, self.logQ, self.betas)
-        return -lse @ self.betas, h, p
+        return self._weigh(-lse, blocks), h, p
+
+    def _weigh(self, a: np.ndarray, blocks: list[np.ndarray] | None) -> np.ndarray:
+        """a @ betas, one target's rows at a time: BLAS's gemv rounds a row
+        differently with the number of rows beside it, so each target's rows
+        go in as in a call on that target alone. Each block holds the row
+        indices of the targets with one row count, a target per block row,
+        and goes through one stacked product."""
+        if blocks is None:
+            return a @ self.betas
+        out = np.empty(len(a))
+        for rows in blocks:
+            out[rows] = a[rows] @ self.betas
+        return out
 
     def _newton(self, p, slack, free):
         """Maximiser of g_f's quadratic model on the free coordinates of the
@@ -607,58 +606,92 @@ class _TuncelDual:
         R, M = slack.shape
         kkt = np.zeros((R, M + 1, M + 1))
         kkt[:, :M, :M] = np.where(free[:, :, None] & free[:, None, :],
-                                  -np.einsum("j,rjmn->rmn", self.betas, cov), -np.eye(M))
+                                  -np.einsum("j,rjmn->rmn", self.betas, cov), -self.identity)
         kkt[:, :M, M] = kkt[:, M, :M] = free
-        rhs = np.append(np.where(free, -slack, 0.0), np.zeros((R, 1)), axis=1)
-        step = (np.linalg.pinv(kkt) @ rhs[..., None])[:, :M, 0]
+        rhs = np.zeros((R, M + 1, 1))
+        rhs[:, :M, 0] = np.where(free, -slack, 0.0)
+        step = (np.linalg.pinv(kkt) @ rhs)[:, :M, 0]
         return step / np.maximum(1.0, np.abs(step).max(axis=1))[:, None]
 
-    def bounds(self, e: np.ndarray) -> tuple[float, float, tuple[np.ndarray, ...]]:
-        """(lower, upper, witness) for the target matrix e: the witness is
-        the tilt of least slack seen and upper its slack, computed from the
-        same h as the search (_tuncel_objective gives the same value to
-        rounding). A grid scan for every f at once, then, until lower >= 0
-        or a tilt's slack below -1e-9 settles the verdict, damped Newton
-        steps on each f with g_f < 0 and an open duality gap."""
-        eps = np.where(self.assign, e[None], np.inf).min(axis=1)  # eps_f, inf off image
+    def bounds(self, e: np.ndarray):
+        """(lower, upper, witness) for each target matrix of the stack e
+        (K, M, M): the witness is the tilt of least slack seen and upper its
+        slack, computed from the same h as the search (the tests' slow
+        objective gives the same value to rounding). A grid scan for every
+        target and f at once, then damped Newton steps on each f with
+        g_f < 0 and an open duality gap, until lower >= 0 or a tilt's slack
+        below -1e-9 settles the target's verdict. Each target's rows take the
+        steps of a call on that target alone: a settled target's rows leave
+        the active ones, every target has ``descent_iters`` steps, and each
+        matrix product sees one target's rows. A single (M, M) target is a
+        stack of one and gets floats and 1-D witness arrays."""
+        if e.ndim == 2:
+            lower, upper, p = self._bounds(e[None])
+            return (float(lower[0]), float(upper[0]),
+                    tuple(p[0, j, :k].copy() for j, k in enumerate(self.sizes)))
+        lower, upper, p = self._bounds(e)
+        return lower, upper, tuple(p[:, j, :k].copy() for j, k in enumerate(self.sizes))
+
+    def _bounds(self, e: np.ndarray):
+        K, M, F = len(e), e.shape[1], len(self.assign)
+        eps = np.where(self.assign, e[:, None], np.inf).min(axis=2)  # eps_f, inf off image
         eps0 = np.where(self.image, eps, 0.0)
-        e_off = np.where(np.eye(len(e), dtype=bool), -np.inf, e)
+        g_grid = self.c_on - eps0 @ self.grid.T
+        eps, eps0 = eps.reshape(K * F, M), eps0.reshape(K * F, M)
+        e_off = np.where(self.diagonal, -np.inf, e)
 
-        def at(rows, mu):
-            c, h, p = self._tilt(mu)
-            g = c - np.sum(mu * eps0[rows], axis=1)
-            return g, np.where(self.image[rows], h - eps[rows], -np.inf), h, p
+        def at(rows, mu, sizes):
+            # sizes: each target's count of the rows (target-major)
+            blocks = None
+            if K > 1:
+                starts = np.cumsum(sizes) - sizes
+                blocks = [starts[sizes == size][:, None] + np.arange(size)
+                          for size in set(sizes.tolist()) - {0}]
+            c, h, p = self._tilt(mu, blocks)
+            # h - eps is -inf off f's image, where eps is inf and h finite
+            return c - np.sum(mu * eps0[rows], axis=1), h - eps[rows], h, p
 
-        def objective(h):
-            return np.min(h[:, None, :] - e_off, axis=2).max(axis=1)
+        def objective(h, e_rows):
+            return np.min(h[..., None, :] - e_rows, axis=-1).max(axis=-1)
 
-        rows = np.arange(len(eps))
-        g_grid = np.where(self.off_grid, -np.inf, self.c_grid - eps0 @ self.grid.T)
-        mu = self.grid[np.argmax(g_grid, axis=1)]
-        g, slack, h, p = at(rows, mu)
-        obj = objective(h)
-        best_obj, best_p = obj.min(), p[np.argmin(obj)]
-        damp = np.ones(len(rows))
-        for _ in range(self.iters):
-            if g.min() >= 0 or best_obj < -1e-9:
+        rows = np.arange(K * F)
+        offsets = rows[::F]  # each target's first row
+        mu = self.grid[np.argmax(g_grid, axis=2).reshape(-1)]
+        g, slack, h, p = at(rows, mu, np.full(K, F))
+        obj = objective(h.reshape(K, F, M), e_off[:, None])
+        best_obj, best_p = obj.min(axis=1), p[obj.argmin(axis=1) + offsets]
+        damp = np.ones(K * F)
+        for it in range(self.iters + 1):  # the pass after the last step takes lower
+            lower = g.reshape(K, F).min(axis=1)
+            open_ = (lower < 0) & (best_obj >= -1e-9)  # both finite
+            if it == self.iters or not np.count_nonzero(open_):
                 break
-            act = rows[(g < 0) & (damp > 1e-9) & (slack.max(axis=1) - g > 1e-13)]
+            act = rows[(g < 0) & (damp > 1e-9) & (slack.max(axis=1) - g > 1e-13)
+                       & open_.repeat(F)]
             if not act.size:
                 break
-            free = self.image[act] & ((mu[act] > 0) | (slack[act] > g[act, None]))
-            step = self._newton(p[act], slack[act], free)
-            cand = np.maximum(mu[act] + damp[act, None] * step, 0.0) * self.image[act]
+            target = act // F
+            image = self.image[act - F * target]
+            mu_a, g_a, slack_a, damp_a = mu[act], g[act], slack[act], damp[act]
+            free = image & ((mu_a > 0) | (slack_a > g_a[:, None]))
+            step = self._newton(p[act], slack_a, free)
+            cand = np.maximum(mu_a + damp_a[:, None] * step, 0.0) * image
             cand /= cand.sum(axis=1, keepdims=True)
-            g2, slack2, h2, p2 = at(act, cand)
-            obj2 = objective(h2)
-            if obj2.min() < best_obj:
-                best_obj, best_p = obj2.min(), p2[np.argmin(obj2)]
-            up = g2 > g[act]
+            g2, slack2, h2, p2 = at(act, cand, np.bincount(target, minlength=K))
+            # each target's least new slack, the first of its active rows on ties
+            seen = np.full(K * F, np.inf)
+            seen[act] = objective(h2, e_off[target])
+            seen = seen.reshape(K, F)
+            least = seen.min(axis=1)
+            new = least < best_obj
+            if np.count_nonzero(new):
+                best_obj[new] = least[new]
+                best_p[new] = p2[np.searchsorted(act, (seen.argmin(axis=1) + offsets)[new])]
+            up = g2 > g_a
             better = act[up]
             mu[better], g[better], slack[better], p[better] = cand[up], g2[up], slack2[up], p2[up]
-            damp[act] = np.where(up, 1.0, damp[act] / 4)
-        return (float(g.min()), float(best_obj),
-                tuple(best_p[j, :k].copy() for j, k in enumerate(self.sizes)))
+            damp[act] = np.where(up, 1.0, damp_a / 4)
+        return lower, best_obj, best_p
 
 
 # The last dual built and the exact content it was built from: one slot, so
@@ -825,38 +858,87 @@ def nonadaptive_slice(table: DivergenceTable, poly: ConstraintPolytope,
     return SlicePolyline((i, j), _closure_boundary(front, front[0][0], front[-1][1]))
 
 
+# Bisection steps per fixed-length search, and the levels of them that
+# tuncel_slice lays out for one dual call: 2^3 - 1 midpoints per search.
+_BISECT_STEPS = 20
+_SPECULATE = 3
+
+
+def _bisect_certified(certified, searches, top: float) -> list[float | None]:
+    """For each (gate, line) of ``searches``: None when ``certified`` does
+    not pass the point ``gate``, else the lower end of the 20-step bisection
+    of [0, top] for the largest value whose point ``line(value)`` it passes.
+    ``certified`` takes a list of points and returns one verdict per point.
+
+    Each call of ``certified`` lays out, for every open search, the
+    midpoints of its next _SPECULATE levels, each (lo + hi) / 2 of its
+    parent's bracket, with every gate in the first call. Walking each tree
+    by the verdicts replays the step-by-step bisection for any verdicts, so
+    the results are its floats."""
+    brackets = {s: (0.0, top) for s in range(len(searches))}
+    gates = [gate for gate, _ in searches]
+    for done in range(0, _BISECT_STEPS, _SPECULATE):
+        levels = min(_SPECULATE, _BISECT_STEPS - done)
+        trees = {}
+        for s, (lo, hi) in brackets.items():
+            # heap order: node n's halves are 2n + 1 (mid passed) and 2n + 2
+            tree = [(lo, hi)]
+            for n in range((1 << (levels - 1)) - 1):
+                a, b = tree[n]
+                mid = (a + b) / 2
+                tree += [(mid, b), (a, mid)]
+            trees[s] = tree
+        points = gates + [searches[s][1]((a + b) / 2) for s, tree in trees.items()
+                          for a, b in tree]
+        if not points:
+            break
+        ok = certified(points)
+        brackets = {s: br for s, br in brackets.items() if not gates or ok[s]}
+        at, gates = len(gates), []
+        for s, tree in trees.items():
+            n = 0
+            for _ in range(levels):
+                a, b = tree[n]
+                mid = (a + b) / 2
+                bracket, n = ((mid, b), 2 * n + 1) if ok[at + n] else ((a, mid), 2 * n + 2)
+            if s in brackets:
+                brackets[s] = bracket
+            at += len(tree)
+    return [brackets[s][0] if s in brackets else None for s in range(len(searches))]
+
+
 def tuncel_slice(model: JointModel, beta_sources: np.ndarray,
                  fixed: dict[int, float], samples: int = 17,
                  options: TuncelOptions | None = None) -> SlicePolyline:
     """Sampled boundary of the fixed-length region slice at one sampling
-    proportion: for a sweep of x values, bisect the largest y whose tuple the
-    dual certifies "in", so every returned point lies inside the region."""
+    proportion, every returned point certified "in" by the dual. x_max is
+    the largest x of (x, 0) that a 20-step bisection finds certified, if
+    (0, 0) is; then, at each of ``samples`` x values from 0 to x_max whose
+    (x, 0) is certified, the largest y is bisected the same way.
+
+    The bisections run speculatively (``_bisect_certified``): one stacked
+    dual call covers three levels of every search at once, 14 calls per
+    slice where one call per step took 21 + 21 * samples, and the points
+    are the same floats."""
     if model.M != 3 or len(fixed) != 1:
         raise UnsupportedDimension("fixed-length slices cover M=3 with one fixed axis")
     k, v, i, j = _slice_axes(fixed)
     dual = _dual_for(model, beta_sources, options or TuncelOptions())
     Q = dual.Q
-
-    def feasible(x: float, y: float) -> bool:
-        e = np.zeros(3)
-        e[k], e[i], e[j] = v, x, y
-        # Per-truth exponents: demanding e_m of every declared hypothesis is
-        # the easiest tuple consistent with a per-truth floor of e_m.
-        return dual.bounds(np.tile(e, (3, 1)))[0] >= 0.0
-
     top = max(kl(Q[a][jj], Q[b][jj]) for a in range(3) for b in range(3)
               for jj in range(model.n) if a != b) * model.n
 
-    def largest(pred) -> float:
-        lo, hi = 0.0, top
-        for _ in range(20):
-            mid = (lo + hi) / 2
-            lo, hi = (mid, hi) if pred(mid) else (lo, mid)
-        return lo
+    def certified(points) -> list[bool]:
+        # Per-truth exponents: demanding e_m of every declared hypothesis is
+        # the easiest tuple consistent with a per-truth floor of e_m.
+        e = np.empty((len(points), 3))
+        e[:, k] = v
+        e[:, [i, j]] = points
+        return (dual.bounds(np.repeat(e[:, None, :], 3, axis=1))[0] >= 0.0).tolist()
 
-    if not feasible(0.0, 0.0):
+    x_max, = _bisect_certified(certified, [((0.0, 0.0), lambda x: (x, 0.0))], top)
+    if x_max is None:
         return SlicePolyline((i, j), np.zeros((0, 2)))
-    x_max = largest(lambda x: feasible(x, 0.0))
-    pts = [(x, largest(lambda y: feasible(x, y)))
-           for x in np.linspace(0.0, x_max, samples).tolist() if feasible(x, 0.0)]
-    return SlicePolyline((i, j), np.array(pts))
+    xs = np.linspace(0.0, x_max, samples).tolist()
+    ys = _bisect_certified(certified, [((x, 0.0), lambda y, x=x: (x, y)) for x in xs], top)
+    return SlicePolyline((i, j), np.array([(x, y) for x, y in zip(xs, ys) if y is not None]))

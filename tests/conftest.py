@@ -8,12 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aseq.errors import InfeasiblePolytope
+from aseq.divergence import kl
+from aseq.errors import InfeasiblePolytope, UnsupportedDimension
 from aseq.linprog import _TOL, LpResult
 from aseq.model import (ActionSpace, AvailabilityDist, BudgetSpec, Instance,
                         JointModel, omega, selection_matrix)
 from aseq.modelio import instance_from_dict, load_instance
-from aseq.region import VERTEX_TOL, _simplex_grid, _tuncel_objective, _unique_rows
+from aseq.region import (VERTEX_TOL, SlicePolyline, TuncelOptions, _dual_for, _simplex_grid,
+                         _slice_axes, _unique_rows)
 
 MODEL_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -506,6 +508,112 @@ def reference_nonadaptive_slice(inst: Instance, table, k: int, v: float,
 
 
 # ------------------------------------------------- fixed-length search oracle
+
+def _tuncel_objective(P: list[np.ndarray], Q, betas: np.ndarray,
+                      targets: np.ndarray) -> tuple[float, int, int]:
+    """Worst-case slack of one auxiliary product distribution, the slow path
+    kept as the test oracle of ``_TuncelDual.bounds``' upper bound.
+
+    ``targets[t, m]`` is the exponent demanded of declared t against truth m.
+    A sample type P is assigned to the declared hypothesis that tolerates it
+    best: for candidate t, the margin is the worst over truths m of
+    (sum_j beta_j KL(P_j || Q_m_j)) - targets[t, m]. Returns the best margin
+    and the active (declared, truth) pair.
+    """
+    h = np.array([sum(b * kl(p, q) for b, p, q in zip(betas, P, Q_m)) for Q_m in Q])
+    slack = h[None, :] - targets
+    np.fill_diagonal(slack, np.inf)
+    worst_m = np.argmin(slack, axis=1)
+    best_t = int(np.argmax(slack[np.arange(len(Q)), worst_m]))
+    return float(slack[best_t, worst_m[best_t]]), best_t, int(worst_m[best_t])
+
+
+def reference_bounds(dual, e: np.ndarray) -> tuple[float, float, tuple[np.ndarray, ...]]:
+    """The one-target ``_TuncelDual.bounds`` that the stacked one replaced:
+    (lower, upper, witness) for the target matrix e, the witness the tilt of
+    least slack seen and upper its slack. A grid scan for every f at once,
+    then, until lower >= 0 or a tilt's slack below -1e-9 settles the
+    verdict, damped Newton steps on each f with g_f < 0 and an open duality
+    gap."""
+    eps = np.where(dual.assign, e[None], np.inf).min(axis=1)  # eps_f, inf off image
+    eps0 = np.where(dual.image, eps, 0.0)
+    e_off = np.where(np.eye(len(e), dtype=bool), -np.inf, e)
+
+    def at(rows, mu):
+        c, h, p = dual._tilt(mu)
+        g = c - np.sum(mu * eps0[rows], axis=1)
+        return g, np.where(dual.image[rows], h - eps[rows], -np.inf), h, p
+
+    def objective(h):
+        return np.min(h[:, None, :] - e_off, axis=2).max(axis=1)
+
+    rows = np.arange(len(eps))
+    g_grid = np.where(dual.off_grid, -np.inf, dual.c_grid - eps0 @ dual.grid.T)
+    mu = dual.grid[np.argmax(g_grid, axis=1)]
+    g, slack, h, p = at(rows, mu)
+    obj = objective(h)
+    # A copy: the view the package took here let a later Newton step on this
+    # row replace the witness by a tilt whose slack is not upper.
+    best_obj, best_p = obj.min(), p[np.argmin(obj)].copy()
+    damp = np.ones(len(rows))
+    for _ in range(dual.iters):
+        if g.min() >= 0 or best_obj < -1e-9:
+            break
+        act = rows[(g < 0) & (damp > 1e-9) & (slack.max(axis=1) - g > 1e-13)]
+        if not act.size:
+            break
+        free = dual.image[act] & ((mu[act] > 0) | (slack[act] > g[act, None]))
+        step = dual._newton(p[act], slack[act], free)
+        cand = np.maximum(mu[act] + damp[act, None] * step, 0.0) * dual.image[act]
+        cand /= cand.sum(axis=1, keepdims=True)
+        g2, slack2, h2, p2 = at(act, cand)
+        obj2 = objective(h2)
+        if obj2.min() < best_obj:
+            best_obj, best_p = obj2.min(), p2[np.argmin(obj2)]
+        up = g2 > g[act]
+        better = act[up]
+        mu[better], g[better], slack[better], p[better] = cand[up], g2[up], slack2[up], p2[up]
+        damp[act] = np.where(up, 1.0, damp[act] / 4)
+    return (float(g.min()), float(best_obj),
+            tuple(best_p[j, :k].copy() for j, k in enumerate(dual.sizes)))
+
+
+def reference_tuncel_slice(model: JointModel, beta_sources: np.ndarray,
+                           fixed: dict[int, float], samples: int = 17,
+                           options: TuncelOptions | None = None) -> SlicePolyline:
+    """The sequential ``region.tuncel_slice`` that the speculative one
+    replaced: one ``reference_bounds`` call per bisection step, 20 steps for
+    x_max and for each x's largest y."""
+    if model.M != 3 or len(fixed) != 1:
+        raise UnsupportedDimension("fixed-length slices cover M=3 with one fixed axis")
+    k, v, i, j = _slice_axes(fixed)
+    dual = _dual_for(model, beta_sources, options or TuncelOptions())
+    Q = dual.Q
+
+    def feasible(x: float, y: float) -> bool:
+        e = np.zeros(3)
+        e[k], e[i], e[j] = v, x, y
+        # Per-truth exponents: demanding e_m of every declared hypothesis is
+        # the easiest tuple consistent with a per-truth floor of e_m.
+        return reference_bounds(dual, np.tile(e, (3, 1)))[0] >= 0.0
+
+    top = max(kl(Q[a][jj], Q[b][jj]) for a in range(3) for b in range(3)
+              for jj in range(model.n) if a != b) * model.n
+
+    def largest(pred) -> float:
+        lo, hi = 0.0, top
+        for _ in range(20):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if pred(mid) else (lo, mid)
+        return lo
+
+    if not feasible(0.0, 0.0):
+        return SlicePolyline((i, j), np.zeros((0, 2)))
+    x_max = largest(lambda x: feasible(x, 0.0))
+    pts = [(x, largest(lambda y: feasible(x, y)))
+           for x in np.linspace(0.0, x_max, samples).tolist() if feasible(x, 0.0)]
+    return SlicePolyline((i, j), np.array(pts))
+
 
 @dataclass(frozen=True)
 class ReferenceTuncelOptions:

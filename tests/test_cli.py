@@ -198,7 +198,8 @@ def test_exponents_from_csv(tmp_path, capsys):
     ("T,truth,count\n5.0,0,3\n", "declared column"),
     ("T,truth,declared,count\n5.0,0,0,7\n5.0,0,1\n", "line 3"),
     ("T,truth,declared,count\n5.0,0,-1,3\n", "line 2"),
-], ids=["no_declared_column", "short_row", "negative_declared"])
+    ("T,truth,declared,count\n5.0,0,0,7\n5.0,0,1,3\n5.0,0,2,1\n5.0,4,0,1\n", "line 5"),
+], ids=["no_declared_column", "short_row", "negative_declared", "truth_past_rows"])
 def test_exponents_bad_results_exit_1(tmp_path, capsys, text, where):
     """A results CSV without a needed column, with a short row or with a
     negative hypothesis index is refused in one line that names the column
@@ -210,6 +211,21 @@ def test_exponents_bad_results_exit_1(tmp_path, capsys, text, where):
     err = captured.err.strip()
     assert captured.out == "" and len(err.splitlines()) == 1
     assert err.startswith("error: ") and where in err
+    assert not out.exists()
+
+
+def test_exponents_huge_declared_exit_1_fast(tmp_path, capsys):
+    """A declared index of three million in a three-row file is refused at
+    its line within a second; taken as M, it built count lists of three
+    million entries per cell and ran past 20 s."""
+    runs, out = tmp_path / "runs.csv", tmp_path / "fits.json"
+    runs.write_text("T,truth,declared,count\n5.0,0,0,7\n5.0,0,1,3\n5.0,0,3000000,1\n",
+                    encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["exponents", "--in", str(runs), "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "line 4" in err
     assert not out.exists()
 
 

@@ -19,15 +19,16 @@ from aseq.region import (ConstraintPolytope, TuncelOptions, build_polytope, cher
                          individual_hypothesis_region_slice, membership,
                          nonadaptive_feasibility, nonadaptive_membership, nonadaptive_slice,
                          region_polytope, source_marginals, tuncel_membership, tuncel_slice)
-from aseq.region import (_LOG_ZERO, _TuncelDual, _corner_lp_contains, _dual_for,
-                         _first_of_each, _full_rank, _logsumexp, _staircase_2d,
-                         _tuncel_objective, _unique_rows)
+from aseq.region import (_BISECT_STEPS, _LOG_ZERO, _SPECULATE, _TuncelDual,
+                         _corner_lp_contains, _dual_for, _first_of_each, _full_rank,
+                         _logsumexp, _staircase_2d, _unique_rows)
 
-from conftest import (ReferenceTuncelEvaluator, ReferenceTuncelOptions, criterion3_tuples,
-                      grid_betas, make_instance, oracle_max_margin, oracle_slice_support,
-                      random_instance, reference_active_set_vertices,
-                      reference_enumerate_vertices, reference_first_of_each,
-                      reference_nonadaptive_slice, reference_staircase_2d, two_set_instance)
+from conftest import (ReferenceTuncelEvaluator, ReferenceTuncelOptions, _tuncel_objective,
+                      criterion3_tuples, grid_betas, make_instance, oracle_max_margin,
+                      oracle_slice_support, random_instance, reference_active_set_vertices,
+                      reference_bounds, reference_enumerate_vertices, reference_first_of_each,
+                      reference_nonadaptive_slice, reference_staircase_2d,
+                      reference_tuncel_slice, two_set_instance)
 from test_model import P01, P02, P11, P12, P21, P22
 
 
@@ -738,6 +739,105 @@ def test_tuncel_slice_points_certified_in(example):
         assert tuncel_membership(e, inst.model, beta).status == "in"
         if min(x, y) > 0:
             assert nonadaptive_membership(e, table, poly)
+
+
+def _same_bounds(stacked, k, one):
+    lower, upper, witness = stacked
+    assert (lower[k], upper[k]) == one[:2]
+    assert all(np.array_equal(w[k], r) for w, r in zip(witness, one[2]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), M=st.sampled_from([2, 3, 4]), n=st.integers(1, 3),
+       K=st.integers(1, 12), iters=st.sampled_from([0, 1, 3, 400]),
+       grid_step=st.sampled_from([0.05, 0.25, 0.5]))
+@hypothesis.example(seed=0, M=3, n=2, K=1, iters=400, grid_step=0.05)
+@hypothesis.example(seed=1, M=2, n=3, K=12, iters=80, grid_step=0.05)
+def test_tuncel_stacked_bounds_match_reference(seed, M, n, K, iters, grid_step):
+    """A stack of targets gets, target by target, the lower, upper and
+    witness of a one-target reference_bounds call, bit for bit: the zero
+    target ("in"), scaled corners in and out of the region, repeated
+    targets, and Newton caps from none to the default. With M = 2 each
+    target has one row, so a stack puts rows of many targets into one
+    product with the proportions; the second example fails when that
+    product is taken over the whole stack at once."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(2, 5, size=n)
+    Q = [[rng.dirichlet(np.ones(k)) for k in sizes] for _ in range(M)]
+    beta = rng.dirichlet(np.ones(n))
+    corner = np.array([[sum(b * kl(p, q) for b, p, q in zip(beta, Q[m], Q[t]))
+                        for t in range(M)] for m in range(M)])
+    distinct = corner * rng.uniform(0.0, 1.5, size=(K, M, M))
+    distinct[0] = 0.0
+    E = distinct[rng.integers(0, K, size=K)]
+    for e in E:
+        np.fill_diagonal(e, 0.0)
+    dual = _TuncelDual(Q, beta, TuncelOptions(grid_step=grid_step, descent_iters=iters))
+    stacked = dual.bounds(E)
+    for k, e in enumerate(E):
+        _same_bounds(stacked, k, reference_bounds(dual, e))
+        _same_bounds(stacked, k, dual.bounds(e))
+
+
+@pytest.mark.parametrize("grid_step, iters", [(0.5, 1), (0.5, 2), (0.1, 1)])
+def test_tuncel_stacked_bounds_criterion3(example, c3_tuples, grid_step, iters):
+    """Criterion 3's 1000 queries and their first 100 again, in one stack,
+    match one reference_bounds call each bit for bit. The stack holds "in",
+    "out" and unresolved verdicts, and the Newton cap binds for some
+    targets and not for others (one more step changes some of them)."""
+    Q = source_marginals(example[0].model)
+    beta = np.array([0.5, 0.5])
+    E = np.array(c3_tuples + c3_tuples[:100])
+    dual = _TuncelDual(Q, beta, TuncelOptions(grid_step=grid_step, descent_iters=iters))
+    stacked = dual.bounds(E)
+    refs = [reference_bounds(dual, e) for e in E]
+    for k, ref in enumerate(refs):
+        _same_bounds(stacked, k, ref)
+    lower, upper, _ = stacked
+    status = np.where(lower >= 0, "in", np.where(upper < -1e-9, "out", "unresolved"))
+    assert {"in", "out", "unresolved"} <= set(status.tolist())
+    longer = _TuncelDual(Q, beta, TuncelOptions(grid_step=grid_step, descent_iters=iters + 1))
+    moved = [reference_bounds(longer, e)[:2] != ref[:2] for e, ref in zip(E, refs)]
+    assert any(moved) and not all(moved)
+
+
+def test_tuncel_witness_attains_upper():
+    """The witness is the tilt whose slack is upper. The one-target bounds
+    kept a view of its grid row, and on this two-hypothesis model a later
+    Newton step on that row left a witness of slack 0.154 against an upper
+    of 0.066."""
+    Q = [[q / q.sum()] for q in (np.array([0.338, 0.004, 0.101, 0.558]),
+                                 np.array([0.34, 0.146, 0.071, 0.442]))]
+    beta, e = np.array([1.0]), np.array([[0.0, 0.0204], [0.113, 0.0]])
+    dual = _TuncelDual(Q, beta, TuncelOptions(grid_step=0.5, descent_iters=3))
+    for lower, upper, witness in (dual.bounds(e), reference_bounds(dual, e)):
+        assert lower <= upper
+        assert abs(upper - _tuncel_objective(list(witness), Q, beta, e)[0]) <= 1e-12
+
+
+_SLICE_CASES = [({2: 0.3}, 17), ({2: 0.3}, 2), ({0: 0.1}, 5), ({0: 0.1}, 1),
+                ({1: 0.2}, 2), ({1: 0.2}, 17), ({2: 5.0}, 17), ({2: 5.0}, 1)]
+
+
+@pytest.mark.parametrize("case", range(len(_SLICE_CASES)))
+def test_tuncel_slice_matches_sequential_reference(example, monkeypatch, case):
+    """The speculative slice returns the sequential bisection's points bit
+    for bit, at e0, e1 and e2 fixed (e2 = 5 leaves the slice empty), both
+    proportions, default and coarse options and 1 to 17 samples, in one
+    dual call per _SPECULATE levels of every search at once."""
+    fixed, samples = _SLICE_CASES[case]
+    beta = [np.array([0.5, 0.5]), np.array([0.2, 0.8])][case % 2]
+    options = [None, TuncelOptions(grid_step=0.25, descent_starts=2, descent_iters=10)][case // 2 % 2]
+    model = example[0].model
+    ref = reference_tuncel_slice(model, beta, fixed, samples, options)
+    calls = []
+    stacked = _TuncelDual.bounds
+    monkeypatch.setattr(_TuncelDual, "bounds", lambda dual, e: calls.append(e) or stacked(dual, e))
+    got = tuncel_slice(model, beta, fixed, samples, options)
+    assert got.axes == ref.axes
+    assert got.points.shape == ref.points.shape and got.points.tobytes() == ref.points.tobytes()
+    per_search = -(-_BISECT_STEPS // _SPECULATE)
+    assert len(calls) == (1 if len(ref.points) == 0 else 2 * per_search)
 
 
 # -------------------------------------------------------------------- slices
