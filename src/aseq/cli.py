@@ -42,14 +42,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _seed(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return seed
+def _int_at_least(low: int, what: str):
+    """An argparse type for integers >= low; the parser refuses any other
+    value in one line naming the option."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
 
 
 def _load(path: str):
@@ -259,13 +263,7 @@ def cmd_exponents(args) -> int:
     M = 1 + max(m for counts in cells.values() for m in counts)
     counts = {key: [c.get(m, 0) for m in range(M)] for key, c in cells.items()}
     fits = sim._fit_counts(counts, M, sorted({truth for _, truth in cells}), args.ci)
-
-    def null_nan(v: float) -> float | None:
-        return None if math.isnan(v) else v
-
-    text = json.dumps([{"declared": f.declared, "truth": f.truth, "kind": f.kind,
-                        "slope": null_nan(f.slope), "stderr": null_nan(f.stderr),
-                        "n_points": f.n_points} for f in fits.values()], indent=2) + "\n"
+    text = json.dumps([f.as_json() for f in fits.values()], indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -303,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--beta", default="auto", help="'auto' or a frequency file")
     s.add_argument("--truth", default="all")
     s.add_argument("--trials", type=int, required=True)
-    s.add_argument("--seed", type=_seed, default=0)
-    s.add_argument("--max-steps", type=int, default=None)
+    s.add_argument("--seed", type=_int_at_least(0, "a non-negative integer"), default=0)
+    s.add_argument("--max-steps", type=_int_at_least(1, "a positive integer"), default=None)
     s.add_argument("--epsilon", type=float, default=None,
                    help="exploration probability override (0 disables exploration "
                         "and forfeits the finite-budget regime guarantee)")

@@ -216,7 +216,7 @@ def in_constraint_set(beta: np.ndarray, avail: AvailabilityDist, actions: Action
     """
     if beta.shape != (actions.size, len(avail.sets)):
         raise ValueError("beta shape must be (n_actions, n_sets)")
-    if np.any(beta < -AFFINE_TOL):
+    if not np.all(beta >= -AFFINE_TOL):  # a NaN entry fails too
         return False
     if np.any(np.abs(beta.sum(axis=0) - avail.probs) > AFFINE_TOL):
         return False

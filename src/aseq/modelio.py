@@ -178,7 +178,7 @@ def load_betas(path: str | Path, inst: Instance) -> list[np.ndarray]:
     shape = (inst.actions.size, len(inst.avail.sets))
     out = []
     for i, b in enumerate(raw):
-        arr = np.asarray(b, dtype=float)
+        arr = _as_array(b, f"$[{i}]")
         if arr.shape != shape:
             raise ModelFormatError(f"$[{i}]: matrix must have shape {shape}")
         out.append(arr)

@@ -397,6 +397,17 @@ def chernoff_region(table: DivergenceTable) -> ExponentRegion:
     return compute_region(table, poly)
 
 
+def _lifted(poly: ConstraintPolytope, rows: np.ndarray, lift: np.ndarray, rhs: np.ndarray):
+    """(A_eq, b_eq, A_ub, b_ub) of an LP over (beta, z), z being
+    ``lift.shape[1]`` extra variables: beta in the polytope, and
+    -rows.beta + lift.z <= rhs in the rows after the budgets'."""
+    extra = lift.shape[1]
+    A_eq = np.hstack([poly.eq_matrix, np.zeros((len(poly.eq_rhs), extra))])
+    A_ub = np.vstack([np.hstack([poly.budget_matrix, np.zeros((len(poly.budget_rhs), extra))]),
+                      np.hstack([-rows, lift])])
+    return A_eq, poly.eq_rhs, A_ub, np.concatenate([poly.budget_rhs, rhs])
+
+
 def nonadaptive_feasibility(exponents: np.ndarray, table: DivergenceTable,
                             poly: ConstraintPolytope) -> LpResult:
     """Feasibility LP for a single shared selection frequency achieving every
@@ -404,9 +415,7 @@ def nonadaptive_feasibility(exponents: np.ndarray, table: DivergenceTable,
     e = _as_matrix(exponents, table.M)
     pairs, rows = table.pair_rows()
     targets = np.array([e[m, t] for m, t in pairs])
-    A_ub = np.vstack([poly.budget_matrix, -rows])
-    b_ub = np.concatenate([poly.budget_rhs, -targets])
-    return lp_feasible(poly.eq_matrix, poly.eq_rhs, A_ub, b_ub, poly.dim)
+    return lp_feasible(*_lifted(poly, rows, np.zeros((len(rows), 0)), -targets), poly.dim)
 
 
 def nonadaptive_membership(exponents: np.ndarray, table: DivergenceTable,
@@ -424,22 +433,12 @@ def decision_risk_exponents(table: DivergenceTable, poly: ConstraintPolytope
     d = poly.dim
     gammas = np.zeros(table.M)
     argmax: list[np.ndarray] = []
+    c = np.zeros(d + 1)
+    c[-1] = 1.0
     for m in range(table.M):
-        thetas = [t for t in range(table.M) if t != m]
-        c = np.zeros(d + 1)
-        c[-1] = 1.0
-        A_eq = np.hstack([poly.eq_matrix, np.zeros((poly.eq_matrix.shape[0], 1))])
-        rows = []
-        for t in thetas:
-            r = np.zeros(d + 1)
-            r[:d] = -table.pair_matrix(m, t).reshape(-1)
-            r[-1] = 1.0
-            rows.append(r)
-        A_ub = np.vstack([np.hstack([poly.budget_matrix,
-                                     np.zeros((poly.budget_matrix.shape[0], 1))]),
-                          np.array(rows)])
-        b_ub = np.concatenate([poly.budget_rhs, np.zeros(len(thetas))])
-        res = solve_lp(c, A_eq, poly.eq_rhs, A_ub, b_ub)
+        rows = np.stack([table.pair_matrix(m, t).reshape(-1)
+                         for t in range(table.M) if t != m])
+        res = solve_lp(c, *_lifted(poly, rows, np.ones((len(rows), 1)), np.zeros(len(rows))))
         if res.status != "optimal":
             raise RuntimeError(f"risk-exponent LP unexpectedly {res.status}")
         gammas[m] = res.objective
@@ -571,30 +570,18 @@ class _TuncelDual:
         self.identity = np.eye(M)
         self.diagonal = self.identity == 1
 
-    def _tilt(self, mu: np.ndarray, blocks: list[np.ndarray] | None = None):
+    def _tilt(self, mu: np.ndarray):
         """sum_j beta_j c_j(mu), h_m of the tilted P, and P, for each row of
-        mu; ``blocks`` groups the rows of a stack by target (None: one
-        target), as ``_weigh`` takes them."""
+        mu. Every reduction runs row by row, outside BLAS (whose gemv rounds
+        a row differently with the number of rows beside it), so a row's
+        values do not depend on the rows stacked with it."""
         logits = np.einsum("rm,jmk->rjk", mu, self.logQ)
         lse = _logsumexp(logits)
         logp = logits - lse[..., None]
         p = np.exp(logp)
-        h = self._weigh((p * logp).sum(axis=-1), blocks)[:, None] \
+        h = np.einsum("rj,j->r", (p * logp).sum(axis=-1), self.betas)[:, None] \
             - np.einsum("rjk,jmk,j->rm", p, self.logQ, self.betas)
-        return self._weigh(-lse, blocks), h, p
-
-    def _weigh(self, a: np.ndarray, blocks: list[np.ndarray] | None) -> np.ndarray:
-        """a @ betas, one target's rows at a time: BLAS's gemv rounds a row
-        differently with the number of rows beside it, so each target's rows
-        go in as in a call on that target alone. Each block holds the row
-        indices of the targets with one row count, a target per block row,
-        and goes through one stacked product."""
-        if blocks is None:
-            return a @ self.betas
-        out = np.empty(len(a))
-        for rows in blocks:
-            out[rows] = a[rows] @ self.betas
-        return out
+        return np.einsum("rj,j->r", -lse, self.betas), h, p
 
     def _newton(self, p, slack, free):
         """Maximiser of g_f's quadratic model on the free coordinates of the
@@ -622,9 +609,10 @@ class _TuncelDual:
         g_f < 0 and an open duality gap, until lower >= 0 or a tilt's slack
         below -1e-9 settles the target's verdict. Each target's rows take the
         steps of a call on that target alone: a settled target's rows leave
-        the active ones, every target has ``descent_iters`` steps, and each
-        matrix product sees one target's rows. A single (M, M) target is a
-        stack of one and gets floats and 1-D witness arrays."""
+        the active ones, every target has ``descent_iters`` steps, and
+        ``_tilt`` computes each row without regard to the rows beside it. A
+        single (M, M) target is a stack of one and gets floats and 1-D
+        witness arrays."""
         if e.ndim == 2:
             lower, upper, p = self._bounds(e[None])
             return (float(lower[0]), float(upper[0]),
@@ -640,14 +628,8 @@ class _TuncelDual:
         eps, eps0 = eps.reshape(K * F, M), eps0.reshape(K * F, M)
         e_off = np.where(self.diagonal, -np.inf, e)
 
-        def at(rows, mu, sizes):
-            # sizes: each target's count of the rows (target-major)
-            blocks = None
-            if K > 1:
-                starts = np.cumsum(sizes) - sizes
-                blocks = [starts[sizes == size][:, None] + np.arange(size)
-                          for size in set(sizes.tolist()) - {0}]
-            c, h, p = self._tilt(mu, blocks)
+        def at(rows, mu):
+            c, h, p = self._tilt(mu)
             # h - eps is -inf off f's image, where eps is inf and h finite
             return c - np.sum(mu * eps0[rows], axis=1), h - eps[rows], h, p
 
@@ -657,7 +639,7 @@ class _TuncelDual:
         rows = np.arange(K * F)
         offsets = rows[::F]  # each target's first row
         mu = self.grid[np.argmax(g_grid, axis=2).reshape(-1)]
-        g, slack, h, p = at(rows, mu, np.full(K, F))
+        g, slack, h, p = at(rows, mu)
         obj = objective(h.reshape(K, F, M), e_off[:, None])
         best_obj, best_p = obj.min(axis=1), p[obj.argmin(axis=1) + offsets]
         damp = np.ones(K * F)
@@ -677,7 +659,7 @@ class _TuncelDual:
             step = self._newton(p[act], slack_a, free)
             cand = np.maximum(mu_a + damp_a[:, None] * step, 0.0) * image
             cand /= cand.sum(axis=1, keepdims=True)
-            g2, slack2, h2, p2 = at(act, cand, np.bincount(target, minlength=K))
+            g2, slack2, h2, p2 = at(act, cand)
             # each target's least new slack, the first of its active rows on ties
             seen = np.full(K * F, np.inf)
             seen[act] = objective(h2, e_off[target])
@@ -841,15 +823,12 @@ def nonadaptive_slice(table: DivergenceTable, poly: ConstraintPolytope,
     pairs, rows = table.pair_rows()
     truth = np.array([t for _, t in pairs])
     lift = np.stack([truth == i, truth == j], axis=1).astype(float)
-    A_eq = np.hstack([poly.eq_matrix, np.zeros((len(poly.eq_rhs), 2))])
-    A_ub = np.vstack([np.hstack([poly.budget_matrix, np.zeros((len(poly.budget_rhs), 2))]),
-                      np.hstack([-rows, lift])])
-    b_ub = np.concatenate([poly.budget_rhs, np.where(truth == k, -v, 0.0)])
-    if lp_feasible(A_eq, poly.eq_rhs, A_ub, b_ub, poly.dim + 2).status != "optimal":
+    lp = _lifted(poly, rows, lift, np.where(truth == k, -v, 0.0))
+    if lp_feasible(*lp, poly.dim + 2).status != "optimal":
         return SlicePolyline((i, j), np.zeros((0, 2)))
 
     def best(w: np.ndarray) -> np.ndarray:
-        res = solve_lp(np.concatenate([np.zeros(poly.dim), w]), A_eq, poly.eq_rhs, A_ub, b_ub)
+        res = solve_lp(np.concatenate([np.zeros(poly.dim), w]), *lp)
         if res.status != "optimal":
             raise RuntimeError(f"slice LP unexpectedly {res.status}")
         return res.x[poly.dim:]

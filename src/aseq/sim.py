@@ -57,6 +57,8 @@ class ExperimentConfig:
             raise ValueError(f"trials must lie in 1..2**32, got {self.trials!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ValueError(f"max_steps must be at least 1, got {self.max_steps!r}")
         if any(b >= a for a, b in zip(self.T_grid[1:], self.T_grid)):
             raise ValueError("T grid must be strictly increasing")
         if not 0.0 < self.ci_level < 1.0:
@@ -319,6 +321,16 @@ class FitEntry:
     stderr: float
     n_points: int
 
+    def as_json(self) -> dict:
+        """The fit as a JSON-ready dict, with null for a NaN slope or stderr."""
+        return {"declared": self.declared, "truth": self.truth, "kind": self.kind,
+                "slope": _null_nan(self.slope), "stderr": _null_nan(self.stderr),
+                "n_points": self.n_points}
+
+
+def _null_nan(v: float) -> float | None:
+    return None if math.isnan(v) else v
+
 
 def fit_exponents(report: ExperimentReport) -> dict[tuple[int, int], FitEntry]:
     """Least-squares decay rates of -log pi_hat against T, per error type."""
@@ -444,7 +456,9 @@ def write_report_csv(report: ExperimentReport, path) -> None:
 
 
 def summary_dict(report: ExperimentReport) -> dict:
-    """JSON-ready summary: per-cell stats, fitted exponents, constraint checks."""
+    """JSON-ready summary: per-cell stats, fitted exponents, constraint checks.
+    A NaN (the mean stopping time and estimates of a cell with no valid
+    trial, a fit's missing slope or stderr) is written as null."""
     fits = fit_exponents(report)
     checks = verify_constraints(report)
     return {
@@ -454,15 +468,11 @@ def summary_dict(report: ExperimentReport) -> dict:
         "cells": [
             {"T": T, "truth": truth, "regime": cell.regime,
              "n_valid": cell.n_valid, "n_invalid": cell.n_invalid,
-             "mean_tau": cell.mean_tau,
-             "pi_hat": [cell.pi_hat(m) for m in range(report.M)]}
+             "mean_tau": _null_nan(cell.mean_tau),
+             "pi_hat": [_null_nan(cell.pi_hat(m)) for m in range(report.M)]}
             for (T, truth), cell in sorted(report.cells.items())
         ],
-        "fitted_exponents": [
-            {"declared": f.declared, "truth": f.truth, "kind": f.kind,
-             "slope": f.slope, "stderr": f.stderr, "n_points": f.n_points}
-            for f in fits.values()
-        ],
+        "fitted_exponents": [f.as_json() for f in fits.values()],
         "constraint_checks": [
             {"T": c.T, "truth": c.truth, "name": c.name, "statistic": c.statistic,
              "bound": c.bound, "ok": c.ok}

@@ -187,11 +187,33 @@ def test_exponents_from_csv(tmp_path, capsys):
     fits = json.loads(fit_out.read_text())
     assert all(f["kind"] in ("fit", "lower_bound", "insufficient") for f in fits)
     assert len(fits) == 6
-    # The file-based fit and the run's summary come from one fitter.
-    summary = json.loads((tmp_path / "runs_summary.json").read_text())
-    assert [(f["declared"], f["truth"], f["kind"], f["slope"]) for f in fits] == [
-        (f["declared"], f["truth"], f["kind"], f["slope"])
-        for f in summary["fitted_exponents"]]
+    # The file-based fit and the run's summary come from one fitter and one
+    # serializer, which writes a lower bound's missing stderr as null.
+    summary = _strict_json((tmp_path / "runs_summary.json").read_text())
+    assert fits == summary["fitted_exponents"]
+    assert any(f["stderr"] is None for f in fits)
+
+
+def _strict_json(text: str):
+    """json.loads that refuses NaN and the infinities, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_summary_writes_null_for_nan(tmp_path):
+    """A cell with no valid trial has no mean stopping time and no
+    estimates: the summary writes them as null, not as a bare NaN, while
+    the results CSV keeps its nan."""
+    out = tmp_path / "runs.csv"
+    assert main(["simulate", "--model", MODEL, "--T", "60", "--trials", "5", "--seed", "3",
+                 "--epsilon", "0", "--max-steps", "1", "--truth", "0",
+                 "--out", str(out)]) == 0
+    summary = _strict_json((tmp_path / "runs_summary.json").read_text())
+    cell, = summary["cells"]
+    assert cell["n_valid"] == 0 and cell["n_invalid"] == 5
+    assert cell["mean_tau"] is None and cell["pi_hat"] == [None, None, None]
+    assert all(row["pi_hat"] == "nan" for row in csv.DictReader(out.read_text().splitlines()))
 
 
 @pytest.mark.parametrize("text, where", [
@@ -278,6 +300,39 @@ def test_bad_seed_exits_2_at_parse_time(tmp_path, capsys, monkeypatch, seed):
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "--seed" in err and repr(seed) in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("steps", ["0", "-3", "1.5", "abc"])
+def test_bad_max_steps_exits_2_at_parse_time(tmp_path, capsys, monkeypatch, steps):
+    """A step cap below 1, which made every trial invalid and wrote a CSV of
+    nan estimates with exit 0, is refused by the parser: one line naming
+    --max-steps, before the model is loaded."""
+    monkeypatch.setattr(cli, "_load", None)  # any call would fail with exit 1
+    out = tmp_path / "runs.csv"
+    assert main(["simulate", "--model", MODEL, "--T", "5", "--trials", "10",
+                 "--out", str(out), "--max-steps", steps]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "--max-steps" in err and repr(steps) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("entry, where", [
+    ({"a": 1}, "$[0]"), ([[0.5, 0.5], [0.5]], "$[0]"), ("abc", "$[0]"), ([[0.0]], "$[0]"),
+    ([[None], [0.5], [0.5]], "hypothesis 0"),
+], ids=["object", "ragged", "string", "wrong_shape", "null"])
+def test_bad_beta_file_exits_1(tmp_path, capsys, entry, where):
+    """A frequency file whose first matrix is not a numeric table of the
+    model's shape, or holds a null (read as NaN), is refused in one line
+    naming it, and nothing is written. An object entry raised a TypeError
+    traceback, and a null entry ran and exited 0."""
+    beta, out = tmp_path / "beta.json", tmp_path / "runs.csv"
+    ok = [[0.0], [0.5], [0.5]]
+    beta.write_text(json.dumps([entry, ok, ok]), encoding="utf-8")
+    assert main(["simulate", "--model", MODEL, "--T", "5", "--trials", "10",
+                 "--out", str(out), "--beta", str(beta)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and where in err
+    assert sorted(tmp_path.iterdir()) == [beta]
 
 
 @pytest.mark.parametrize("level", ["1.5", "nan", "0", "1"])

@@ -206,6 +206,15 @@ def test_constraint_set_availability_violation(example_instance):
     assert not in_constraint_set(beta, inst.avail, inst.actions, inst.budgets)
 
 
+def test_constraint_set_refuses_nan(example_instance):
+    # Every comparison with NaN is false, so a NaN entry passed both the
+    # sign and the availability tests.
+    inst = example_instance
+    beta = _uniform_beta(inst)
+    beta[0, 0] = np.nan
+    assert not in_constraint_set(beta, inst.avail, inst.actions, inst.budgets)
+
+
 def test_constraint_set_budget_violation():
     budgets = BudgetSpec(np.array([[1.0, 1.0]]), np.array([0.5]))
     inst = make_instance(2, 2, (2, 2), pmf_rows=[[[0.6, 0.4]] * 2, [[0.3, 0.7]] * 2],

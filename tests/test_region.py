@@ -779,6 +779,27 @@ def test_tuncel_stacked_bounds_match_reference(seed, M, n, K, iters, grid_step):
         _same_bounds(stacked, k, dual.bounds(e))
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), M=st.integers(2, 4), n=st.integers(1, 4),
+       R=st.integers(1, 64))
+@hypothesis.example(seed=0, M=3, n=2, R=64)
+def test_tuncel_tilt_row_independent_of_stack(seed, M, n, R):
+    """_tilt gives each row of a stack of mu the c, h and p it gives that
+    row alone, bit for bit: interior points and points on faces of the
+    simplex, 1 to 4 sources and 1 to 64 rows."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(2, 5, size=n)
+    Q = [[rng.dirichlet(np.ones(k)) for k in sizes] for _ in range(M)]
+    dual = _TuncelDual(Q, rng.dirichlet(np.ones(n)), TuncelOptions(grid_step=0.5))
+    mu = rng.dirichlet(np.ones(M), size=R) * (rng.random((R, M)) < 0.8)
+    mu[mu.sum(axis=1) == 0, 0] = 1.0
+    mu /= mu.sum(axis=1, keepdims=True)
+    stacked = dual._tilt(mu)
+    for r in range(R):
+        for whole, alone in zip(stacked, dual._tilt(mu[r:r + 1])):
+            assert whole[r:r + 1].tobytes() == alone.tobytes()
+
+
 @pytest.mark.parametrize("grid_step, iters", [(0.5, 1), (0.5, 2), (0.1, 1)])
 def test_tuncel_stacked_bounds_criterion3(example, c3_tuples, grid_step, iters):
     """Criterion 3's 1000 queries and their first 100 again, in one stack,

@@ -42,6 +42,9 @@ def test_config_validation():
     with pytest.raises(ValueError, match=f"trials.*{2**32 + 1}"):
         ExperimentConfig(inst, (5.0,), 2**32 + 1, 0)
     ExperimentConfig(inst, (5.0,), 2**32, 2**70)  # the largest count, a many-word seed
+    for steps in (0, -3):
+        with pytest.raises(ValueError, match=f"max_steps.*{steps}"):
+            ExperimentConfig(inst, (5.0,), 100, 0, max_steps=steps)
 
 
 def test_reproducible_reports(tmp_path):
