@@ -42,18 +42,32 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _int_at_least(low: int, what: str):
-    """An argparse type for integers >= low; the parser refuses any other
-    value in one line naming the option."""
-    def parse(text: str) -> int:
+def _arg_type(convert, what: str):
+    """An argparse type from convert(text), which raises ValueError on a bad
+    value; the parser refuses that value in one line naming the option."""
+    def parse(text: str):
         try:
-            value = int(text)
+            return convert(text)
         except ValueError:
-            value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
-        return value
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
     return parse
+
+
+def _at_least(low: int):
+    def convert(text: str) -> int:
+        if (value := int(text)) < low:
+            raise ValueError(text)
+        return value
+    return convert
+
+
+def _level(text: str) -> float:
+    if not 0.0 < (value := float(text)) < 1.0:  # nan fails too
+        raise ValueError(text)
+    return value
+
+
+_CI_LEVEL = _arg_type(_level, "a confidence level strictly between 0 and 1, like 0.95")
 
 
 def _load(path: str):
@@ -119,12 +133,6 @@ def _parse_beta_sources(spec: str) -> np.ndarray:
                           f"per-source proportions, like 0.5,0.5")
 
 
-def _check_ci(level: float) -> None:
-    if not 0.0 < level < 1.0:  # nan fails too
-        raise SystemExit2(f"bad --ci {level!r}; expected a confidence level strictly "
-                          f"between 0 and 1, like 0.95")
-
-
 def cmd_region(args) -> int:
     inst = _load(args.model)
     fixed = dict([_parse_slice(args.slice, inst.model.M)]) if args.slice else None
@@ -185,17 +193,14 @@ def cmd_region(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _check_ci(args.ci)
     inst = _load(args.model)
-    T_grid = tuple(float(t) for t in args.T.split(","))
     if args.beta == "auto":
         betas = "auto"
     else:
         betas = tuple(modelio.load_betas(args.beta, inst))
-    truths = None if args.truth == "all" else (int(args.truth),)
     config = sim.ExperimentConfig(
-        instance=inst, T_grid=T_grid, trials=args.trials, seed=args.seed,
-        betas=betas, ci_level=args.ci, truths=truths, max_steps=args.max_steps,
+        instance=inst, T_grid=args.T, trials=args.trials, seed=args.seed,
+        betas=betas, ci_level=args.ci, truths=args.truth, max_steps=args.max_steps,
         epsilon=args.epsilon)
     report = sim.estimate_errors(config)
     summary_path = args.summary or (str(Path(args.out).with_suffix("")) + "_summary.json")
@@ -256,7 +261,6 @@ def _read_counts(path: str) -> dict[tuple[float, int], dict[int, int]]:
 
 
 def cmd_exponents(args) -> int:
-    _check_ci(args.ci)
     cells = _read_counts(args.infile)
     if not cells:
         raise SystemExit2("results file has no rows")
@@ -297,23 +301,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("simulate", help="Monte Carlo error estimation")
     s.add_argument("--model", required=True)
-    s.add_argument("--T", required=True, help="comma-separated budgets")
+    s.add_argument("--T", required=True, help="comma-separated budgets",
+                   type=_arg_type(lambda text: tuple(map(float, text.split(","))),
+                                  "a comma list of numbers, like 2,4,8"))
     s.add_argument("--beta", default="auto", help="'auto' or a frequency file")
-    s.add_argument("--truth", default="all")
-    s.add_argument("--trials", type=int, required=True)
-    s.add_argument("--seed", type=_int_at_least(0, "a non-negative integer"), default=0)
-    s.add_argument("--max-steps", type=_int_at_least(1, "a positive integer"), default=None)
+    s.add_argument("--truth", default="all", type=_arg_type(
+        lambda text: None if text == "all" else (_at_least(0)(text),),
+        "'all' or a non-negative integer"))
+    s.add_argument("--trials", type=_arg_type(_at_least(1), "a positive integer"), required=True)
+    s.add_argument("--seed", type=_arg_type(_at_least(0), "a non-negative integer"), default=0)
+    s.add_argument("--max-steps", type=_arg_type(_at_least(1), "a positive integer"),
+                   default=None)
     s.add_argument("--epsilon", type=float, default=None,
                    help="exploration probability override (0 disables exploration "
                         "and forfeits the finite-budget regime guarantee)")
-    s.add_argument("--ci", type=float, default=0.95)
+    s.add_argument("--ci", type=_CI_LEVEL, default=0.95)
     s.add_argument("--out", required=True)
     s.add_argument("--summary", default=None)
     s.set_defaults(fn=cmd_simulate)
 
     e = subs.add_parser("exponents", help="fit decay rates from a results CSV")
     e.add_argument("--in", dest="infile", required=True)
-    e.add_argument("--ci", type=float, default=0.95)
+    e.add_argument("--ci", type=_CI_LEVEL, default=0.95)
     e.add_argument("--out", default=None)
     e.set_defaults(fn=cmd_exponents)
     return p

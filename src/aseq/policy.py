@@ -278,20 +278,18 @@ def build_params(T: float, inst: Instance, table: DivergenceTable, llr_bound: fl
                    offset_scale=k_val, threshold_offset=offset, thresholds=thresholds)
 
 
-def action_pmf(z: tuple[int, ...] | int, theta_hat: int, params: TestParams,
+def action_pmf(zi: int, theta_hat: int, params: TestParams,
                inst: Instance) -> np.ndarray:
-    """Conditional action distribution given the available set and the MLE.
+    """Conditional action distribution given the available set (its index
+    ``zi``) and the MLE.
 
     Nonempty actions get the exploitation share of the MLE's frequencies plus
     the uniform exploration share (restricted to the exploration support); the
-    empty action absorbs the remainder. ``z`` may be the availability-set
-    index or the set itself. Output is ordered like the action space.
+    empty action absorbs the remainder. Output is ordered like the action space.
     """
     if params.regime != 2:
         raise ValueError("action distribution is defined in the adaptive regime only")
     b = params.betas[theta_hat]
-    zi = int(z) if isinstance(z, (int, np.integer)) else \
-        inst.avail.sets.index(tuple(sorted(z)))
     alpha = float(inst.avail.probs[zi])
     eps = params.explore_prob
     pmf = (1.0 - eps) * b[:, zi] / alpha
@@ -319,19 +317,22 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class TrialKernel:
-    """What every trial under one (params, truth) reads, as Python lists.
+    """What every trial under one (params, truth) reads, as Python lists: a
+    trial's only input besides its generator.
 
-    ``z_cdf`` is the availability CDF and ``act_cdfs[theta_hat][zi]`` the
-    action CDF given the estimate and the available set. ``obs[ai][zi]`` is
-    None when action ai selects no source of set zi; otherwise it holds the
+    ``n_sources`` is the model's source count, the length of a trial's source
+    counts. ``z_cdf`` is the availability CDF and ``act_cdfs[theta_hat][zi]``
+    the action CDF given the estimate and the available set. ``obs[ai][zi]``
+    is None when action ai selects no source of set zi; otherwise it holds the
     truth's sampling CDF over the symbols of the selected sub-alphabet that
     the truth gives positive mass, the increment lam[t] - lam[m] of S for
     each of them, and the selected source indices.
-    Empty in regime 1, whose trials read nothing.
+    The tables are empty in regime 1, whose trials read only the source count.
     """
 
     params: TestParams
     truth: int
+    n_sources: int
     z_cdf: list[float]
     act_cdfs: list[list[list[float]]]
     obs: list[list[tuple | None]]
@@ -342,7 +343,7 @@ class TrialKernel:
         model = inst.model
         n_z = len(inst.avail.sets)
         if params.regime != 2:
-            return TrialKernel(params, truth, [], [], [], [])
+            return TrialKernel(params, truth, model.n, [], [], [], [])
         act_cdfs = [[np.cumsum(action_pmf(zi, th, params, inst)).tolist()
                      for zi in range(n_z)] for th in range(model.M)]
         by_keep: dict[tuple[int, ...], tuple] = {}
@@ -364,7 +365,7 @@ class TrialKernel:
                     by_keep[keep] = (np.cumsum(flats[:, truth]).tolist(), incs,
                                      tuple(j - 1 for j in keep))
                 obs[ai][zi] = by_keep[keep]
-        return TrialKernel(params, truth, np.cumsum(inst.avail.probs).tolist(),
+        return TrialKernel(params, truth, model.n, np.cumsum(inst.avail.probs).tolist(),
                            act_cdfs, obs, params.thresholds.tolist())
 
 
@@ -378,18 +379,16 @@ def _uniforms(rng: np.random.Generator):
         yield from rng.random(_DRAW_BATCH).tolist()
 
 
-def run_trial(inst: Instance, params: TestParams, truth: int,
-              rng: np.random.Generator, max_steps: int | None = None,
-              kernel: TrialKernel | None = None) -> TrialResult:
-    """Simulate one trial under ``truth``, deterministic given the generator.
+def run_trial(kernel: TrialKernel, rng: np.random.Generator,
+              max_steps: int | None = None) -> TrialResult:
+    """Simulate one trial of ``kernel``'s (params, truth), deterministic given
+    the generator.
 
     Regime 1 stops at step one with a uniform guess and selects nothing.
     Regime 2 loops draw-availability / estimate / draw-action / sample /
-    update / check-stop, reading the tables of ``kernel`` (built here when
-    not given; pass ``TrialKernel.build(inst, params, truth)`` to share it
-    across trials). S[t][m] holds the pairwise log-likelihood ratios of t
-    against m, and each observation adds lam[t] - lam[m], so S stays
-    antisymmetric. Two rules read it:
+    update / check-stop, reading the tables of ``kernel``. S[t][m] holds the
+    pairwise log-likelihood ratios of t against m, and each observation adds
+    lam[t] - lam[m], so S stays antisymmetric. Two rules read it:
 
     - the estimate is the smallest hypothesis whose row of S is all >= 0,
       else (only for an inconsistent S) the one with the largest row sum;
@@ -402,22 +401,19 @@ def run_trial(inst: Instance, params: TestParams, truth: int,
     callers account such trials as invalid rather than fabricating a
     decision.
     """
-    model = inst.model
-    n_a, n_z = inst.actions.size, len(inst.avail.sets)
+    params = kernel.params
+    M = len(params.betas)
+    n_a, n_z = params.betas[0].shape
     if params.regime == 1:
-        return TrialResult(1, int(rng.integers(model.M)), np.zeros(model.n),
+        return TrialResult(1, int(rng.integers(M)), np.zeros(kernel.n_sources),
                            np.zeros((n_a, n_z)), 1)
     if max_steps is None:
         max_steps = int(math.ceil(200 * params.T))
-    if kernel is None:
-        kernel = TrialKernel.build(inst, params, truth)
-    elif kernel.params is not params or kernel.truth != truth:
-        raise ValueError("kernel was built for other parameters or another truth")
 
     z_cdf, act_cdfs, obs, thresholds = (kernel.z_cdf, kernel.act_cdfs, kernel.obs,
                                         kernel.thresholds)
-    S = [[0.0] * model.M for _ in range(model.M)]
-    source_counts = [0] * model.n
+    S = [[0.0] * M for _ in range(M)]
+    source_counts = [0] * kernel.n_sources
     action_counts = [[0] * n_z for _ in range(n_a)]
     draw = _uniforms(rng).__next__
     for t in range(1, max_steps + 1):

@@ -14,10 +14,11 @@ cost a third of a short trial. The words are SeedSequence's, and a test
 holds them to it bit for bit.
 
 Each (T, truth) cell is cut into chunks of trials/workers trials (workers
-from the config, else ASEQ_THREADS, else 1). A chunk builds the cell's
-TrialKernel once and calls run_trial for each of its trials. All chunks of
-the grid go to one process pool of at most min(workers, chunks, CPUs)
-processes; with one process they run in-process.
+from the config, else ASEQ_THREADS, else 1). The cell's TrialKernel is built
+once and sent to each of its chunks. A chunk calls run_trial for each of its
+trials and reduces their outcomes in one pass at its end. All chunks of the
+grid go to one process pool of at most min(workers, chunks, CPUs) processes;
+with one process they run in-process.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import numpy as np
 
 from .divergence import DivergenceTable
 from .errors import TrialBudgetExceeded
-from .model import Instance
-from .policy import TestParams, TrialKernel, build_params, run_trial
+from .model import Instance, validate_model
+from .policy import TrialKernel, build_params, run_trial
 from .region import build_polytope, decision_risk_exponents
 
 
@@ -207,34 +208,28 @@ def _generator_from_words():
     return lambda words: Generator(PCG64(SeedWords(words)))
 
 
-def _run_chunk(inst: Instance, params: TestParams, truth: int, T: float,
-               seed: int, start: int, stop: int, max_steps: int | None):
-    """Counts of trials start..stop-1 of one cell. Source counts are
-    integers, so their sums and the sum of their outer products are exact
-    and do not depend on how the trials were chunked."""
-    M, n = inst.model.M, inst.model.n
-    kernel = TrialKernel.build(inst, params, truth)
-    declared = np.zeros(M)
-    n_valid = n_invalid = 0
-    sum_tau = sum_tau2 = 0.0
-    source_totals = np.zeros(n)
-    source_outer = np.zeros((n, n))
+def _run_chunk(kernel: TrialKernel, seed: int, start: int, stop: int,
+               max_steps: int | None):
+    """Counts of trials start..stop-1 of the kernel's cell. Stopping times,
+    declared hypotheses and source counts are integers, so their sums and the
+    sum of the source counts' outer products are exact and do not depend on
+    how the trials were chunked."""
+    taus, declared, counts = [], [], []
     generator = _generator_from_words()
-    for words in _seed_words(seed, truth, T, start, stop):
-        rng = generator(words)
+    for words in _seed_words(seed, kernel.truth, kernel.params.T, start, stop):
         try:
-            res = run_trial(inst, params, truth, rng, max_steps, kernel=kernel)
+            res = run_trial(kernel, generator(words), max_steps)
         except TrialBudgetExceeded:
-            n_invalid += 1
             continue
-        n_valid += 1
-        declared[res.declared] += 1
-        sum_tau += res.stopping_time
-        sum_tau2 += res.stopping_time ** 2
-        source_totals += res.source_counts
-        if inst.budgets.size:
-            source_outer += np.outer(res.source_counts, res.source_counts)
-    return declared, n_valid, n_invalid, sum_tau, sum_tau2, source_totals, source_outer
+        taus.append(res.stopping_time)
+        declared.append(res.declared)
+        counts.append(res.source_counts)
+    n_valid = len(taus)
+    tau = np.array(taus, dtype=float)
+    S = np.array(counts, dtype=float).reshape(n_valid, kernel.n_sources)
+    declared = np.bincount(declared, minlength=len(kernel.params.betas)).astype(float)
+    return (declared, n_valid, stop - start - n_valid, float(tau.sum()), float(tau @ tau),
+            S.sum(0), S.T @ S)
 
 
 def _pool_size(workers: int, n_chunks: int, cpus: int | None) -> int:
@@ -259,8 +254,6 @@ def resolve_betas(config: ExperimentConfig, table: DivergenceTable
 def estimate_errors(config: ExperimentConfig) -> ExperimentReport:
     """Run the full grid of (T, truth) cells and aggregate counts."""
     inst = config.instance
-    from .model import validate_model
-
     report_info = validate_model(inst.model, inst.avail, inst.actions, inst.budgets)
     table = report_info.table
     betas = resolve_betas(config, table)
@@ -278,8 +271,9 @@ def estimate_errors(config: ExperimentConfig) -> ExperimentReport:
             cells[(T, truth)] = CellStats(T, truth, params.regime,
                                           declared=np.zeros(inst.model.M),
                                           source_totals=np.zeros(inst.model.n))
-            jobs += [((T, truth), (inst, params, truth, T, config.seed, s,
-                                   min(s + chunk, n), config.max_steps))
+            kernel = TrialKernel.build(inst, params, truth)
+            jobs += [((T, truth), (kernel, config.seed, s, min(s + chunk, n),
+                                   config.max_steps))
                      for s in range(0, n, chunk)]
     size = _pool_size(workers, len(jobs), os.cpu_count())
     if size > 1:

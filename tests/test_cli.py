@@ -316,6 +316,28 @@ def test_bad_max_steps_exits_2_at_parse_time(tmp_path, capsys, monkeypatch, step
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--trials", "0"), ("--trials", "-2"), ("--trials", "1.5"), ("--trials", "abc"),
+    ("--truth", "abc"), ("--truth", "-1"), ("--truth", "1.0"),
+    ("--T", "abc"), ("--T", "5,"), ("--T", "5,x"),
+])
+def test_bad_simulate_option_exits_2_at_parse_time(tmp_path, capsys, monkeypatch,
+                                                   option, value):
+    """A trial count below 1, a truth that is neither 'all' nor a
+    non-negative integer, and a budget list with a non-number are refused by
+    the parser: one line naming the option, before the model is loaded. They
+    exited 1 with a line from int(), float() or ExperimentConfig that named
+    no option."""
+    monkeypatch.setattr(cli, "_load", None)  # any call would fail with exit 1
+    out = tmp_path / "runs.csv"
+    argv = {"--T": "5", "--trials": "10", option: value}
+    assert main(["simulate", "--model", MODEL, "--out", str(out),
+                 *(f"{k}={v}" for k, v in argv.items())]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and option in err and repr(value) in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("entry, where", [
     ({"a": 1}, "$[0]"), ([[0.5, 0.5], [0.5]], "$[0]"), ("abc", "$[0]"), ([[0.0]], "$[0]"),
     ([[None], [0.5], [0.5]], "hypothesis 0"),

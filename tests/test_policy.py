@@ -216,7 +216,7 @@ def test_action_pmf_heavy_exploration(example):
     inst, table, L, betas = example
     params = forced_adaptive(build_params(50.0, inst, table, L, betas,
                                           epsilon=0.9), 50.0)
-    pmf = action_pmf((1, 2), 1, params, inst)
+    pmf = action_pmf(0, 1, params, inst)
     for ai in params.plan.support:
         assert pmf[ai] >= 0.9 * params.plan.rate / 1.0 - 1e-12
 
@@ -261,11 +261,10 @@ def _stop_after(inst, params, S):
     act_cdf = [0.0] + [1.0] * (n_a - 1)
     obs = [[None] for _ in range(n_a)]
     obs[1][0] = ([1.0], [np.asarray(S, dtype=float).tolist()], (0,))
-    kernel = TrialKernel(params, 0, [1.0], [[act_cdf]] * M, obs,
+    kernel = TrialKernel(params, 0, inst.model.n, [1.0], [[act_cdf]] * M, obs,
                          params.thresholds.tolist())
     try:
-        res = run_trial(inst, params, 0, np.random.default_rng(0), max_steps=1,
-                        kernel=kernel)
+        res = run_trial(kernel, np.random.default_rng(0), max_steps=1)
     except TrialBudgetExceeded:
         return None
     assert res.stopping_time == 1 and res.action_counts[1, 0] == 1
@@ -313,10 +312,11 @@ def test_run_trial_regime1(example):
     inst, table, L, betas = example
     params = build_params(100.0, inst, table, L, betas)
     assert params.regime == 1
+    kernel = TrialKernel.build(inst, params, 0)
     counts = np.zeros(3)
     for i in range(3000):
         rng = np.random.default_rng(i)
-        res = run_trial(inst, params, 0, rng)
+        res = run_trial(kernel, rng)
         assert res.stopping_time == 1
         assert np.all(res.source_counts == 0)
         counts[res.declared] += 1
@@ -328,10 +328,11 @@ def test_run_trial_accuracy_and_counts(example):
     T = 25.0
     params = forced_adaptive(build_params(T, inst, table, L, betas,
                                           epsilon=0.2), T)
+    kernel = TrialKernel.build(inst, params, 1)
     correct = 0
     for i in range(200):
         rng = np.random.default_rng(900 + i)
-        res = run_trial(inst, params, 1, rng)
+        res = run_trial(kernel, rng)
         correct += res.declared == 1
         # per-source counts consistent with per-combination counts
         expect = np.zeros(2)
@@ -349,8 +350,9 @@ def test_run_trial_deterministic(example):
     T = 20.0
     params = forced_adaptive(build_params(T, inst, table, L, betas,
                                           epsilon=0.2), T)
-    r1 = run_trial(inst, params, 2, np.random.default_rng(123))
-    r2 = run_trial(inst, params, 2, np.random.default_rng(123))
+    kernel = TrialKernel.build(inst, params, 2)
+    r1 = run_trial(kernel, np.random.default_rng(123))
+    r2 = run_trial(kernel, np.random.default_rng(123))
     assert r1.stopping_time == r2.stopping_time
     assert r1.declared == r2.declared
     assert np.all(r1.action_counts == r2.action_counts)
@@ -362,7 +364,7 @@ def test_run_trial_budget_cap(example):
     params = forced_adaptive(build_params(T, inst, table, L, betas,
                                           epsilon=0.2), T)
     with pytest.raises(TrialBudgetExceeded):
-        run_trial(inst, params, 0, np.random.default_rng(0), max_steps=2)
+        run_trial(TrialKernel.build(inst, params, 0), np.random.default_rng(0), max_steps=2)
 
 
 # ------------------------------------------------- trial kernel vs oracle
@@ -494,9 +496,9 @@ def _outcome(call):
        mode=st.sampled_from(["epsilon0", "explore", "regime1"]),
        T=st.sampled_from([2.0, 3.0, 5.0, 8.0, 12.0, 24.0]),
        truth=st.integers(0, 3), seed=st.integers(0, 2 ** 63 - 1),
-       max_steps=st.sampled_from([None, 1, 2, 3, 5]), share=st.booleans())
+       max_steps=st.sampled_from([None, 1, 2, 3, 5]))
 def test_run_trial_matches_reference(oracle_models, name, mode, T, truth, seed,
-                                     max_steps, share):
+                                     max_steps):
     inst, table, L, betas = oracle_models[name]
     truth %= inst.model.M
     if mode == "epsilon0":
@@ -506,24 +508,12 @@ def test_run_trial_matches_reference(oracle_models, name, mode, T, truth, seed,
     else:
         params = build_params(T, inst, table, L, betas)
     assert params.regime == (1 if mode == "regime1" else 2)
-    kernel = TrialKernel.build(inst, params, truth) if share else None
+    kernel = TrialKernel.build(inst, params, truth)
     want = _outcome(lambda: reference_run_trial(inst, table, params, truth,
                                                 np.random.default_rng(seed), max_steps))
-    got = _outcome(lambda: run_trial(inst, params, truth, np.random.default_rng(seed),
-                                     max_steps, kernel=kernel))
+    got = _outcome(lambda: run_trial(kernel, np.random.default_rng(seed), max_steps))
     event(f"{mode}: {want[0]}")
     assert got == want
-
-
-def test_run_trial_rejects_foreign_kernel(example):
-    inst, table, L, betas = example
-    params = build_params(6.0, inst, table, L, betas, epsilon=0.0)
-    kernel = TrialKernel.build(inst, params, 0)
-    with pytest.raises(ValueError):
-        run_trial(inst, params, 1, np.random.default_rng(0), kernel=kernel)
-    other = build_params(6.0, inst, table, L, betas, epsilon=0.0)
-    with pytest.raises(ValueError):
-        run_trial(inst, other, 0, np.random.default_rng(0), kernel=kernel)
 
 
 # --------------------------------------------------- stochastic invariants
@@ -562,10 +552,11 @@ def test_budget_supermartingale(example_instance):
     T = 25.0
     params = forced_adaptive(build_params(T, inst, table, rep.llr_bound, betas,
                                           epsilon=0.2), T)
+    kernels = [TrialKernel.build(inst, params, truth) for truth in range(3)]
     drifts = []
     for i in range(4000):
         rng = np.random.default_rng(50_000 + i)
-        res = run_trial(inst, params, i % 3, rng)
+        res = run_trial(kernels[i % 3], rng)
         cost = float(res.source_counts.sum())
         drifts.append(cost - 0.8 * res.stopping_time)
     drifts = np.array(drifts)

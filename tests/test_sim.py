@@ -291,7 +291,8 @@ def test_seed_words_match_seed_sequence(master, truth, T, start, width):
 
 
 def reference_chunk(inst, params, truth, T, seed, start, stop, max_steps):
-    """_run_chunk's aggregates from one reference_trial_seed per trial."""
+    """_run_chunk's aggregates from one reference_trial_seed per trial,
+    accumulated trial by trial."""
     kernel = TrialKernel.build(inst, params, truth)
     declared = np.zeros(inst.model.M)
     n_valid = n_invalid = 0
@@ -301,7 +302,7 @@ def reference_chunk(inst, params, truth, T, seed, start, stop, max_steps):
     for idx in range(start, stop):
         rng = reference_trial_seed(seed, truth, T, idx)
         try:
-            res = run_trial(inst, params, truth, rng, max_steps, kernel=kernel)
+            res = run_trial(kernel, rng, max_steps)
         except TrialBudgetExceeded:
             n_invalid += 1
             continue
@@ -310,24 +311,35 @@ def reference_chunk(inst, params, truth, T, seed, start, stop, max_steps):
         sum_tau += res.stopping_time
         sum_tau2 += res.stopping_time ** 2
         source_totals += res.source_counts
-        if inst.budgets.size:
-            source_outer += np.outer(res.source_counts, res.source_counts)
+        source_outer += np.outer(res.source_counts, res.source_counts)
     return declared, n_valid, n_invalid, sum_tau, sum_tau2, source_totals, source_outer
 
 
-@pytest.mark.parametrize("case", ["weak_binary", "two_set_capped"])
+CHUNK_CASES = {  # instance, T, exploration override, step cap
+    "weak_binary": (weak_binary, 30.0, 0.0, None),
+    "two_set_capped": (lambda: two_set_instance([0.7, 1.3]), 36.0, 0.0, 20),
+    "all_capped": (weak_binary, 30.0, 0.0, 1),
+    "regime1": (weak_binary, 2.0, None, None),
+}
+
+
+@pytest.mark.parametrize("case", list(CHUNK_CASES))
 def test_run_chunk_matches_reference_seeding(case):
-    inst, T, max_steps = ((weak_binary(), 30.0, None) if case == "weak_binary"
-                          else (two_set_instance([0.7, 1.3]), 36.0, 20))
-    cfg = ExperimentConfig(inst, (T,), 60, seed=2**40 + 7, epsilon=0.0, max_steps=max_steps)
+    make, T, epsilon, max_steps = CHUNK_CASES[case]
+    inst = make()
+    cfg = ExperimentConfig(inst, (T,), 60, seed=2**40 + 7, epsilon=epsilon, max_steps=max_steps)
     report = validate_model(inst.model, inst.avail, inst.actions, inst.budgets)
     params = build_params(T, inst, report.table, report.llr_bound,
-                          resolve_betas(cfg, report.table), epsilon=0.0)
-    invalid = 0
+                          resolve_betas(cfg, report.table), epsilon=epsilon)
+    assert params.regime == (1 if case == "regime1" else 2)
+    valid = invalid = 0
     for truth in range(inst.model.M):
-        args = (inst, params, truth, T, cfg.seed, 5, 65, max_steps)
-        got, want = sim._run_chunk(*args), reference_chunk(*args)
+        got = sim._run_chunk(TrialKernel.build(inst, params, truth), cfg.seed, 5, 65, max_steps)
+        want = reference_chunk(inst, params, truth, T, cfg.seed, 5, 65, max_steps)
         for a, b in zip(got, want, strict=True):
+            assert type(a) is type(b) and np.shape(a) == np.shape(b)
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        valid += got[1]
         invalid += got[2]
     assert (invalid > 0) == (max_steps is not None)
+    assert (valid == 0) == (case == "all_capped")
