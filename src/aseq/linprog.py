@@ -122,17 +122,22 @@ def solve_lp(c: np.ndarray, A_eq: np.ndarray | None = None, b_eq: np.ndarray | N
         y_eq, y_ub = y[:m_eq].copy(), y[m_eq:].copy()
         return LpResult("infeasible", farkas_eq=y_eq, farkas_ub=y_ub)
 
-    # Drive artificials out of the basis: pivot each one's row on its first
-    # nonzero real column; a row with none is redundant and dropped.
-    keep = np.ones(m, dtype=bool)
+    # Drive artificials out of the basis: pivot each one's tableau row on its
+    # first nonzero real column. A tableau row with none is y = B^-T e_i with
+    # y.A = 0 and weight 1 on the constraint row of the artificial basic there
+    # (not row i once artificials have moved), so that constraint row is
+    # redundant: drop it with the tableau row.
+    keep_rows = np.ones(m, dtype=bool)
+    keep_basic = np.ones(m, dtype=bool)
     for i in np.flatnonzero(basis >= n_std):
         nonzero = np.abs(T[i, :n_std]) > _TOL
         nonzero[basis[basis < n_std]] = False
         if nonzero.any():
             _pivot(T, basis, i, int(nonzero.argmax()))
         else:
-            keep[i] = False
-    A, b, basis = A1[keep, :n_std], b[keep], basis[keep]
+            keep_rows[basis[i] - n_std] = False
+            keep_basic[i] = False
+    A, b, basis = A1[keep_rows, :n_std], b[keep_rows], basis[keep_basic]
 
     # A zero objective has no improving column: phase 2 would not pivot.
     if c.any():

@@ -380,8 +380,9 @@ def reference_solve_lp(c: np.ndarray, A_eq: np.ndarray | None = None,
         y_eq, y_ub = y[:m_eq].copy(), y[m_eq:].copy()
         return LpResult("infeasible", farkas_eq=y_eq, farkas_ub=y_ub)
 
-    # Drive artificials out of the basis; drop rows that prove redundant.
-    keep_rows = list(range(m))
+    # Drive artificials out of the basis; drop rows that prove redundant. The
+    # redundant constraint row is the one whose artificial is basic at i.
+    keep_rows, keep_basic = list(range(m)), list(range(m))
     for i in range(m):
         if basis[i] >= n_std:
             Binv_row = np.linalg.solve(A1[:, basis].T, np.eye(m)[:, i])
@@ -393,11 +394,12 @@ def reference_solve_lp(c: np.ndarray, A_eq: np.ndarray | None = None,
             if found >= 0:
                 basis[i] = found
             else:
-                keep_rows.remove(i)
+                keep_rows.remove(basis[i] - n_std)
+                keep_basic.remove(i)
     if len(keep_rows) < m:
         A = A[keep_rows]
         b = b[keep_rows]
-        basis = [basis[i] for i in keep_rows]
+        basis = [basis[i] for i in keep_basic]
         m = len(keep_rows)
 
     cost2 = np.concatenate([c, np.zeros(n_std - n)])

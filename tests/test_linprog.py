@@ -63,6 +63,19 @@ def test_degenerate_redundant_rows():
     assert res.objective == pytest.approx(1.0, abs=1e-9)
 
 
+def test_redundant_row_of_moved_artificial():
+    # Phase 1 leaves row 0's artificial basic at position 3 on a zero tableau
+    # row; dropping constraint row 3 instead of row 0 left a singular basis.
+    c, A_eq, b_eq = np.full(4, -2.0), np.array([[-2.0, 1, -2, -2], [-2, 0, -2, -2],
+                                                 [-2, 1, -2, -2]]), np.full(3, -2.0)
+    A_ub, b_ub = np.full((2, 4), -2.0), np.full(2, -2.0)
+    res = solve_lp(c, A_eq, b_eq, A_ub, b_ub)
+    ref = scipy_lp(-c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, method="highs")
+    assert res.status == "optimal" and ref.status == 0
+    assert res.objective == pytest.approx(-ref.fun, abs=1e-9)
+    assert np.allclose(A_eq @ res.x, b_eq) and np.all(A_ub @ res.x <= b_ub + 1e-9)
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_random_against_scipy(seed):
     rng = np.random.default_rng(seed)
@@ -156,6 +169,11 @@ def lp_problems(draw):
 @hypothesis.example((np.full(5, -2.0),
                      np.array([[-1.0, -1, 0, 1, -1], [-2, -1, 1, -1, -1], [-1, -1, -1, -1, -1]]),
                      np.array([0.0, 1, -1]), np.full((1, 5), -2.0), np.array([-1.0])))
+# An artificial basic at another row's position after phase 1 whose tableau
+# row is zero: its own constraint row, not the position's, is redundant.
+@hypothesis.example((np.full(4, -2.0),
+                     np.array([[-2.0, 1, -2, -2], [-2, 0, -2, -2], [-2, 1, -2, -2]]),
+                     np.full(3, -2.0), np.full((2, 4), -2.0), np.full(2, -2.0)))
 def test_matches_reference_kernel(problem):
     assert_same_result(solve_lp(*problem), reference_solve_lp(*problem))
 
