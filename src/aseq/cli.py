@@ -61,13 +61,16 @@ def _at_least(low: int):
     return convert
 
 
-def _level(text: str) -> float:
-    if not 0.0 < (value := float(text)) < 1.0:  # nan fails too
-        raise ValueError(text)
-    return value
+def _number_where(ok):
+    def convert(text: str) -> float:
+        if not ok(value := float(text)):  # nan fails every comparison
+            raise ValueError(text)
+        return value
+    return convert
 
 
-_CI_LEVEL = _arg_type(_level, "a confidence level strictly between 0 and 1, like 0.95")
+_CI_LEVEL = _arg_type(_number_where(lambda v: 0.0 < v < 1.0),
+                      "a confidence level strictly between 0 and 1, like 0.95")
 
 
 def _load(path: str):
@@ -136,8 +139,8 @@ def _parse_beta_sources(spec: str) -> np.ndarray:
 def cmd_region(args) -> int:
     inst = _load(args.model)
     fixed = dict([_parse_slice(args.slice, inst.model.M)]) if args.slice else None
-    spec = args.beta_sources or ",".join(["%g" % (1.0 / inst.model.n)] * inst.model.n)
-    beta_sources = _parse_beta_sources(spec)
+    beta_sources = (np.full(inst.model.n, 1.0 / inst.model.n) if args.beta_sources is None
+                    else _parse_beta_sources(args.beta_sources))
     table = validate_model(inst.model, inst.avail, inst.actions, inst.budgets).table
     poly = build_polytope(inst.avail, inst.actions, inst.budgets)
     region = compute_region(table, poly)
@@ -156,7 +159,7 @@ def cmd_region(args) -> int:
             try:
                 tc = tuncel_slice(inst.model, beta_sources, fixed)
             except ValueError as exc:  # proportions the fixed-length dual refuses
-                raise SystemExit2(f"bad --beta-sources {spec!r}: {exc}")
+                raise SystemExit2(f"bad --beta-sources {args.beta_sources!r}: {exc}")
             rows += [(float(x), float(y), "tuncel") for x, y in tc.points]
         out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
         try:
@@ -193,6 +196,9 @@ def cmd_region(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    summary_path = args.summary or (str(Path(args.out).with_suffix("")) + "_summary.json")
+    if Path(summary_path).resolve() == Path(args.out).resolve():
+        raise SystemExit2(f"--out and --summary name the same file: {args.out!r}")
     inst = _load(args.model)
     if args.beta == "auto":
         betas = "auto"
@@ -203,7 +209,6 @@ def cmd_simulate(args) -> int:
         betas=betas, ci_level=args.ci, truths=args.truth, max_steps=args.max_steps,
         epsilon=args.epsilon)
     report = sim.estimate_errors(config)
-    summary_path = args.summary or (str(Path(args.out).with_suffix("")) + "_summary.json")
     # Both files go to temporaries beside their targets and are renamed only
     # once both are complete, so a failure leaves no half-written set.
     tmp_csv, tmp_summary = _temp_beside(args.out), _temp_beside(summary_path)
@@ -312,7 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=_arg_type(_at_least(0), "a non-negative integer"), default=0)
     s.add_argument("--max-steps", type=_arg_type(_at_least(1), "a positive integer"),
                    default=None)
-    s.add_argument("--epsilon", type=float, default=None,
+    s.add_argument("--epsilon", default=None,
+                   type=_arg_type(_number_where(lambda v: 0.0 <= v < 1.0),
+                                  "a probability in [0, 1), like 0.1"),
                    help="exploration probability override (0 disables exploration "
                         "and forfeits the finite-budget regime guarantee)")
     s.add_argument("--ci", type=_CI_LEVEL, default=0.95)

@@ -188,6 +188,8 @@ def build_params(T: float, inst: Instance, table: DivergenceTable, llr_bound: fl
     """
     if not (math.isfinite(T) and T >= 1):
         raise ValueError(f"expected-stopping-time budget must be finite and at least 1, got {T}")
+    if epsilon is not None and not 0.0 <= epsilon < 1.0:  # nan fails too
+        raise ValueError("exploration probability override must be in [0, 1)")
     M = table.M
     if len(betas) != M:
         raise InvalidBeta(f"need one selection-frequency tuple per hypothesis, got {len(betas)}")
@@ -233,8 +235,6 @@ def build_params(T: float, inst: Instance, table: DivergenceTable, llr_bound: fl
             return base
         eps = (math.log(T)) ** -0.25
     else:
-        if not 0.0 <= epsilon < 1.0:
-            raise ValueError("exploration probability override must be in [0, 1)")
         eps = float(epsilon)
 
     mixed = (1.0 - eps) * exploit + eps * explore
@@ -306,13 +306,12 @@ def action_pmf(zi: int, theta_hat: int, params: TestParams,
 
 @dataclass(frozen=True)
 class TrialResult:
-    """One simulated run: when it stopped, what it declared, what it spent."""
+    """One simulated run: when it stopped, what it declared, and how many
+    samples it took from each source."""
 
     stopping_time: int
     declared: int
-    source_counts: np.ndarray
-    action_counts: np.ndarray
-    regime: int
+    source_counts: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -405,8 +404,7 @@ def run_trial(kernel: TrialKernel, rng: np.random.Generator,
     M = len(params.betas)
     n_a, n_z = params.betas[0].shape
     if params.regime == 1:
-        return TrialResult(1, int(rng.integers(M)), np.zeros(kernel.n_sources),
-                           np.zeros((n_a, n_z)), 1)
+        return TrialResult(1, int(rng.integers(M)), (0,) * kernel.n_sources)
     if max_steps is None:
         max_steps = int(math.ceil(200 * params.T))
 
@@ -414,7 +412,6 @@ def run_trial(kernel: TrialKernel, rng: np.random.Generator,
                                         kernel.thresholds)
     S = [[0.0] * M for _ in range(M)]
     source_counts = [0] * kernel.n_sources
-    action_counts = [[0] * n_z for _ in range(n_a)]
     draw = _uniforms(rng).__next__
     for t in range(1, max_steps + 1):
         zi = min(bisect_right(z_cdf, draw()), n_z - 1)
@@ -425,7 +422,6 @@ def run_trial(kernel: TrialKernel, rng: np.random.Generator,
         else:
             theta_hat = int(np.argmax(np.array(S).sum(axis=1)))
         ai = min(bisect_right(act_cdfs[theta_hat][zi], draw()), n_a - 1)
-        action_counts[ai][zi] += 1
         seen = obs[ai][zi]
         if seen is not None:
             samp_cdf, incs, sources = seen
@@ -436,6 +432,5 @@ def run_trial(kernel: TrialKernel, rng: np.random.Generator,
         # Stopping rule.
         for declared, (row, thr) in enumerate(zip(S, thresholds)):
             if min(map(sub, row, thr)) >= 0:
-                return TrialResult(t, declared, np.array(source_counts, dtype=float),
-                                   np.array(action_counts, dtype=float), 2)
+                return TrialResult(t, declared, tuple(source_counts))
     raise TrialBudgetExceeded(f"no decision within {max_steps} steps")

@@ -4,9 +4,9 @@ checks.
 Trials are independent given their derived seeds, so estimates are
 reproducible bit-for-bit regardless of worker scheduling: trial k under truth
 theta and budget T always uses the PCG64 generator seeded by
-SeedSequence((master, theta, bits(T), k)), and aggregation is a sum of
-integer counts merged in chunk order. Budget costs are formed from those
-counts once per cell, so they do not depend on the chunking either.
+SeedSequence((master, theta, bits(T), k)). Chunks tally their trials'
+integer outcomes, and each cell, budget costs included, is reduced once from
+the merged tally of its chunks, so chunking cannot move a float.
 
 A chunk computes its trials' seed words in one numpy pass of SeedSequence's
 own hash (``_seed_words``) rather than one SeedSequence per trial, which
@@ -15,8 +15,8 @@ holds them to it bit for bit.
 
 Each (T, truth) cell is cut into chunks of trials/workers trials (workers
 from the config, else ASEQ_THREADS, else 1). The cell's TrialKernel is built
-once and sent to each of its chunks. A chunk calls run_trial for each of its
-trials and reduces their outcomes in one pass at its end. All chunks of the
+once and sent to each of its chunks; a chunk keeps only its tally, which
+grows with the distinct outcomes, not with the trials. All chunks of the
 grid go to one process pool of at most min(workers, chunks, CPUs) processes;
 with one process they run in-process.
 """
@@ -27,6 +27,7 @@ import csv
 import functools
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,9 +65,12 @@ class ExperimentConfig:
             raise ValueError("T grid must be strictly increasing")
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError(f"ci_level must lie strictly between 0 and 1, got {self.ci_level!r}")
+        if self.epsilon is not None and not 0.0 <= self.epsilon < 1.0:  # nan fails too
+            raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon!r}")
         M = self.instance.model.M
-        if any(not 0 <= t < M for t in self.truths or ()):
-            raise ValueError(f"truths must be in 0..{M - 1}, got {self.truths}")
+        truths = self.truths or ()
+        if any(not 0 <= t < M for t in truths) or len(set(truths)) < len(truths):
+            raise ValueError(f"truths must be distinct and in 0..{M - 1}, got {self.truths}")
 
 
 @dataclass
@@ -209,27 +213,39 @@ def _generator_from_words():
 
 
 def _run_chunk(kernel: TrialKernel, seed: int, start: int, stop: int,
-               max_steps: int | None):
-    """Counts of trials start..stop-1 of the kernel's cell. Stopping times,
-    declared hypotheses and source counts are integers, so their sums and the
-    sum of the source counts' outer products are exact and do not depend on
-    how the trials were chunked."""
-    taus, declared, counts = [], [], []
+               max_steps: int | None) -> Counter:
+    """Tally of the outcomes (stopping time, declared hypothesis, source
+    counts) of trials start..stop-1 of the kernel's cell. A trial that hits
+    the step cap is not tallied."""
+    tally = Counter()
     generator = _generator_from_words()
     for words in _seed_words(seed, kernel.truth, kernel.params.T, start, stop):
         try:
             res = run_trial(kernel, generator(words), max_steps)
         except TrialBudgetExceeded:
             continue
-        taus.append(res.stopping_time)
-        declared.append(res.declared)
-        counts.append(res.source_counts)
-    n_valid = len(taus)
-    tau = np.array(taus, dtype=float)
-    S = np.array(counts, dtype=float).reshape(n_valid, kernel.n_sources)
-    declared = np.bincount(declared, minlength=len(kernel.params.betas)).astype(float)
-    return (declared, n_valid, stop - start - n_valid, float(tau.sum()), float(tau @ tau),
-            S.sum(0), S.T @ S)
+        tally[res.stopping_time, res.declared, res.source_counts] += 1
+    return tally
+
+
+def _cell(key: tuple[float, int], kernel: TrialKernel, tally: Counter, trials: int,
+          coeffs: np.ndarray) -> CellStats:
+    """The statistics of the cell ``key`` from the merged tally of its trials.
+
+    Every value is an integer below 2**53 held in float64, so every sum is
+    exact and none depends on how the trials were chunked. A trial's cost
+    c . s sums to c . (sum of s), and its square to c^T (sum of s s^T) c."""
+    w = np.array(list(tally.values()), dtype=float)
+    tau = np.array([k[0] for k in tally], dtype=float)
+    S = np.array([k[2] for k in tally], dtype=float).reshape(len(tally), kernel.n_sources)
+    # An empty bincount is int64 even with weights.
+    declared = np.bincount([k[1] for k in tally], w, len(kernel.params.betas)).astype(float)
+    n_valid = tally.total()
+    source_totals = w @ S
+    return CellStats(*key, kernel.params.regime, n_valid, trials - n_valid, declared,
+                     float(w @ tau), float(w @ tau ** 2), source_totals,
+                     coeffs @ source_totals,
+                     np.einsum("ij,jk,ik->i", coeffs, S.T @ (w[:, None] * S), coeffs))
 
 
 def _pool_size(workers: int, n_chunks: int, cpus: int | None) -> int:
@@ -260,50 +276,30 @@ def estimate_errors(config: ExperimentConfig) -> ExperimentReport:
     truths = config.truths if config.truths is not None else tuple(range(inst.model.M))
     workers = config.workers or int(os.environ.get("ASEQ_THREADS", "1"))
 
-    cells: dict[tuple[float, int], CellStats] = {}
-    jobs = []  # (cell key, _run_chunk arguments), merged in this order
-    n = config.trials
-    chunk = max(1, n // max(workers, 1))
+    kernels: dict[tuple[float, int], TrialKernel] = {}
     for T in config.T_grid:
         params = build_params(T, inst, table, report_info.llr_bound, betas,
                               epsilon=config.epsilon)
         for truth in truths:
-            cells[(T, truth)] = CellStats(T, truth, params.regime,
-                                          declared=np.zeros(inst.model.M),
-                                          source_totals=np.zeros(inst.model.n))
-            kernel = TrialKernel.build(inst, params, truth)
-            jobs += [((T, truth), (kernel, config.seed, s, min(s + chunk, n),
-                                   config.max_steps))
-                     for s in range(0, n, chunk)]
+            kernels[(T, truth)] = TrialKernel.build(inst, params, truth)
+    n = config.trials
+    chunk = max(1, n // max(workers, 1))
+    jobs = [(key, (kernel, config.seed, s, min(s + chunk, n), config.max_steps))
+            for key, kernel in kernels.items() for s in range(0, n, chunk)]
     size = _pool_size(workers, len(jobs), os.cpu_count())
     if size > 1:
         from concurrent.futures import ProcessPoolExecutor  # deferred: slow import
         with ProcessPoolExecutor(max_workers=size) as pool:
-            results = list(pool.map(_run_chunk_star, [args for _, args in jobs]))
+            tallies = list(pool.map(_run_chunk, *zip(*(args for _, args in jobs))))
     else:
-        results = [_run_chunk(*args) for _, args in jobs]
+        tallies = [_run_chunk(*args) for _, args in jobs]
 
-    outer = {key: np.zeros((inst.model.n, inst.model.n)) for key in cells}
-    for (key, _), (declared, nv, ni, st, st2, src, ss) in zip(jobs, results):
-        cell = cells[key]
-        cell.declared += declared
-        cell.n_valid += nv
-        cell.n_invalid += ni
-        cell.sum_tau += st
-        cell.sum_tau2 += st2
-        cell.source_totals += src
-        outer[key] += ss
-    # Per-trial cost c . s sums to c . (sum of s), and its square to
-    # c^T (sum of s s^T) c: formed once here, so chunking cannot move them.
-    coeffs = inst.budgets.coeffs
-    for key, cell in cells.items():
-        cell.sum_cost = coeffs @ cell.source_totals
-        cell.sum_cost2 = np.einsum("ij,jk,ik->i", coeffs, outer[key], coeffs)
+    merged = {key: Counter() for key in kernels}
+    for (key, _), tally in zip(jobs, tallies):
+        merged[key].update(tally)
+    cells = {key: _cell(key, kernel, merged[key], n, inst.budgets.coeffs)
+             for key, kernel in kernels.items()}
     return ExperimentReport(config, betas, cells)
-
-
-def _run_chunk_star(args):
-    return _run_chunk(*args)
 
 
 @dataclass(frozen=True)

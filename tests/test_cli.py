@@ -279,6 +279,25 @@ def test_slice_bad_beta_sources(capsys, spec):
     assert len(err.splitlines()) == 1 and repr(spec) in err
 
 
+def test_slice_default_beta_sources_exactly_uniform(tmp_path):
+    """Without --beta-sources the fixed-length family uses exactly 1/n per
+    source. The default was formatted with %g and read back, 0.333333 on
+    three sources, which moved this model's tuncel rows."""
+    hyps = [[0.8, 0.1, 0.2], [0.3, 0.2, 0.8], [0.8, 0.6, 0.1]]
+    model = tmp_path / "three.json"
+    model.write_text(json.dumps({
+        "M": 3, "n": 3, "alphabets": [2, 2, 2],
+        "hypotheses": [{"independent": [[p, 1 - p] for p in row]} for row in hyps],
+        "availability": [{"subset": [1, 2, 3], "prob": 1.0}],
+        "actions": [[1], [2], [3]]}), encoding="utf-8")
+    default, given = tmp_path / "default.csv", tmp_path / "given.csv"
+    args = ["region", "--model", str(model), "--slice", "e2=0.05"]
+    assert main(args + ["--out", str(default)]) == 0
+    assert main(args + ["--out", str(given), "--beta-sources", ",".join([repr(1 / 3)] * 3)]) == 0
+    assert "tuncel" in default.read_text()
+    assert default.read_bytes() == given.read_bytes()
+
+
 @pytest.mark.parametrize("args", [["--truth", "7"], ["--T", "inf"], ["--T", "nan"]])
 def test_simulate_bad_argument_exits_1(tmp_path, capsys, args):
     out = tmp_path / "runs.csv"
@@ -320,14 +339,16 @@ def test_bad_max_steps_exits_2_at_parse_time(tmp_path, capsys, monkeypatch, step
     ("--trials", "0"), ("--trials", "-2"), ("--trials", "1.5"), ("--trials", "abc"),
     ("--truth", "abc"), ("--truth", "-1"), ("--truth", "1.0"),
     ("--T", "abc"), ("--T", "5,"), ("--T", "5,x"),
+    ("--epsilon", "1"), ("--epsilon", "1.5"), ("--epsilon", "-0.1"), ("--epsilon", "nan"),
+    ("--epsilon", "abc"),
 ])
 def test_bad_simulate_option_exits_2_at_parse_time(tmp_path, capsys, monkeypatch,
                                                    option, value):
     """A trial count below 1, a truth that is neither 'all' nor a
-    non-negative integer, and a budget list with a non-number are refused by
-    the parser: one line naming the option, before the model is loaded. They
-    exited 1 with a line from int(), float() or ExperimentConfig that named
-    no option."""
+    non-negative integer, a budget list with a non-number and an exploration
+    probability outside [0, 1) are refused by the parser: one line naming
+    the option, before the model is loaded. They exited 1 with a line from
+    int(), float(), ExperimentConfig or build_params that named no option."""
     monkeypatch.setattr(cli, "_load", None)  # any call would fail with exit 1
     out = tmp_path / "runs.csv"
     argv = {"--T": "5", "--trials": "10", option: value}
@@ -335,6 +356,21 @@ def test_bad_simulate_option_exits_2_at_parse_time(tmp_path, capsys, monkeypatch
                  *(f"{k}={v}" for k, v in argv.items())]) == 2
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and option in err and repr(value) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("spelling", ["same", "dot_slash"])
+def test_out_and_summary_same_file_exits_2(tmp_path, capsys, monkeypatch, spelling):
+    """--summary naming the --out file is refused before the model is
+    loaded. Both went through one temporary: the run exited 1 and left the
+    summary JSON in place of the results CSV."""
+    monkeypatch.setattr(cli, "_load", None)  # any call would fail with exit 1
+    monkeypatch.chdir(tmp_path)
+    summary = "same.csv" if spelling == "same" else "./same.csv"
+    assert main(["simulate", "--model", MODEL, "--T", "5", "--trials", "10",
+                 "--out", "same.csv", "--summary", summary]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "--out" in err and "--summary" in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,7 +1,9 @@
 import math
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -45,6 +47,13 @@ def test_config_validation():
     for steps in (0, -3):
         with pytest.raises(ValueError, match=f"max_steps.*{steps}"):
             ExperimentConfig(inst, (5.0,), 100, 0, max_steps=steps)
+    # A repeated truth ran its cell twice: n_valid 200 for a 100-trial cell.
+    for truths in ((0, 0), (1, 0, 1)):
+        with pytest.raises(ValueError, match=f"distinct.*{re.escape(str(truths))}"):
+            ExperimentConfig(inst, (5.0,), 100, 0, truths=truths)
+    for epsilon in (1.0, 1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="epsilon"):
+            ExperimentConfig(inst, (5.0,), 100, 0, epsilon=epsilon)
 
 
 def test_reproducible_reports(tmp_path):
@@ -230,10 +239,10 @@ def test_huge_worker_count_starts_small_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            jobs = list(jobs)
-            sizes.append(len(jobs))
-            return map(fn, jobs)
+        def map(self, fn, *iterables):
+            iterables = [list(it) for it in iterables]
+            sizes.append(len(iterables[0]))
+            return map(fn, *iterables)
 
     # sim imports the pool class only where it builds a pool
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
@@ -291,9 +300,10 @@ def test_seed_words_match_seed_sequence(master, truth, T, start, width):
 
 
 def reference_chunk(inst, params, truth, T, seed, start, stop, max_steps):
-    """_run_chunk's aggregates from one reference_trial_seed per trial,
-    accumulated trial by trial."""
+    """The tally of trials start..stop-1 from one reference_trial_seed per
+    trial, and their statistics accumulated trial by trial."""
     kernel = TrialKernel.build(inst, params, truth)
+    tally = Counter()
     declared = np.zeros(inst.model.M)
     n_valid = n_invalid = 0
     sum_tau = sum_tau2 = 0.0
@@ -306,13 +316,17 @@ def reference_chunk(inst, params, truth, T, seed, start, stop, max_steps):
         except TrialBudgetExceeded:
             n_invalid += 1
             continue
+        tally[res.stopping_time, res.declared, res.source_counts] += 1
         n_valid += 1
         declared[res.declared] += 1
         sum_tau += res.stopping_time
         sum_tau2 += res.stopping_time ** 2
         source_totals += res.source_counts
         source_outer += np.outer(res.source_counts, res.source_counts)
-    return declared, n_valid, n_invalid, sum_tau, sum_tau2, source_totals, source_outer
+    coeffs = inst.budgets.coeffs
+    return tally, CellStats(T, truth, params.regime, n_valid, n_invalid, declared, sum_tau,
+                            sum_tau2, source_totals, coeffs @ source_totals,
+                            np.einsum("ij,jk,ik->i", coeffs, source_outer, coeffs))
 
 
 CHUNK_CASES = {  # instance, T, exploration override, step cap
@@ -334,12 +348,30 @@ def test_run_chunk_matches_reference_seeding(case):
     assert params.regime == (1 if case == "regime1" else 2)
     valid = invalid = 0
     for truth in range(inst.model.M):
-        got = sim._run_chunk(TrialKernel.build(inst, params, truth), cfg.seed, 5, 65, max_steps)
-        want = reference_chunk(inst, params, truth, T, cfg.seed, 5, 65, max_steps)
-        for a, b in zip(got, want, strict=True):
-            assert type(a) is type(b) and np.shape(a) == np.shape(b)
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-        valid += got[1]
-        invalid += got[2]
+        kernel = TrialKernel.build(inst, params, truth)
+        got = sim._run_chunk(kernel, cfg.seed, 5, 65, max_steps)
+        tally, want = reference_chunk(inst, params, truth, T, cfg.seed, 5, 65, max_steps)
+        assert type(got) is Counter and got == tally
+        cell = sim._cell((T, truth), kernel, got, 60, inst.budgets.coeffs)
+        for f in fields(CellStats):
+            a, b = getattr(cell, f.name), getattr(want, f.name)
+            assert type(a) is type(b) and np.shape(a) == np.shape(b), f.name
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+        valid += cell.n_valid
+        invalid += cell.n_invalid
     assert (invalid > 0) == (max_steps is not None)
     assert (valid == 0) == (case == "all_capped")
+
+
+def test_regime1_chunk_tallies_at_most_M_outcomes():
+    """A chunk keeps one entry per distinct outcome, not one per trial: a
+    regime-1 trial stops at once with a guess, so 20,000 of them tally at
+    most M outcomes."""
+    inst = weak_binary()
+    cfg = ExperimentConfig(inst, (2.0,), 20_000, seed=3)
+    report = validate_model(inst.model, inst.avail, inst.actions, inst.budgets)
+    params = build_params(2.0, inst, report.table, report.llr_bound,
+                          resolve_betas(cfg, report.table))
+    assert params.regime == 1
+    tally = sim._run_chunk(TrialKernel.build(inst, params, 0), cfg.seed, 0, 20_000, None)
+    assert len(tally) <= inst.model.M and tally.total() == 20_000
