@@ -199,6 +199,10 @@ def cmd_simulate(args) -> int:
     summary_path = args.summary or (str(Path(args.out).with_suffix("")) + "_summary.json")
     if Path(summary_path).resolve() == Path(args.out).resolve():
         raise SystemExit2(f"--out and --summary name the same file: {args.out!r}")
+    try:
+        workers = sim.env_workers()
+    except ValueError as exc:
+        raise SystemExit2(str(exc)) from None
     inst = _load(args.model)
     if args.beta == "auto":
         betas = "auto"
@@ -207,7 +211,7 @@ def cmd_simulate(args) -> int:
     config = sim.ExperimentConfig(
         instance=inst, T_grid=args.T, trials=args.trials, seed=args.seed,
         betas=betas, ci_level=args.ci, truths=args.truth, max_steps=args.max_steps,
-        epsilon=args.epsilon)
+        epsilon=args.epsilon, workers=workers)
     report = sim.estimate_errors(config)
     # Both files go to temporaries beside their targets and are renamed only
     # once both are complete, so a failure leaves no half-written set.

@@ -183,15 +183,9 @@ def marginal(model: JointModel, a: tuple[int, ...], z: tuple[int, ...], theta: i
 
 
 def omega(actions: ActionSpace, avail: AvailabilityDist, beta: np.ndarray,
-          n: int | None = None) -> np.ndarray:
-    """Per-source selection frequencies omega_j = sum_{a,z} beta_{a,z} 1{j in a∩z}.
-
-    ``n`` fixes the output length; by default the largest source label that
-    appears in any action or availability set.
-    """
-    if n is None:
-        n = max((max(s, default=0) for s in avail.sets), default=0)
-        n = max(n, max((max(a, default=0) for a in actions.actions), default=0))
+          n: int) -> np.ndarray:
+    """Per-source selection frequencies omega_j = sum_{a,z} beta_{a,z} 1{j in a∩z},
+    for the n sources of the model."""
     return selection_matrix(actions, avail, n) @ np.asarray(beta).reshape(-1)
 
 

@@ -82,6 +82,8 @@ def instance_from_dict(raw: dict) -> Instance:
         path = f"$.hypotheses[{i}]"
         if not isinstance(h, dict):
             raise ModelFormatError(f"{path}: expected an object")
+        if "joint" in h and "independent" in h:
+            raise ModelFormatError(f"{path}: give either 'joint' or 'independent', not both")
         if "joint" in h:
             table = _as_array(h["joint"], f"{path}.joint")
             if table.shape != K:

@@ -45,7 +45,7 @@ from .divergence import DivergenceTable, exponent
 from .errors import (InvalidBeta, InvalidPmf, NoExplorationPossible,
                      TrialBudgetExceeded)
 from .model import (ActionSpace, AvailabilityDist, BudgetSpec, Instance,
-                    in_constraint_set, marginal, omega)
+                    in_constraint_set, marginal, selection_matrix)
 
 
 @dataclass(frozen=True)
@@ -67,42 +67,26 @@ def choose_exploration_rate(avail: AvailabilityDist, actions: ActionSpace,
     dropped from the exploration support. Raises NoExplorationPossible if the
     pruned support can no longer discriminate every hypothesis pair.
     """
-    n = budgets.coeffs.shape[1] if budgets.size else 1
-    support = []
-    for ai, a in enumerate(actions.actions):
-        if not a:
-            continue
-        pruned = False
-        for i in range(budgets.size):
-            if budgets.rates[i] > 0:
-                continue
-            costed = {j + 1 for j in range(n) if budgets.coeffs[i, j] > 0}
-            if any(set(a) & set(z) & costed for z in avail.sets):
-                pruned = True
-                break
-        if not pruned:
-            support.append(ai)
-
-    M = table.M
-    for t in range(M):
-        for m in range(M):
-            if m == t:
-                continue
-            if not any(table.table[ai, zi, m, t] > 1e-12
-                       for ai in support for zi in range(len(avail.sets))):
-                raise NoExplorationPossible(
-                    f"pruned exploration support cannot separate {m} from {t}")
-
+    explorable = np.array([bool(a) for a in actions.actions])
     rate = float(np.min(avail.probs)) / actions.size
     if budgets.size:
-        ones = np.ones((actions.size, len(avail.sets)))
-        w = omega(actions, avail, ones, n=n)
-        for i in range(budgets.size):
-            if budgets.rates[i] > 0:
-                cost = float(budgets.coeffs[i] @ w)
-                if cost > 0:
-                    rate = min(rate, float(budgets.rates[i]) / cost)
-    return ExplorationPlan(rate, tuple(support))
+        W = selection_matrix(actions, avail, budgets.coeffs.shape[1])  # [source, (a, z)]
+        positive = budgets.rates > 0  # a NaN rate is not positive
+        costed = ((budgets.coeffs[~positive] > 0) @ W).any(axis=0)
+        explorable &= ~costed.reshape(actions.size, len(avail.sets)).any(axis=1)
+        w = W.sum(axis=1)  # omega at all-ones selection frequencies
+        for c, r in zip(budgets.coeffs[positive], budgets.rates[positive]):
+            cost = float(c @ w)
+            if cost > 0:
+                rate = min(rate, float(r) / cost)
+    support = tuple(np.flatnonzero(explorable).tolist())
+
+    seen = (table.table[list(support)] > 1e-12).any(axis=(0, 1))  # [m, t]
+    for t, m in zip(*np.nonzero(~seen.T)):
+        if m != t:
+            raise NoExplorationPossible(
+                f"pruned exploration support cannot separate {m} from {t}")
+    return ExplorationPlan(rate, support)
 
 
 def offset_correction(x: float) -> float:
@@ -378,6 +362,15 @@ def _uniforms(rng: np.random.Generator):
         yield from rng.random(_DRAW_BATCH).tolist()
 
 
+def default_max_steps(T: float) -> int:
+    """A trial's step cap at budget T when none is given: ceil(200 T).
+    Raises ValueError for a T so large that 200 T overflows."""
+    if not math.isfinite(cap := 200 * T):
+        raise ValueError(f"T={T!r} is too large for the default step cap of 200 T; "
+                         f"give a cap (--max-steps)")
+    return math.ceil(cap)
+
+
 def run_trial(kernel: TrialKernel, rng: np.random.Generator,
               max_steps: int | None = None) -> TrialResult:
     """Simulate one trial of ``kernel``'s (params, truth), deterministic given
@@ -396,9 +389,9 @@ def run_trial(kernel: TrialKernel, rng: np.random.Generator,
 
     Uniforms are drawn in batches, so the generator may end up to one batch
     past the last draw the trial used; give each trial its own generator.
-    Raises TrialBudgetExceeded when the safety cap (default 200 T) is hit;
-    callers account such trials as invalid rather than fabricating a
-    decision.
+    Raises TrialBudgetExceeded when the safety cap (default 200 T, see
+    ``default_max_steps``) is hit; callers account such trials as invalid
+    rather than fabricating a decision.
     """
     params = kernel.params
     M = len(params.betas)
@@ -406,7 +399,7 @@ def run_trial(kernel: TrialKernel, rng: np.random.Generator,
     if params.regime == 1:
         return TrialResult(1, int(rng.integers(M)), (0,) * kernel.n_sources)
     if max_steps is None:
-        max_steps = int(math.ceil(200 * params.T))
+        max_steps = default_max_steps(params.T)
 
     z_cdf, act_cdfs, obs, thresholds = (kernel.z_cdf, kernel.act_cdfs, kernel.obs,
                                         kernel.thresholds)

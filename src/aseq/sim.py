@@ -8,17 +8,18 @@ SeedSequence((master, theta, bits(T), k)). Chunks tally their trials'
 integer outcomes, and each cell, budget costs included, is reduced once from
 the merged tally of its chunks, so chunking cannot move a float.
 
-A chunk computes its trials' seed words in one numpy pass of SeedSequence's
-own hash (``_seed_words``) rather than one SeedSequence per trial, which
-cost a third of a short trial. The words are SeedSequence's, and a test
-holds them to it bit for bit.
+A chunk computes its trials' seed words with numpy passes of SeedSequence's
+own hash (``_seed_words``), _SEED_BLOCK trials per pass, rather than one
+SeedSequence per trial, which cost a third of a short trial. The words are
+SeedSequence's, and a test holds them to it bit for bit.
 
 Each (T, truth) cell is cut into chunks of trials/workers trials (workers
-from the config, else ASEQ_THREADS, else 1). The cell's TrialKernel is built
-once and sent to each of its chunks; a chunk keeps only its tally, which
-grows with the distinct outcomes, not with the trials. All chunks of the
-grid go to one process pool of at most min(workers, chunks, CPUs) processes;
-with one process they run in-process.
+from the config, else ASEQ_THREADS, a positive integer, else 1). The cell's
+TrialKernel is built once and sent to each of its chunks; a chunk keeps only
+one block of seed words and its tally, which grows with the distinct
+outcomes, not with the trials. All chunks of the grid go to one process pool
+of at most min(workers, chunks, CPUs) processes; with one process they run
+in-process.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from .divergence import DivergenceTable
 from .errors import TrialBudgetExceeded
 from .model import Instance, validate_model
-from .policy import TrialKernel, build_params, run_trial
+from .policy import TrialKernel, build_params, default_max_steps, run_trial
 from .region import build_polytope, decision_risk_exponents
 
 
@@ -61,6 +62,11 @@ class ExperimentConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError(f"max_steps must be at least 1, got {self.max_steps!r}")
+        if self.max_steps is None:
+            for T in filter(math.isfinite, self.T_grid):  # build_params refuses the rest
+                default_max_steps(T)
+        if self.workers < 0:
+            raise ValueError(f"workers must be non-negative, got {self.workers!r}")
         if any(b >= a for a, b in zip(self.T_grid[1:], self.T_grid)):
             raise ValueError("T grid must be strictly increasing")
         if not 0.0 < self.ci_level < 1.0:
@@ -212,19 +218,25 @@ def _generator_from_words():
     return lambda words: Generator(PCG64(SeedWords(words)))
 
 
+_SEED_BLOCK = 4096
+
+
 def _run_chunk(kernel: TrialKernel, seed: int, start: int, stop: int,
                max_steps: int | None) -> Counter:
     """Tally of the outcomes (stopping time, declared hypothesis, source
     counts) of trials start..stop-1 of the kernel's cell. A trial that hits
-    the step cap is not tallied."""
+    the step cap is not tallied. Seed words are computed _SEED_BLOCK trials
+    at a time, so a chunk's memory does not grow with its trial count."""
     tally = Counter()
     generator = _generator_from_words()
-    for words in _seed_words(seed, kernel.truth, kernel.params.T, start, stop):
-        try:
-            res = run_trial(kernel, generator(words), max_steps)
-        except TrialBudgetExceeded:
-            continue
-        tally[res.stopping_time, res.declared, res.source_counts] += 1
+    for lo in range(start, stop, _SEED_BLOCK):
+        hi = min(lo + _SEED_BLOCK, stop)
+        for words in _seed_words(seed, kernel.truth, kernel.params.T, lo, hi):
+            try:
+                res = run_trial(kernel, generator(words), max_steps)
+            except TrialBudgetExceeded:
+                continue
+            tally[res.stopping_time, res.declared, res.source_counts] += 1
     return tally
 
 
@@ -267,14 +279,27 @@ def resolve_betas(config: ExperimentConfig, table: DivergenceTable
     return tuple(np.asarray(b, dtype=float) for b in config.betas)
 
 
+def env_workers() -> int:
+    """The worker count that ASEQ_THREADS asks for, 1 when it is unset.
+    Raises ValueError naming the variable unless it is a positive integer."""
+    text = os.environ.get("ASEQ_THREADS", "1")
+    try:
+        workers = int(text)
+    except ValueError:  # also a string of more digits than int() converts
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"ASEQ_THREADS must be a positive integer, got {text!r}")
+    return workers
+
+
 def estimate_errors(config: ExperimentConfig) -> ExperimentReport:
     """Run the full grid of (T, truth) cells and aggregate counts."""
+    workers = config.workers or env_workers()
     inst = config.instance
     report_info = validate_model(inst.model, inst.avail, inst.actions, inst.budgets)
     table = report_info.table
     betas = resolve_betas(config, table)
     truths = config.truths if config.truths is not None else tuple(range(inst.model.M))
-    workers = config.workers or int(os.environ.get("ASEQ_THREADS", "1"))
 
     kernels: dict[tuple[float, int], TrialKernel] = {}
     for T in config.T_grid:
@@ -283,7 +308,7 @@ def estimate_errors(config: ExperimentConfig) -> ExperimentReport:
         for truth in truths:
             kernels[(T, truth)] = TrialKernel.build(inst, params, truth)
     n = config.trials
-    chunk = max(1, n // max(workers, 1))
+    chunk = max(1, n // workers)
     jobs = [(key, (kernel, config.seed, s, min(s + chunk, n), config.max_steps))
             for key, kernel in kernels.items() for s in range(0, n, chunk)]
     size = _pool_size(workers, len(jobs), os.cpu_count())

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from aseq.divergence import kl
-from aseq.errors import InfeasiblePolytope, UnsupportedDimension
+from aseq.errors import InfeasiblePolytope, NoExplorationPossible, UnsupportedDimension
 from aseq.linprog import _TOL, LpResult
 from aseq.model import (ActionSpace, AvailabilityDist, BudgetSpec, Instance,
                         JointModel, omega, selection_matrix)
 from aseq.modelio import instance_from_dict, load_instance
+from aseq.policy import ExplorationPlan
 from aseq.region import (VERTEX_TOL, SlicePolyline, TuncelOptions, _dual_for, _simplex_grid,
                          _slice_axes, _unique_rows)
 
@@ -40,6 +41,49 @@ def reference_trial_seed(master: int, truth: int, T: float, index: int) -> np.ra
     t_bits = int(np.float64(T).view(np.uint64))
     ss = np.random.SeedSequence((master, truth, t_bits, index))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+def reference_exploration_plan(avail: AvailabilityDist, actions: ActionSpace,
+                               budgets: BudgetSpec, table) -> ExplorationPlan:
+    """The exploration plan as ``policy.choose_exploration_rate`` derived it
+    before it read the selection matrix: set intersections per action, budget
+    and availability set, and ``omega`` at all-ones frequencies."""
+    n = budgets.coeffs.shape[1] if budgets.size else 1
+    support = []
+    for ai, a in enumerate(actions.actions):
+        if not a:
+            continue
+        pruned = False
+        for i in range(budgets.size):
+            if budgets.rates[i] > 0:
+                continue
+            costed = {j + 1 for j in range(n) if budgets.coeffs[i, j] > 0}
+            if any(set(a) & set(z) & costed for z in avail.sets):
+                pruned = True
+                break
+        if not pruned:
+            support.append(ai)
+
+    M = table.M
+    for t in range(M):
+        for m in range(M):
+            if m == t:
+                continue
+            if not any(table.table[ai, zi, m, t] > 1e-12
+                       for ai in support for zi in range(len(avail.sets))):
+                raise NoExplorationPossible(
+                    f"pruned exploration support cannot separate {m} from {t}")
+
+    rate = float(np.min(avail.probs)) / actions.size
+    if budgets.size:
+        ones = np.ones((actions.size, len(avail.sets)))
+        w = omega(actions, avail, ones, n=n)
+        for i in range(budgets.size):
+            if budgets.rates[i] > 0:
+                cost = float(budgets.coeffs[i] @ w)
+                if cost > 0:
+                    rate = min(rate, float(budgets.rates[i]) / cost)
+    return ExplorationPlan(rate, tuple(support))
 
 
 def reference_active_set_vertices(poly, tol: float = VERTEX_TOL) -> np.ndarray:

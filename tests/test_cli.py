@@ -95,6 +95,19 @@ def test_malformed_value_exits_1(tmp_path, capsys, case):
     assert len(err) == 1 and err[0].startswith(f"error: {json_path}: ")
 
 
+def test_hypothesis_with_both_forms_exits_1(tmp_path, capsys):
+    """The schema gives a hypothesis 'joint' or 'independent', not both; the
+    loader took 'joint' and dropped the other without a word."""
+    cfg = json.loads(Path(MODEL).read_text())
+    cfg["hypotheses"][1]["joint"] = np.full((3, 3), 1 / 9).tolist()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["validate", "--model", str(bad)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: $.hypotheses[1]: ")
+    assert "not both" in err[0]
+
+
 def test_invalid_distribution_exit_code(tmp_path):
     cfg = json.loads(Path(MODEL).read_text())
     cfg["hypotheses"][0] = {"independent": [[0.9, 0.2, 0.03], [0.78, 0.17, 0.05]]}
@@ -357,6 +370,34 @@ def test_bad_simulate_option_exits_2_at_parse_time(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and option in err and repr(value) in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-4", "1.5"])
+def test_bad_aseq_threads_exits_2_before_loading(tmp_path, capsys, monkeypatch, threads):
+    """ASEQ_THREADS that is not a positive integer exits 2 in one line naming
+    it, before the model is loaded. 'abc' exited 1 from int() after the LPs,
+    naming no variable; 0 and -4 ran serially without a word."""
+    monkeypatch.setattr(cli, "_load", None)  # any call would fail with exit 1
+    monkeypatch.setenv("ASEQ_THREADS", threads)
+    assert main(["simulate", "--model", MODEL, "--T", "5", "--trials", "10",
+                 "--out", str(tmp_path / "runs.csv")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "ASEQ_THREADS" in err and repr(threads) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_huge_budget_exits_1_without_a_step_cap(tmp_path, capsys):
+    """At T = 1e307 the default step cap 200 T overflows: the run ended in an
+    OverflowError traceback. It exits 1 in one line naming T and --max-steps
+    and writes nothing; with a cap the same run exits 0."""
+    out = tmp_path / "runs.csv"
+    argv = ["simulate", "--model", MODEL, "--T", "1e307", "--trials", "2",
+            "--epsilon", "0", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "T=1e+307" in err and "--max-steps" in err
+    assert list(tmp_path.iterdir()) == []
+    assert main(argv + ["--max-steps", "5"]) == 0 and out.exists()
 
 
 @pytest.mark.parametrize("spelling", ["same", "dot_slash"])

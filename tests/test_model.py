@@ -148,7 +148,7 @@ def test_omega_empty_only():
     inst = make_instance(2, 2, (2, 2), pmf_rows=[[[0.6, 0.4]] * 2, [[0.3, 0.7]] * 2])
     beta = np.zeros((inst.actions.size, 1))
     beta[0, 0] = 1.0  # all mass on the empty action
-    assert np.allclose(omega(inst.actions, inst.avail, beta), 0.0)
+    assert np.allclose(omega(inst.actions, inst.avail, beta, n=inst.model.n), 0.0)
 
 
 def test_omega_chernoff_collapse():
@@ -156,13 +156,13 @@ def test_omega_chernoff_collapse():
     beta = np.zeros((3, 1))
     beta[1, 0] = 0.25  # action {1}
     beta[2, 0] = 0.75  # action {2}
-    assert np.allclose(omega(inst.actions, inst.avail, beta), [0.25, 0.75])
+    assert np.allclose(omega(inst.actions, inst.avail, beta, n=inst.model.n), [0.25, 0.75])
 
 
 def test_omega_all_ones_counts_combinations():
     inst = make_instance(2, 2, (2, 2), pmf_rows=[[[0.6, 0.4]] * 2, [[0.3, 0.7]] * 2])
     beta = np.ones((inst.actions.size, len(inst.avail.sets)))
-    w = omega(inst.actions, inst.avail, beta)
+    w = omega(inst.actions, inst.avail, beta, n=inst.model.n)
     expect = np.zeros(2)
     for a in inst.actions.actions:
         for z in inst.avail.sets:
@@ -178,9 +178,9 @@ def test_omega_linear(seed, lam):
     rng = np.random.default_rng(seed)
     shape = (inst.actions.size, len(inst.avail.sets))
     b1, b2 = rng.uniform(size=shape), rng.uniform(size=shape)
-    mix = omega(inst.actions, inst.avail, lam * b1 + (1 - lam) * b2)
-    parts = lam * omega(inst.actions, inst.avail, b1) \
-        + (1 - lam) * omega(inst.actions, inst.avail, b2)
+    mix = omega(inst.actions, inst.avail, lam * b1 + (1 - lam) * b2, n=inst.model.n)
+    parts = lam * omega(inst.actions, inst.avail, b1, n=inst.model.n) \
+        + (1 - lam) * omega(inst.actions, inst.avail, b2, n=inst.model.n)
     assert np.allclose(mix, parts, atol=1e-12)
 
 

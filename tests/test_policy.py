@@ -16,7 +16,8 @@ from aseq.policy import (TrialKernel, TrialResult, action_pmf, build_params,
                          solve_drift_margin)
 from aseq.region import build_polytope, decision_risk_exponents
 
-from conftest import kernel_path, make_instance, two_set_instance
+from conftest import (kernel_path, make_instance, random_instance, reference_exploration_plan,
+                      two_set_instance)
 from test_model import P01, P02, P11, P12, P21, P22
 
 
@@ -90,6 +91,37 @@ def test_exploration_zero_rate_budget_keeps_other_sources():
     plan = choose_exploration_rate(inst.avail, inst.actions, inst.budgets, table)
     kept = [inst.actions.actions[i] for i in plan.support]
     assert kept == [(2,)]
+
+
+def _plan_or_message(choose, inst, table):
+    try:
+        return choose(inst.avail, inst.actions, inst.budgets, table)
+    except NoExplorationPossible as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_budgets=st.integers(0, 2),
+       forced=st.sampled_from([None, 0.0, float("nan")]))
+def test_exploration_plan_matches_reference(seed, n_budgets, forced):
+    """The plan read off the selection matrix equals the set-intersection
+    derivation bit for bit: same rate, same support, or the same refusal.
+    A forced zero or NaN rate, with some coefficients zeroed, makes budgets
+    that prune the support."""
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, n_budgets=n_budgets)
+    if n_budgets and forced is not None:
+        coeffs, rates = inst.budgets.coeffs.copy(), inst.budgets.rates.copy()
+        rates[rng.integers(n_budgets)] = forced
+        coeffs[rng.random(coeffs.shape) < 0.4] = 0.0
+        inst = replace(inst, budgets=BudgetSpec(coeffs, rates))
+    table = build_instance_table(inst)
+    got = _plan_or_message(choose_exploration_rate, inst, table)
+    want = _plan_or_message(reference_exploration_plan, inst, table)
+    event("refused" if isinstance(want, str) else "plan")
+    assert got == want
+    if not isinstance(want, str):
+        assert type(got.rate) is float and all(type(i) is int for i in got.support)
 
 
 # ------------------------------------------------------------ params engine
@@ -369,6 +401,15 @@ def test_run_trial_budget_cap(example):
                                           epsilon=0.2), T)
     with pytest.raises(TrialBudgetExceeded):
         run_trial(TrialKernel.build(inst, params, 0), np.random.default_rng(0), max_steps=2)
+
+
+def test_run_trial_refuses_overflowing_default_cap(example):
+    """The default step cap 200 T overflows at T = 1e307: run_trial raised
+    OverflowError from int(inf); it now refuses the budget by name."""
+    inst, table, L, betas = example
+    kernel = TrialKernel.build(inst, build_params(1e307, inst, table, L, betas, epsilon=0.0), 0)
+    with pytest.raises(ValueError, match=r"T=1e\+307.*--max-steps"):
+        run_trial(kernel, np.random.default_rng(0))
 
 
 # ------------------------------------------------- trial kernel vs oracle

@@ -54,6 +54,24 @@ def test_config_validation():
     for epsilon in (1.0, 1.5, -0.1, float("nan")):
         with pytest.raises(ValueError, match="epsilon"):
             ExperimentConfig(inst, (5.0,), 100, 0, epsilon=epsilon)
+    with pytest.raises(ValueError, match="workers.*-1"):
+        ExperimentConfig(inst, (5.0,), 100, 0, workers=-1)
+    # 200 T, the default step cap, overflowed into an OverflowError mid-run.
+    with pytest.raises(ValueError, match=r"T=1e\+307.*--max-steps"):
+        ExperimentConfig(inst, (5.0, 1e307), 100, 0)
+    ExperimentConfig(inst, (5.0, 1e307), 100, 0, max_steps=5)
+    ExperimentConfig(inst, (5.0, math.inf), 100, 0)  # build_params refuses it
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-4", "1.5"])
+def test_bad_aseq_threads_refused_first(monkeypatch, threads):
+    """ASEQ_THREADS is read before any other work, and a value that is not a
+    positive integer is refused by name: int() named no variable, and 0 or
+    -4 ran serially without a word."""
+    monkeypatch.setenv("ASEQ_THREADS", threads)
+    monkeypatch.setattr(sim, "validate_model", None)  # any call would fail
+    with pytest.raises(ValueError, match=f"ASEQ_THREADS.*{re.escape(repr(threads))}"):
+        estimate_errors(ExperimentConfig(weak_binary(), (5.0,), 10, 0))
 
 
 def test_reproducible_reports(tmp_path):
@@ -338,7 +356,9 @@ CHUNK_CASES = {  # instance, T, exploration override, step cap
 
 
 @pytest.mark.parametrize("case", list(CHUNK_CASES))
-def test_run_chunk_matches_reference_seeding(case):
+def test_run_chunk_matches_reference_seeding(case, monkeypatch):
+    """A chunk's tally and cell equal a per-trial SeedSequence loop's; the
+    trials 5..64 also cross several edges of a small seed-word block."""
     make, T, epsilon, max_steps = CHUNK_CASES[case]
     inst = make()
     cfg = ExperimentConfig(inst, (T,), 60, seed=2**40 + 7, epsilon=epsilon, max_steps=max_steps)
@@ -352,6 +372,9 @@ def test_run_chunk_matches_reference_seeding(case):
         got = sim._run_chunk(kernel, cfg.seed, 5, 65, max_steps)
         tally, want = reference_chunk(inst, params, truth, T, cfg.seed, 5, 65, max_steps)
         assert type(got) is Counter and got == tally
+        with monkeypatch.context() as m:
+            m.setattr(sim, "_SEED_BLOCK", 7)
+            assert sim._run_chunk(kernel, cfg.seed, 5, 65, max_steps) == tally
         cell = sim._cell((T, truth), kernel, got, 60, inst.budgets.coeffs)
         for f in fields(CellStats):
             a, b = getattr(cell, f.name), getattr(want, f.name)
