@@ -10,7 +10,7 @@ from .policy import (ExplorationPlan, TestParams, TrialKernel, TrialResult,
                      action_pmf, build_params, choose_exploration_rate,
                      run_trial)
 from .region import (ConstraintPolytope, ExponentRegion, PerMRegion,
-                     build_polytope, chernoff_region, compute_region,
+                     build_polytope, compute_region,
                      decision_risk_exponents, enumerate_vertices,
                      individual_hypothesis_region_slice, membership,
                      nonadaptive_membership, region_polytope, tuncel_membership)

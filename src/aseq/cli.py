@@ -253,12 +253,14 @@ def _read_counts(path: str) -> dict[tuple[float, int], dict[int, int]]:
             try:
                 T = float(row["T"])
                 truth, declared, count = (int(row[c]) for c in _COUNT_COLUMNS[1:])
-                ok = 0.0 < T < math.inf and min(truth, declared, count) >= 0
+                # A count beyond 2**53 is no exact float, and far beyond one overflows.
+                ok = 0.0 < T < math.inf and min(truth, declared, count) >= 0 and count <= 2**53
             except (TypeError, ValueError):  # TypeError: a short row's missing fields
                 ok = False
             if not ok:
                 raise ValueError(f"{path} line {reader.line_num}: expected T > 0 and "
-                                 f"non-negative integers truth, declared and count")
+                                 f"non-negative integers truth, declared and count, "
+                                 f"count at most 2**53")
             rows.append((reader.line_num, T, truth, declared, count))
     cells: dict[tuple[float, int], dict[int, int]] = {}
     for line, T, truth, declared, count in rows:

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SupportMismatch
-from .model import ActionSpace, AvailabilityDist, Instance, JointModel, marginal
+from .model import (ActionSpace, AvailabilityDist, Instance, JointModel, observed_sources,
+                    subset_pmfs)
 
 
 def kl(p: np.ndarray, q: np.ndarray) -> float:
@@ -70,20 +71,15 @@ def build_table(model: JointModel, avail: AvailabilityDist, actions: ActionSpace
     The M x M divergence matrix depends on a∩z only, so it is computed once
     per distinct subset.
     """
-    n_a, n_z = actions.size, len(avail.sets)
-    out = np.zeros((n_a, n_z, model.M, model.M))
-    cache: dict[tuple[int, ...], np.ndarray] = {}
-    for ai, a in enumerate(actions.actions):
-        for zi, z in enumerate(avail.sets):
-            keep = tuple(sorted(set(a) & set(z)))
-            if not keep:
-                continue
-            if keep not in cache:
-                margs = [marginal(model, keep, keep, t).probs.reshape(-1)
-                         for t in range(model.M)]
-                cache[keep] = np.array([[kl(margs[m], margs[t]) if t != m else 0.0
-                                         for t in range(model.M)] for m in range(model.M)])
-            out[ai, zi] = cache[keep]
+    cells = observed_sources(actions, avail)
+    kls = {keep: np.array([[kl(p[:, m], p[:, t]) if t != m else 0.0 for t in range(model.M)]
+                           for m in range(model.M)])
+           for keep, p in subset_pmfs(model, cells).items()}
+    out = np.zeros((actions.size, len(avail.sets), model.M, model.M))
+    for ai, row in enumerate(cells):
+        for zi, keep in enumerate(row):
+            if keep:
+                out[ai, zi] = kls[keep]
     return DivergenceTable(out, actions, avail, model.M)
 
 

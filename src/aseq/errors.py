@@ -17,10 +17,6 @@ class InfeasiblePolytope(ValueError):
     """The selection-frequency constraint set is empty."""
 
 
-class NotChernoffForm(ValueError):
-    """Model is not in the single-availability, singleton-action, no-budget form."""
-
-
 class DimensionMismatch(ValueError):
     """An input array has the wrong shape: an exponent tuple for the region,
     or an LP's matrices and right-hand sides for each other."""

@@ -78,7 +78,7 @@ class AvailabilityDist:
             raise ValueError("duplicate availability sets")
         if len(self.probs) != len(self.sets):
             raise ValueError("probability per availability set required")
-        if np.any(self.probs <= 0):
+        if not np.all(self.probs > 0):  # NaN fails too; +inf fails the sum
             raise InvalidDistribution("availability probabilities must be positive")
         if abs(float(self.probs.sum()) - 1.0) > PROB_TOL:
             raise InvalidDistribution("availability probabilities must sum to 1")
@@ -117,8 +117,9 @@ class BudgetSpec:
     def __post_init__(self):
         if self.coeffs.ndim != 2 or len(self.rates) != self.coeffs.shape[0]:
             raise ValueError("coeffs must be (n_budgets, n) with one rate per row")
-        if np.any(self.coeffs < 0) or np.any(self.rates < 0):
-            raise ValueError("budget coefficients and rates must be nonnegative")
+        if not np.all(np.isfinite(self.coeffs) & (self.coeffs >= 0)) or np.any(self.rates < 0):
+            raise ValueError("budget coefficients must be finite and nonnegative, "
+                             "and rates nonnegative")
 
     @property
     def size(self) -> int:
@@ -182,6 +183,21 @@ def marginal(model: JointModel, a: tuple[int, ...], z: tuple[int, ...], theta: i
     return SubPmf(keep, probs)
 
 
+def observed_sources(actions: ActionSpace, avail: AvailabilityDist) -> list[list[tuple[int, ...]]]:
+    """The sources a∩z that each (action, set) cell observes, as sorted tuples
+    indexed [action][set]; () where the cell observes nothing."""
+    return [[tuple(sorted(set(a) & set(z))) for z in avail.sets] for a in actions.actions]
+
+
+def subset_pmfs(model: JointModel,
+                cells: list[list[tuple[int, ...]]]) -> dict[tuple[int, ...], np.ndarray]:
+    """Every hypothesis' marginal over each distinct nonempty subset in ``cells``
+    (as ``observed_sources`` gives them), stacked as a [symbol, theta] table."""
+    subsets = dict.fromkeys(keep for row in cells for keep in row if keep)
+    return {keep: np.stack([marginal(model, keep, keep, t).probs.reshape(-1)
+                            for t in range(model.M)], axis=1) for keep in subsets}
+
+
 def omega(actions: ActionSpace, avail: AvailabilityDist, beta: np.ndarray,
           n: int) -> np.ndarray:
     """Per-source selection frequencies omega_j = sum_{a,z} beta_{a,z} 1{j in a∩z},
@@ -191,12 +207,10 @@ def omega(actions: ActionSpace, avail: AvailabilityDist, beta: np.ndarray,
 
 def selection_matrix(actions: ActionSpace, avail: AvailabilityDist, n: int) -> np.ndarray:
     """Matrix W with W[j-1, flat(a,z)] = 1{j in a∩z}, so omega = W @ beta.flat."""
-    n_sets = len(avail.sets)
-    W = np.zeros((n, actions.size * n_sets))
-    for ai, a in enumerate(actions.actions):
-        for zi, z in enumerate(avail.sets):
-            for j in set(a) & set(z):
-                W[j - 1, ai * n_sets + zi] = 1.0
+    cells = [keep for row in observed_sources(actions, avail) for keep in row]
+    W = np.zeros((n, len(cells)))
+    for c, keep in enumerate(cells):
+        W[[j - 1 for j in keep], c] = 1.0
     return W
 
 
@@ -222,8 +236,8 @@ def in_constraint_set(beta: np.ndarray, avail: AvailabilityDist, actions: Action
 
 
 def _check_pmf(p: np.ndarray, what: str) -> None:
-    if np.any(p < 0):
-        raise InvalidDistribution(f"{what} has negative entries")
+    if not np.all(p >= 0):  # NaN fails too; +inf fails the sum
+        raise InvalidDistribution(f"{what} has negative or NaN entries")
     if abs(float(p.sum()) - 1.0) > PROB_TOL:
         raise InvalidDistribution(f"{what} sums to {float(p.sum())!r}, not 1")
 
@@ -257,8 +271,7 @@ def validate_model(model: JointModel, avail: AvailabilityDist, actions: ActionSp
     from .divergence import build_table  # deferred: divergence imports this module
 
     table = build_table(model, avail, actions)
-    selects = np.array([[bool(set(a) & set(z)) for z in avail.sets]
-                        for a in actions.actions])
+    selects = np.array([[bool(keep) for keep in row] for row in observed_sources(actions, avail)])
     seen = table.table[selects][:, ~np.eye(model.M, dtype=bool)] > 1e-12  # (combination, pair)
     a2_ok = bool(seen.any(axis=0).all())
     return ValidationReport(llr_bound, a2_ok, a2_ok and bool(seen.all()), table)

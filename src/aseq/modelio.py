@@ -35,14 +35,21 @@ def _as_int(v, path: str) -> int:
 def _as_float(v, path: str) -> float:
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ModelFormatError(f"{path}: expected a number, got {v!r}")
-    return float(v)
+    return float(_as_array(v, path))
 
 
 def _as_array(v, path: str) -> np.ndarray:
+    """``v`` as a float array. json.loads reads NaN, Infinity and integers of
+    any length, so every entry must also convert to a finite float."""
     try:
-        return np.asarray(v, dtype=float)
+        arr = np.asarray(v, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: not a numeric table") from exc
+    except OverflowError:  # an integer beyond float range
+        arr = np.array(np.inf)
+    if not np.all(np.isfinite(arr)):
+        raise ModelFormatError(f"{path}: every number must be a finite float")
+    return arr
 
 
 def _as_subset(v, n: int, path: str) -> tuple[int, ...]:
@@ -180,8 +187,9 @@ def load_betas(path: str | Path, inst: Instance) -> list[np.ndarray]:
     shape = (inst.actions.size, len(inst.avail.sets))
     out = []
     for i, b in enumerate(raw):
-        arr = _as_array(b, f"$[{i}]")
+        where = f"$[{i}] (hypothesis {i})"
+        arr = _as_array(b, where)
         if arr.shape != shape:
-            raise ModelFormatError(f"$[{i}]: matrix must have shape {shape}")
+            raise ModelFormatError(f"{where}: matrix must have shape {shape}")
         out.append(arr)
     return out

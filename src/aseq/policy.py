@@ -41,11 +41,11 @@ from operator import add, sub
 
 import numpy as np
 
-from .divergence import DivergenceTable, exponent
+from .divergence import DivergenceTable
 from .errors import (InvalidBeta, InvalidPmf, NoExplorationPossible,
                      TrialBudgetExceeded)
 from .model import (ActionSpace, AvailabilityDist, BudgetSpec, Instance,
-                    in_constraint_set, marginal, selection_matrix)
+                    in_constraint_set, observed_sources, selection_matrix, subset_pmfs)
 
 
 @dataclass(frozen=True)
@@ -156,11 +156,6 @@ class TestParams:
     betas: tuple[np.ndarray, ...]
 
 
-def _offdiag_min(mat: np.ndarray) -> float:
-    M = mat.shape[0]
-    return min(float(mat[t, m]) for t in range(M) for m in range(M) if m != t)
-
-
 def build_params(T: float, inst: Instance, table: DivergenceTable, llr_bound: float,
                  betas: list[np.ndarray] | tuple[np.ndarray, ...],
                  epsilon: float | None = None) -> TestParams:
@@ -190,76 +185,57 @@ def build_params(T: float, inst: Instance, table: DivergenceTable, llr_bound: fl
         # regime is unreachable and the test degenerates to the guess.
         degenerate_plan = epsilon != 0.0
 
-    exploit = np.zeros((M, M))
-    for t in range(M):
-        for m in range(M):
-            if m != t:
-                exploit[t, m] = exponent(betas[t], table, t, m)
-    explore = np.zeros((M, M))
-    for t in range(M):
-        for m in range(M):
-            if m != t:
-                explore[t, m] = plan.rate * float(
-                    table.table[list(plan.support), :, t, m].sum())
-
+    # D[t, m]: pair (t, m) over the (action, set) cells in C-order, made contiguous so
+    # that each last-axis sum below adds in the order of a sum over one pair's cells.
+    D = np.ascontiguousarray(table.table.transpose(2, 3, 0, 1)).reshape(M, M, -1)
+    off = ~np.eye(M, dtype=bool)
+    n_z = len(inst.avail.sets)
+    explored = [ai * n_z + zi for ai in plan.support for zi in range(n_z)]
     nan = float("nan")
     zeros = np.zeros((M, M))
-    base = TestParams(T=float(T), regime=1, explore_prob=nan, plan=plan,
-                      llr_bound=float(llr_bound), exploit_drift=exploit,
-                      explore_drift=explore, mixed_drift=zeros, drift_margin=nan,
-                      threshold_slope=zeros, max_slope=np.zeros(M), min_drift=nan,
-                      tail_rate=nan, tail_coef=nan, regime_threshold=nan,
-                      tail_bound=nan, offset_scale=nan,
-                      threshold_offset=np.zeros(M), thresholds=zeros, betas=betas)
+    params = TestParams(
+        T=float(T), regime=1, explore_prob=nan, plan=plan, llr_bound=float(llr_bound),
+        exploit_drift=np.where(off, (D * np.stack(betas).reshape(M, 1, -1)).sum(-1), 0.0),
+        explore_drift=plan.rate * D[:, :, explored].sum(-1), mixed_drift=zeros,
+        drift_margin=nan, threshold_slope=zeros, max_slope=np.zeros(M), min_drift=nan,
+        tail_rate=nan, tail_coef=nan, regime_threshold=nan, tail_bound=nan,
+        offset_scale=nan, threshold_offset=np.zeros(M), thresholds=zeros, betas=betas)
+    if degenerate_plan or (epsilon is None and T < math.e):
+        return params
+    eps = math.log(T) ** -0.25 if epsilon is None else float(epsilon)
 
-    if degenerate_plan:
-        return base
-    if epsilon is None:
-        if T < math.e:
-            return base
-        eps = (math.log(T)) ** -0.25
-    else:
-        eps = float(epsilon)
-
-    mixed = (1.0 - eps) * exploit + eps * explore
-    min_mixed = _offdiag_min(mixed)
-    min_explore = _offdiag_min(explore)
-    cubic_rhs = (T ** (-1.0 / 6.0) * (min_mixed / min_explore) ** 2
+    mixed = (1.0 - eps) * params.exploit_drift + eps * params.explore_drift
+    min_explore = float(params.explore_drift[off].min())
+    cubic_rhs = (T ** (-1.0 / 6.0) * (float(mixed[off].min()) / min_explore) ** 2
                  if min_explore > 0 else 0.0)
     margin = solve_drift_margin(cubic_rhs)
     slope = mixed / (1.0 + margin)
     np.fill_diagonal(slope, 0.0)
-    max_slope = np.array([max(slope[t, m] for m in range(M) if m != t) for t in range(M)])
     min_drift = eps * min_explore
+    params = replace(params, explore_prob=eps, mixed_drift=mixed, drift_margin=margin,
+                     threshold_slope=slope, max_slope=slope[off].reshape(M, M - 1).max(axis=1),
+                     min_drift=min_drift)
 
     if min_drift > 0:
         tail_rate = margin ** 3 / (4 * (1 + margin) ** 3) * (min_drift / (4 * llr_bound)) ** 2
         tail_coef = 2 + 2 * (1 + margin) ** 2 / margin ** 2 * (4 * llr_bound / min_drift) ** 2
         regime_threshold = 1 + (1 + math.log(M * tail_coef * (1 + tail_rate))) / tail_rate
-        in_regime2 = T >= max(math.e, regime_threshold)
-        if not in_regime2:
-            return replace(base, explore_prob=eps, mixed_drift=mixed,
-                           drift_margin=margin, threshold_slope=slope,
-                           max_slope=max_slope, min_drift=min_drift,
-                           tail_rate=tail_rate, tail_coef=tail_coef,
-                           regime_threshold=regime_threshold)
+        params = replace(params, tail_rate=tail_rate, tail_coef=tail_coef,
+                         regime_threshold=regime_threshold)
+        if T < max(math.e, regime_threshold):
+            return params
         tail_bound = -M * tail_coef * (1 + tail_rate) * math.exp(-tail_rate * (T - 1))
         k_val = offset_correction(tail_bound)
-        offset = max_slope * (1.0 - k_val / tail_rate)
+        params = replace(params, tail_bound=tail_bound, offset_scale=k_val,
+                         threshold_offset=params.max_slope * (1.0 - k_val / tail_rate))
     else:
         # Zero exploration removes the concentration certificate; run the
         # adaptive regime with the asymptotic offset.
-        tail_rate = tail_coef = regime_threshold = tail_bound = float("nan")
-        k_val = float("nan")
-        offset = max_slope.copy()
+        params = replace(params, threshold_offset=params.max_slope.copy())
 
-    thresholds = T * slope - offset[:, None]
+    thresholds = T * slope - params.threshold_offset[:, None]
     np.fill_diagonal(thresholds, 0.0)
-    return replace(base, regime=2, explore_prob=eps, mixed_drift=mixed,
-                   drift_margin=margin, threshold_slope=slope, max_slope=max_slope,
-                   min_drift=min_drift, tail_rate=tail_rate, tail_coef=tail_coef,
-                   regime_threshold=regime_threshold, tail_bound=tail_bound,
-                   offset_scale=k_val, threshold_offset=offset, thresholds=thresholds)
+    return replace(params, regime=2, thresholds=thresholds)
 
 
 def action_pmf(zi: int, theta_hat: int, params: TestParams,
@@ -329,25 +305,17 @@ class TrialKernel:
             return TrialKernel(params, truth, model.n, [], [], [], [])
         act_cdfs = [[np.cumsum(action_pmf(zi, th, params, inst)).tolist()
                      for zi in range(n_z)] for th in range(model.M)]
-        by_keep: dict[tuple[int, ...], tuple] = {}
-        obs: list[list] = [[None] * n_z for _ in inst.actions.actions]
-        for ai, a in enumerate(inst.actions.actions):
-            for zi, z in enumerate(inst.avail.sets):
-                keep = tuple(sorted(set(a) & set(z)))
-                if not keep:
-                    continue
-                if keep not in by_keep:
-                    flats = np.stack([marginal(model, keep, keep, t).probs.reshape(-1)
-                                      for t in range(model.M)], axis=1)  # [symbol, t]
-                    # Only symbols the truth can emit: the clamp of a draw past
-                    # a last CDF entry rounded below 1 then lands on one of
-                    # them, and no log of a zero mass is taken.
-                    flats = flats[flats[:, truth] > 0]
-                    loglik = np.log(flats).tolist()
-                    incs = [[[lt - lm for lm in lam] for lt in lam] for lam in loglik]
-                    by_keep[keep] = (np.cumsum(flats[:, truth]).tolist(), incs,
-                                     tuple(j - 1 for j in keep))
-                obs[ai][zi] = by_keep[keep]
+        cells = observed_sources(inst.actions, inst.avail)
+        by_keep = {}
+        for keep, flats in subset_pmfs(model, cells).items():  # flats: [symbol, t]
+            # Only symbols the truth can emit: the clamp of a draw past a last
+            # CDF entry rounded below 1 then lands on one of them, and no log
+            # of a zero mass is taken.
+            flats = flats[flats[:, truth] > 0]
+            incs = [[[lt - lm for lm in lam] for lt in lam] for lam in np.log(flats).tolist()]
+            by_keep[keep] = (np.cumsum(flats[:, truth]).tolist(), incs,
+                             tuple(j - 1 for j in keep))
+        obs = [[by_keep[keep] if keep else None for keep in row] for row in cells]
         return TrialKernel(params, truth, model.n, np.cumsum(inst.avail.probs).tolist(),
                            act_cdfs, obs, params.thresholds.tolist())
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .divergence import DivergenceTable, kl
-from .errors import (DimensionMismatch, InfeasiblePolytope, NotChernoffForm,
-                     SupportMismatch, UnsupportedDimension)
+from .errors import (DimensionMismatch, InfeasiblePolytope, SupportMismatch,
+                     UnsupportedDimension)
 from .linprog import LpResult, lp_feasible, solve_lp
 from .model import (ActionSpace, AvailabilityDist, BudgetSpec, JointModel,
                     marginal, selection_matrix)
@@ -379,22 +379,6 @@ def compute_region(table: DivergenceTable, poly: ConstraintPolytope) -> Exponent
 def membership(exponents: np.ndarray, region: ExponentRegion, tol: float = 1e-9) -> bool:
     """Whether an (M, M) exponent matrix (zero diagonal) is achievable."""
     return region.contains(exponents, tol)
-
-
-def chernoff_region(table: DivergenceTable) -> ExponentRegion:
-    """Region for the classic setup: one full availability set, singleton
-    actions, no budgets. Equals the general construction on that polytope."""
-    sets = table.avail.sets
-    if len(sets) != 1 or abs(float(table.avail.probs[0]) - 1.0) > 1e-12:
-        raise NotChernoffForm("need a single always-available source set")
-    z = sets[0]
-    if z != tuple(range(1, len(z) + 1)):
-        raise NotChernoffForm("availability set must be the full source range")
-    expected = {()} | {(j,) for j in z}
-    if set(table.actions.actions) != expected:
-        raise NotChernoffForm("actions must be the empty set plus all singletons")
-    poly = build_polytope(table.avail, table.actions, BudgetSpec.none(len(z)))
-    return compute_region(table, poly)
 
 
 def _lifted(poly: ConstraintPolytope, rows: np.ndarray, lift: np.ndarray, rhs: np.ndarray):

@@ -1,20 +1,23 @@
 import itertools
 import json
+import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import add
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aseq.divergence import kl
-from aseq.errors import InfeasiblePolytope, NoExplorationPossible, UnsupportedDimension
+from aseq.divergence import DivergenceTable, exponent, kl
+from aseq.errors import (InfeasiblePolytope, InvalidBeta, NoExplorationPossible,
+                         UnsupportedDimension)
 from aseq.linprog import _TOL, LpResult
 from aseq.model import (ActionSpace, AvailabilityDist, BudgetSpec, Instance,
-                        JointModel, omega, selection_matrix)
+                        JointModel, in_constraint_set, omega, selection_matrix)
 from aseq.modelio import instance_from_dict, load_instance
-from aseq.policy import ExplorationPlan
+from aseq.policy import (ExplorationPlan, TestParams, choose_exploration_rate,
+                         offset_correction, solve_drift_margin)
 from aseq.region import (VERTEX_TOL, SlicePolyline, TuncelOptions, _dual_for, _simplex_grid,
                          _slice_axes, _unique_rows)
 
@@ -84,6 +87,109 @@ def reference_exploration_plan(avail: AvailabilityDist, actions: ActionSpace,
                 if cost > 0:
                     rate = min(rate, float(budgets.rates[i]) / cost)
     return ExplorationPlan(rate, tuple(support))
+
+
+def _offdiag_min(mat: np.ndarray) -> float:
+    M = mat.shape[0]
+    return min(float(mat[t, m]) for t in range(M) for m in range(M) if m != t)
+
+
+def reference_build_params(T: float, inst: Instance, table: DivergenceTable, llr_bound: float,
+                           betas: list[np.ndarray] | tuple[np.ndarray, ...],
+                           epsilon: float | None = None) -> TestParams:
+    """``policy.build_params`` as it was before it read the drifts off the
+    table as arrays: a loop over hypothesis pairs per drift, one base
+    ``TestParams`` and one ``replace`` per exit."""
+    if not (math.isfinite(T) and T >= 1):
+        raise ValueError(f"expected-stopping-time budget must be finite and at least 1, got {T}")
+    if epsilon is not None and not 0.0 <= epsilon < 1.0:  # nan fails too
+        raise ValueError("exploration probability override must be in [0, 1)")
+    M = table.M
+    if len(betas) != M:
+        raise InvalidBeta(f"need one selection-frequency tuple per hypothesis, got {len(betas)}")
+    betas = tuple(np.asarray(b, dtype=float) for b in betas)
+    for t, b in enumerate(betas):
+        if not in_constraint_set(b, inst.avail, inst.actions, inst.budgets):
+            raise InvalidBeta(f"frequencies for hypothesis {t} violate the constraint set")
+    degenerate_plan = False
+    try:
+        plan = choose_exploration_rate(inst.avail, inst.actions, inst.budgets, table)
+    except NoExplorationPossible:
+        plan = ExplorationPlan(0.0, ())
+        # Pure exploitation never explores anyway; otherwise the adaptive
+        # regime is unreachable and the test degenerates to the guess.
+        degenerate_plan = epsilon != 0.0
+
+    exploit = np.zeros((M, M))
+    for t in range(M):
+        for m in range(M):
+            if m != t:
+                exploit[t, m] = exponent(betas[t], table, t, m)
+    explore = np.zeros((M, M))
+    for t in range(M):
+        for m in range(M):
+            if m != t:
+                explore[t, m] = plan.rate * float(
+                    table.table[list(plan.support), :, t, m].sum())
+
+    nan = float("nan")
+    zeros = np.zeros((M, M))
+    base = TestParams(T=float(T), regime=1, explore_prob=nan, plan=plan,
+                      llr_bound=float(llr_bound), exploit_drift=exploit,
+                      explore_drift=explore, mixed_drift=zeros, drift_margin=nan,
+                      threshold_slope=zeros, max_slope=np.zeros(M), min_drift=nan,
+                      tail_rate=nan, tail_coef=nan, regime_threshold=nan,
+                      tail_bound=nan, offset_scale=nan,
+                      threshold_offset=np.zeros(M), thresholds=zeros, betas=betas)
+
+    if degenerate_plan:
+        return base
+    if epsilon is None:
+        if T < math.e:
+            return base
+        eps = (math.log(T)) ** -0.25
+    else:
+        eps = float(epsilon)
+
+    mixed = (1.0 - eps) * exploit + eps * explore
+    min_mixed = _offdiag_min(mixed)
+    min_explore = _offdiag_min(explore)
+    cubic_rhs = (T ** (-1.0 / 6.0) * (min_mixed / min_explore) ** 2
+                 if min_explore > 0 else 0.0)
+    margin = solve_drift_margin(cubic_rhs)
+    slope = mixed / (1.0 + margin)
+    np.fill_diagonal(slope, 0.0)
+    max_slope = np.array([max(slope[t, m] for m in range(M) if m != t) for t in range(M)])
+    min_drift = eps * min_explore
+
+    if min_drift > 0:
+        tail_rate = margin ** 3 / (4 * (1 + margin) ** 3) * (min_drift / (4 * llr_bound)) ** 2
+        tail_coef = 2 + 2 * (1 + margin) ** 2 / margin ** 2 * (4 * llr_bound / min_drift) ** 2
+        regime_threshold = 1 + (1 + math.log(M * tail_coef * (1 + tail_rate))) / tail_rate
+        in_regime2 = T >= max(math.e, regime_threshold)
+        if not in_regime2:
+            return replace(base, explore_prob=eps, mixed_drift=mixed,
+                           drift_margin=margin, threshold_slope=slope,
+                           max_slope=max_slope, min_drift=min_drift,
+                           tail_rate=tail_rate, tail_coef=tail_coef,
+                           regime_threshold=regime_threshold)
+        tail_bound = -M * tail_coef * (1 + tail_rate) * math.exp(-tail_rate * (T - 1))
+        k_val = offset_correction(tail_bound)
+        offset = max_slope * (1.0 - k_val / tail_rate)
+    else:
+        # Zero exploration removes the concentration certificate; run the
+        # adaptive regime with the asymptotic offset.
+        tail_rate = tail_coef = regime_threshold = tail_bound = float("nan")
+        k_val = float("nan")
+        offset = max_slope.copy()
+
+    thresholds = T * slope - offset[:, None]
+    np.fill_diagonal(thresholds, 0.0)
+    return replace(base, regime=2, explore_prob=eps, mixed_drift=mixed,
+                   drift_margin=margin, threshold_slope=slope, max_slope=max_slope,
+                   min_drift=min_drift, tail_rate=tail_rate, tail_coef=tail_coef,
+                   regime_threshold=regime_threshold, tail_bound=tail_bound,
+                   offset_scale=k_val, threshold_offset=offset, thresholds=thresholds)
 
 
 def reference_active_set_vertices(poly, tol: float = VERTEX_TOL) -> np.ndarray:

@@ -59,6 +59,11 @@ BAD_VALUES = {
     "rate_null": (("budgets", 0, "rate"), "$.budgets[0].rate", None),
     "coeff_object": (("budgets", 0, "coeff"), "$.budgets[0].coeff", {"a": 1}),
     "action_int": (("actions", 0), "$.actions[0]", 1),
+    # json.loads reads NaN, Infinity and integers beyond float range.
+    "prob_nan": (("availability", 0, "prob"), "$.availability[0].prob", float("nan")),
+    "coeff_nan": (("budgets", 0, "coeff"), "$.budgets[0].coeff", [float("nan"), 1.0]),
+    "rate_inf": (("budgets", 0, "rate"), "$.budgets[0].rate", float("inf")),
+    "prob_huge": (("availability", 0, "prob"), "$.availability[0].prob", 10**400),
 }
 
 
@@ -234,11 +239,14 @@ def test_summary_writes_null_for_nan(tmp_path):
     ("T,truth,declared,count\n5.0,0,0,7\n5.0,0,1\n", "line 3"),
     ("T,truth,declared,count\n5.0,0,-1,3\n", "line 2"),
     ("T,truth,declared,count\n5.0,0,0,7\n5.0,0,1,3\n5.0,0,2,1\n5.0,4,0,1\n", "line 5"),
-], ids=["no_declared_column", "short_row", "negative_declared", "truth_past_rows"])
+    (f"T,truth,declared,count\n5.0,0,0,7\n5.0,0,1,{10**400}\n", "line 3"),
+], ids=["no_declared_column", "short_row", "negative_declared", "truth_past_rows",
+        "huge_count"])
 def test_exponents_bad_results_exit_1(tmp_path, capsys, text, where):
-    """A results CSV without a needed column, with a short row or with a
-    negative hypothesis index is refused in one line that names the column
-    or the line, and no fit file is written."""
+    """A results CSV without a needed column, with a short row, with a
+    negative hypothesis index or with a count above 2**53 (a 401-digit count
+    raised an OverflowError traceback) is refused in one line that names the
+    column or the line, and no fit file is written."""
     runs, out = tmp_path / "runs.csv", tmp_path / "fits.json"
     runs.write_text(text, encoding="utf-8")
     assert main(["exponents", "--in", str(runs), "--out", str(out)]) == 1
@@ -417,13 +425,15 @@ def test_out_and_summary_same_file_exits_2(tmp_path, capsys, monkeypatch, spelli
 
 @pytest.mark.parametrize("entry, where", [
     ({"a": 1}, "$[0]"), ([[0.5, 0.5], [0.5]], "$[0]"), ("abc", "$[0]"), ([[0.0]], "$[0]"),
-    ([[None], [0.5], [0.5]], "hypothesis 0"),
-], ids=["object", "ragged", "string", "wrong_shape", "null"])
+    ([[None], [0.5], [0.5]], "hypothesis 0"), ([[float("nan")], [0.5], [0.5]], "$[0]"),
+    ([[10**400], [0.5], [0.5]], "$[0]"),
+], ids=["object", "ragged", "string", "wrong_shape", "null", "nan", "huge"])
 def test_bad_beta_file_exits_1(tmp_path, capsys, entry, where):
     """A frequency file whose first matrix is not a numeric table of the
-    model's shape, or holds a null (read as NaN), is refused in one line
-    naming it, and nothing is written. An object entry raised a TypeError
-    traceback, and a null entry ran and exited 0."""
+    model's shape, or holds a null (read as NaN), a NaN or an integer beyond
+    float range, is refused in one line naming it, and nothing is written.
+    An object entry raised a TypeError traceback, a null entry ran and
+    exited 0, and a 401-digit entry raised an OverflowError traceback."""
     beta, out = tmp_path / "beta.json", tmp_path / "runs.csv"
     ok = [[0.0], [0.5], [0.5]]
     beta.write_text(json.dumps([entry, ok, ok]), encoding="utf-8")
@@ -610,7 +620,8 @@ FUZZ_BASE.update(availability=[{"subset": [1, 2], "prob": 0.7}, {"subset": [1], 
 FUZZ_PATHS = list(_paths(FUZZ_BASE))
 # Wrong types, zeros, and empty, duplicate or out-of-range subsets.
 FUZZ_VALUES = [None, True, "x", 0, 0.0, -1, 0.5, 5, [], {}, {"a": 1}, [0], [3],
-               [1, 1], [2, 1], [1, 2, 3], [[1]], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]]
+               [1, 1], [2, 1], [1, 2, 3], [[1]], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0],
+               float("nan"), float("inf"), 10**400]
 MUTATION = st.tuples(st.sampled_from(["set", "drop", "dup"]), st.sampled_from(FUZZ_PATHS),
                      st.sampled_from(FUZZ_VALUES))
 

@@ -1,23 +1,24 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
+import hypothesis
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from aseq.divergence import build_instance_table, exponent
 from aseq.errors import InvalidBeta, NoExplorationPossible, TrialBudgetExceeded
 from aseq.model import ActionSpace, BudgetSpec, Instance, marginal, validate_model
-from aseq.policy import (TrialKernel, TrialResult, action_pmf, build_params,
-                         choose_exploration_rate, offset_correction, run_trial,
+from aseq.policy import (ExplorationPlan, TrialKernel, TrialResult, action_pmf,
+                         build_params, choose_exploration_rate, offset_correction, run_trial,
                          solve_drift_margin)
 from aseq.region import build_polytope, decision_risk_exponents
 
-from conftest import (kernel_path, make_instance, random_instance, reference_exploration_plan,
-                      two_set_instance)
+from conftest import (kernel_path, make_instance, random_instance, reference_build_params,
+                      reference_exploration_plan, two_set_instance)
 from test_model import P01, P02, P11, P12, P21, P22
 
 
@@ -208,6 +209,63 @@ def test_params_epsilon_range_checked_without_exploration(example_instance, epsi
     assert build_params(10.0, inst, table, L, betas).regime == 1
     with pytest.raises(ValueError, match="exploration probability"):
         build_params(10.0, inst, table, L, betas, epsilon=epsilon)
+
+
+def _same_bits(got, want, name):
+    """Equal bit for bit, with the same Python type, and for arrays the same
+    dtype and shape."""
+    assert type(got) is type(want), (name, type(got), type(want))
+    if isinstance(want, np.ndarray):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), \
+            (name, got, want)
+    elif isinstance(want, float):
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (name, got, want)
+    elif isinstance(want, tuple):
+        assert len(got) == len(want), name
+        for i, (g, w) in enumerate(zip(got, want)):
+            _same_bits(g, w, f"{name}[{i}]")
+    elif isinstance(want, ExplorationPlan):
+        _same_bits(got.rate, want.rate, f"{name}.rate")
+        _same_bits(got.support, want.support, f"{name}.support")
+    else:
+        assert got == want, (name, got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_budgets=st.integers(0, 2), zero_rate=st.booleans(),
+       T=st.sampled_from([1.0, 2.0, math.e, 3.0, 50.0, 1e4, 1e9, 5e10, 1e15]),
+       epsilon=st.sampled_from([None, 0.0, 0.2, 0.9]))
+# One example per exit: no exploration support; T < e at the default epsilon;
+# regime 1 and regime 2 (min_drift > 0) on a pruned support; regime 2 at epsilon 0.
+@hypothesis.example(seed=0, n_budgets=1, zero_rate=True, T=1e4, epsilon=0.2)
+@hypothesis.example(seed=0, n_budgets=0, zero_rate=False, T=2.0, epsilon=None)
+@hypothesis.example(seed=0, n_budgets=2, zero_rate=True, T=50.0, epsilon=0.2)
+@hypothesis.example(seed=1, n_budgets=2, zero_rate=True, T=1e15, epsilon=None)
+@hypothesis.example(seed=0, n_budgets=0, zero_rate=False, T=3.0, epsilon=0.0)
+def test_build_params_matches_reference(seed, n_budgets, zero_rate, T, epsilon):
+    """build_params on the table's arrays equals the pair-by-pair loop of
+    reference_build_params in every field, bit for bit and type for type, at
+    every exit of the threshold chain. A zero-rate budget prunes the
+    exploration support or leaves none."""
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, n_budgets=n_budgets)
+    if n_budgets and zero_rate:
+        rates = inst.budgets.rates.copy()
+        rates[rng.integers(n_budgets)] = 0.0
+        inst = replace(inst, budgets=BudgetSpec(inst.budgets.coeffs, rates))
+    inst, table, L, betas = _setup(inst)
+    got = build_params(T, inst, table, L, betas, epsilon)
+    want = reference_build_params(T, inst, table, L, betas, epsilon)
+    if epsilon != 0.0 and not want.plan.support:
+        event("no exploration support")
+    elif epsilon is None and T < math.e:
+        event("T < e, default epsilon")
+    elif want.regime == 1:
+        event("regime 1, tail quantities")
+    else:
+        event("regime 2, " + ("min_drift > 0" if want.min_drift > 0 else "epsilon 0"))
+    for f in fields(want):
+        _same_bits(getattr(got, f.name), getattr(want, f.name), f.name)
 
 
 # ---------------------------------------------------------------------- mle

@@ -11,11 +11,11 @@ from scipy.optimize import linprog
 from scipy.special import logsumexp as scipy_logsumexp
 
 from aseq.divergence import build_instance_table, exponent, kl
-from aseq.errors import (DimensionMismatch, InfeasiblePolytope, NotChernoffForm,
-                         SupportMismatch, UnsupportedDimension)
+from aseq.errors import (DimensionMismatch, InfeasiblePolytope, SupportMismatch,
+                         UnsupportedDimension)
 from aseq.model import ActionSpace, AvailabilityDist, BudgetSpec, Instance
-from aseq.region import (ConstraintPolytope, TuncelOptions, build_polytope, chernoff_region,
-                         compute_region, decision_risk_exponents, enumerate_vertices,
+from aseq.region import (ConstraintPolytope, TuncelOptions, build_polytope, compute_region,
+                         decision_risk_exponents, enumerate_vertices,
                          individual_hypothesis_region_slice, membership,
                          nonadaptive_feasibility, nonadaptive_membership, nonadaptive_slice,
                          region_polytope, source_marginals, tuncel_membership, tuncel_slice)
@@ -367,35 +367,7 @@ def test_region_membership_against_grid_oracle(example):
                     assert not np.any(np.all(corners >= e_sub - 1e-9, axis=1))
 
 
-# ------------------------------------------------------- chernoff + corollaries
-
-def test_chernoff_region_requires_form(example):
-    inst = make_instance(
-        2, 2, (2, 2), pmf_rows=[[[0.6, 0.4]] * 2, [[0.3, 0.7]] * 2],
-        avail=AvailabilityDist(((1, 2), (1,)), np.array([0.6, 0.4])))
-    table = build_instance_table(inst)
-    with pytest.raises(NotChernoffForm):
-        chernoff_region(table)
-
-
-def test_chernoff_matches_general_path():
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        inst = random_instance(rng, n_budgets=0)
-        full = tuple(range(1, inst.model.n + 1))
-        inst = Instance(inst.model,
-                        AvailabilityDist((full,), np.array([1.0])),
-                        ActionSpace(((),) + tuple((j,) for j in full)),
-                        BudgetSpec.none(inst.model.n))
-        table = build_instance_table(inst)
-        poly = build_polytope(inst.avail, inst.actions, inst.budgets)
-        general = compute_region(table, poly)
-        special = chernoff_region(table)
-        for m in range(inst.model.M):
-            a = np.sort(general.sub(m).corners, axis=0)
-            b = np.sort(special.sub(m).corners, axis=0)
-            assert np.allclose(a, b, atol=1e-12)
-
+# ------------------------------------------------------------- corollaries
 
 def test_decision_risk_zero_model():
     inst = make_instance(2, 1, (3,), pmf_rows=[[P01], [P01]])
