@@ -108,7 +108,8 @@ class BudgetSpec:
     ``coeffs`` has shape (n_budgets, n); entry (i, j-1) weights source j in
     cost i. Coefficients are nonnegative (linearity with zero cost at zero
     selection forces this on the nonnegative orthant). ``rates`` are the
-    allowed cost per unit of expected stopping time.
+    allowed cost per unit of expected stopping time, each finite and
+    nonnegative.
     """
 
     coeffs: np.ndarray
@@ -117,9 +118,11 @@ class BudgetSpec:
     def __post_init__(self):
         if self.coeffs.ndim != 2 or len(self.rates) != self.coeffs.shape[0]:
             raise ValueError("coeffs must be (n_budgets, n) with one rate per row")
-        if not np.all(np.isfinite(self.coeffs) & (self.coeffs >= 0)) or np.any(self.rates < 0):
-            raise ValueError("budget coefficients must be finite and nonnegative, "
-                             "and rates nonnegative")
+        if not np.all(np.isfinite(self.coeffs) & (self.coeffs >= 0)):
+            raise ValueError("budget coefficients must be finite and nonnegative")
+        for i, r in enumerate(self.rates.tolist()):
+            if not 0.0 <= r < np.inf:  # NaN fails too
+                raise ValueError(f"budget {i} rate must be finite and nonnegative, got {r!r}")
 
     @property
     def size(self) -> int:

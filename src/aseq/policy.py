@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from operator import add, sub
+from operator import add, ge
 
 import numpy as np
 
@@ -71,7 +71,7 @@ def choose_exploration_rate(avail: AvailabilityDist, actions: ActionSpace,
     rate = float(np.min(avail.probs)) / actions.size
     if budgets.size:
         W = selection_matrix(actions, avail, budgets.coeffs.shape[1])  # [source, (a, z)]
-        positive = budgets.rates > 0  # a NaN rate is not positive
+        positive = budgets.rates > 0
         costed = ((budgets.coeffs[~positive] > 0) @ W).any(axis=0)
         explorable &= ~costed.reshape(actions.size, len(avail.sets)).any(axis=1)
         w = W.sum(axis=1)  # omega at all-ones selection frequencies
@@ -279,13 +279,22 @@ class TrialKernel:
     """What every trial under one (params, truth) reads, as Python lists: a
     trial's only input besides its generator.
 
-    ``n_sources`` is the model's source count, the length of a trial's source
-    counts. ``z_cdf`` is the availability CDF and ``act_cdfs[theta_hat][zi]``
-    the action CDF given the estimate and the available set. ``obs[ai][zi]``
-    is None when action ai selects no source of set zi; otherwise it holds the
-    truth's sampling CDF over the symbols of the selected sub-alphabet that
-    the truth gives positive mass, the increment lam[t] - lam[m] of S for
-    each of them, and the selected source indices.
+    A trial holds S as its M(M-1) off-diagonal entries in one row-major list,
+    row t being S[t][m] for m != t in ascending m, and every increment and
+    threshold row here is laid out the same way. ``n_sources`` is the model's
+    source count, the length of a trial's source counts. ``z_cdf`` is the
+    availability CDF, and ``steps[theta_hat][zi]`` pairs the action CDF given
+    the estimate and the available set with the set's cells, one per action.
+    A cell is None when the action selects no source of the set; otherwise it
+    holds the truth's sampling CDF over the symbols of the selected
+    sub-alphabet that the truth gives positive mass, the increments
+    lam[t] - lam[m] of S for each of them, and the selected source indices.
+    The last entry of every CDF is +inf, so bisect_right of a draw in [0, 1)
+    lands on an entry even past a last partial sum rounded below 1.
+    ``thresholds[t]`` is row t's off-diagonal thresholds. ``cands[theta_hat]``
+    lists, in ascending order, the rows the stopping rule can clear under
+    that estimate: the estimate itself and every row with a nonpositive
+    threshold (see ``run_trial``).
     The tables are empty in regime 1, whose trials read only the source count.
     """
 
@@ -293,31 +302,48 @@ class TrialKernel:
     truth: int
     n_sources: int
     z_cdf: list[float]
-    act_cdfs: list[list[list[float]]]
-    obs: list[list[tuple | None]]
+    steps: list[list[tuple[list[float], list[tuple | None]]]]
     thresholds: list[list[float]]
+    cands: list[tuple[int, ...]]
 
     @staticmethod
     def build(inst: Instance, params: TestParams, truth: int) -> "TrialKernel":
         model = inst.model
-        n_z = len(inst.avail.sets)
+        M, n_z = model.M, len(inst.avail.sets)
         if params.regime != 2:
             return TrialKernel(params, truth, model.n, [], [], [], [])
-        act_cdfs = [[np.cumsum(action_pmf(zi, th, params, inst)).tolist()
-                     for zi in range(n_z)] for th in range(model.M)]
         cells = observed_sources(inst.actions, inst.avail)
         by_keep = {}
         for keep, flats in subset_pmfs(model, cells).items():  # flats: [symbol, t]
-            # Only symbols the truth can emit: the clamp of a draw past a last
-            # CDF entry rounded below 1 then lands on one of them, and no log
-            # of a zero mass is taken.
+            # Only symbols the truth can emit: a draw past a last partial sum
+            # rounded below 1 then lands on one of them, and no log of a zero
+            # mass is taken.
             flats = flats[flats[:, truth] > 0]
-            incs = [[[lt - lm for lm in lam] for lt in lam] for lam in np.log(flats).tolist()]
-            by_keep[keep] = (np.cumsum(flats[:, truth]).tolist(), incs,
-                             tuple(j - 1 for j in keep))
-        obs = [[by_keep[keep] if keep else None for keep in row] for row in cells]
-        return TrialKernel(params, truth, model.n, np.cumsum(inst.avail.probs).tolist(),
-                           act_cdfs, obs, params.thresholds.tolist())
+            incs = [[lt - lm for t, lt in enumerate(lam) for m, lm in enumerate(lam) if m != t]
+                    for lam in np.log(flats).tolist()]
+            by_keep[keep] = (_cdf(flats[:, truth]), incs, tuple(j - 1 for j in keep))
+        by_set = [[by_keep[row[zi]] if row[zi] else None for row in cells] for zi in range(n_z)]
+        steps = [[(_cdf(action_pmf(zi, th, params, inst)), by_set[zi]) for zi in range(n_z)]
+                 for th in range(M)]
+        thresholds = params.thresholds[~np.eye(M, dtype=bool)].reshape(M, M - 1)
+        nonpositive = set(np.flatnonzero(~(thresholds > 0).all(axis=1)).tolist())
+        cands = [tuple(sorted(nonpositive | {th})) for th in range(M)]
+        return TrialKernel(params, truth, model.n, _cdf(inst.avail.probs), steps,
+                           thresholds.tolist(), cands)
+
+
+def _cdf(pmf: np.ndarray) -> list[float]:
+    """The partial sums of ``pmf`` with the last one replaced by +inf."""
+    cdf = np.cumsum(pmf).tolist()
+    cdf[-1] = math.inf
+    return cdf
+
+
+def _square(V: list[float], M: int) -> list[list[float]]:
+    """The M x M matrix, zero on the diagonal, of the row-major off-diagonal
+    list ``V`` (the layout of S in ``run_trial``)."""
+    w = M - 1
+    return [V[t * w:t * w + t] + [0.0] + V[t * w + t:t * w + w] for t in range(M)]
 
 
 _DRAW_BATCH = 32
@@ -345,15 +371,28 @@ def run_trial(kernel: TrialKernel, rng: np.random.Generator,
     the generator.
 
     Regime 1 stops at step one with a uniform guess and selects nothing.
-    Regime 2 loops draw-availability / estimate / draw-action / sample /
-    update / check-stop, reading the tables of ``kernel``. S[t][m] holds the
-    pairwise log-likelihood ratios of t against m, and each observation adds
-    lam[t] - lam[m], so S stays antisymmetric. Two rules read it:
+    Regime 2 loops draw-availability / draw-action / sample / update,
+    reading the tables of ``kernel``. S[t][m] holds the pairwise
+    log-likelihood ratios of t against m, kept as the flat off-diagonal list
+    of ``TrialKernel``, and each observation adds lam[t] - lam[m] to every
+    entry in one pass. Two rules read S:
 
     - the estimate is the smallest hypothesis whose row of S is all >= 0,
       else (only for an inconsistent S) the one with the largest row sum;
     - the test stops at the smallest hypothesis whose row clears every
       threshold, S[t][m] >= thresholds[t][m] for all m.
+
+    Both run only after S changes, plus once at step 1 on S = 0: on an
+    unchanged S they give the answers they gave before. The stopping rule
+    tests only the rows ``kernel.cands[theta_hat]``, and only their
+    off-diagonal entries. That is the full rule because of two facts. The
+    threshold diagonal is zero, so S[t][t] = 0 clears it. And S is exactly
+    antisymmetric: the increments of S[t][m] and S[m][t] are lt - lm and
+    lm - lt, which round to exact negatives, and so do their running sums.
+    So if a row t other than the estimate, with all thresholds positive,
+    cleared them, row t would be all > 0; the estimate theta would then be a
+    smaller row with S[theta][t] >= 0, and S[t][theta] = -S[theta][t] <= 0
+    would contradict it.
 
     Uniforms are drawn in batches, so the generator may end up to one batch
     past the last draw the trial used; give each trial its own generator.
@@ -363,35 +402,36 @@ def run_trial(kernel: TrialKernel, rng: np.random.Generator,
     """
     params = kernel.params
     M = len(params.betas)
-    n_a, n_z = params.betas[0].shape
     if params.regime == 1:
         return TrialResult(1, int(rng.integers(M)), (0,) * kernel.n_sources)
     if max_steps is None:
         max_steps = default_max_steps(params.T)
 
-    z_cdf, act_cdfs, obs, thresholds = (kernel.z_cdf, kernel.act_cdfs, kernel.obs,
-                                        kernel.thresholds)
-    S = [[0.0] * M for _ in range(M)]
+    z_cdf, steps, thresholds, cands = (kernel.z_cdf, kernel.steps, kernel.thresholds,
+                                       kernel.cands)
+    w = M - 1
+    V = [0.0] * (M * w)
     source_counts = [0] * kernel.n_sources
     draw = _uniforms(rng).__next__
+    theta_hat = 0  # the estimate on S = 0
     for t in range(1, max_steps + 1):
-        zi = min(bisect_right(z_cdf, draw()), n_z - 1)
-        # Maximum-likelihood estimate.
-        for theta_hat, row in enumerate(S):
-            if min(row) >= 0:
-                break
-        else:
-            theta_hat = int(np.argmax(np.array(S).sum(axis=1)))
-        ai = min(bisect_right(act_cdfs[theta_hat][zi], draw()), n_a - 1)
-        seen = obs[ai][zi]
+        act_cdf, cells = steps[theta_hat][bisect_right(z_cdf, draw())]
+        seen = cells[bisect_right(act_cdf, draw())]
         if seen is not None:
             samp_cdf, incs, sources = seen
-            sym = min(bisect_right(samp_cdf, draw()), len(samp_cdf) - 1)
-            S = [list(map(add, row, inc)) for row, inc in zip(S, incs[sym])]
+            V = list(map(add, V, incs[bisect_right(samp_cdf, draw())]))
             for j in sources:
                 source_counts[j] += 1
+            # Maximum-likelihood estimate.
+            for theta_hat in range(M):
+                if min(V[theta_hat * w:theta_hat * w + w]) >= 0:
+                    break
+            else:
+                theta_hat = int(np.argmax(np.array(_square(V, M)).sum(axis=1)))
+        elif t > 1:
+            continue
         # Stopping rule.
-        for declared, (row, thr) in enumerate(zip(S, thresholds)):
-            if min(map(sub, row, thr)) >= 0:
+        for declared in cands[theta_hat]:
+            if all(map(ge, V[declared * w:declared * w + w], thresholds[declared])):
                 return TrialResult(t, declared, tuple(source_counts))
     raise TrialBudgetExceeded(f"no decision within {max_steps} steps")

@@ -16,7 +16,7 @@ from aseq.linprog import _TOL, LpResult
 from aseq.model import (ActionSpace, AvailabilityDist, BudgetSpec, Instance,
                         JointModel, in_constraint_set, omega, selection_matrix)
 from aseq.modelio import instance_from_dict, load_instance
-from aseq.policy import (ExplorationPlan, TestParams, choose_exploration_rate,
+from aseq.policy import (ExplorationPlan, TestParams, _square, choose_exploration_rate,
                          offset_correction, solve_drift_margin)
 from aseq.region import (VERTEX_TOL, SlicePolyline, TuncelOptions, _dual_for, _simplex_grid,
                          _slice_axes, _unique_rows)
@@ -36,6 +36,14 @@ def two_set_instance(coeff) -> Instance:
     d.update(availability=[{"subset": [1, 2], "prob": 0.7}, {"subset": [1], "prob": 0.3}],
              actions=[[1], [2], [1, 2]], budgets=[{"coeff": coeff, "rate": 1.2}])
     return instance_from_dict(d)
+
+
+def four_hypothesis_instance() -> Instance:
+    """The example's three hypotheses, its actions and its one availability
+    set, plus a fourth hypothesis ([0.3, 0.3, 0.4], [0.5, 0.25, 0.25])."""
+    return make_instance(4, 2, (3, 3), pmf_rows=[
+        [[0.9, 0.07, 0.03], [0.78, 0.17, 0.05]], [[0.12, 0.83, 0.05], [0.04, 0.79, 0.17]],
+        [[0.05, 0.1, 0.85], [0.15, 0.05, 0.8]], [[0.3, 0.3, 0.4], [0.5, 0.25, 0.25]]])
 
 
 def reference_trial_seed(master: int, truth: int, T: float, index: int) -> np.random.Generator:
@@ -267,21 +275,24 @@ def kernel_path(kernel, zi, rng, steps):
     availability set ``zi`` held fixed and no stopping rule: estimate, draw
     the action, then (if it selects a source) the symbol, one rng.random()
     each, and add the symbol's increments to S. Yields (action, symbol or
-    None, S) after every step."""
-    M = len(kernel.act_cdfs)
-    S = [[0.0] * M for _ in range(M)]
+    None, S as an M x M list of rows) after every step."""
+    M = len(kernel.steps)
+    w = M - 1
+    V = [0.0] * (M * w)
     for _ in range(steps):
-        theta_hat = next((t for t, row in enumerate(S) if min(row) >= 0), None)
-        if theta_hat is None:
-            theta_hat = int(np.argmax(np.sum(S, axis=1)))
-        act_cdf = kernel.act_cdfs[theta_hat][zi]
-        ai = min(bisect_right(act_cdf, rng.random()), len(act_cdf) - 1)
-        sym, seen = None, kernel.obs[ai][zi]
+        for theta_hat in range(M):
+            if min(V[theta_hat * w:theta_hat * w + w]) >= 0:
+                break
+        else:
+            theta_hat = int(np.argmax(np.sum(_square(V, M), axis=1)))
+        act_cdf, cells = kernel.steps[theta_hat][zi]
+        ai = bisect_right(act_cdf, rng.random())
+        sym, seen = None, cells[ai]
         if seen is not None:
             samp_cdf, incs, _ = seen
-            sym = min(bisect_right(samp_cdf, rng.random()), len(samp_cdf) - 1)
-            S = [list(map(add, row, inc)) for row, inc in zip(S, incs[sym])]
-        yield ai, sym, S
+            sym = bisect_right(samp_cdf, rng.random())
+            V = list(map(add, V, incs[sym]))
+        yield ai, sym, _square(V, M)
 
 
 def make_instance(M, n, alphabet, pmf_rows=None, avail=None, actions=None,

@@ -120,8 +120,9 @@ class _LastDraw:
 
 def test_kernel_clamp_skips_zero_mass_symbol():
     # Ten masses of 0.1 sum to 1 - 2**-53, so the largest draw falls past the
-    # sampling CDF and is clamped; it must land on the last symbol of
-    # positive mass, not on the zero-mass symbol after it.
+    # last partial sum, onto the CDF's +inf entry (where the clamp of a
+    # cumulative sum put it); it must land on the last symbol of positive
+    # mass, not on the zero-mass symbol after it.
     inst = make_instance(2, 1, (11,), pmf_rows=[[[0.1] * 10 + [0.0]],
                                                 [[0.05, 0.15] * 5 + [0.0]]])
     with warnings.catch_warnings():
@@ -142,6 +143,15 @@ def test_sample_frequencies_match_marginal(example_instance):
     p = np.array(P01)
     sigma = np.sqrt(p * (1 - p) * N)
     assert np.all(np.abs(counts - N * p) < 3.3 * sigma)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf"), -0.5])
+def test_budget_spec_refuses_bad_rate(rate):
+    """A NaN or infinite rate failed only later, inside the region code,
+    without naming the cause."""
+    with pytest.raises(ValueError, match=rf"budget 1 rate must be finite and nonnegative, "
+                                         rf"got {rate!r}"):
+        BudgetSpec(np.ones((2, 2)), np.array([0.5, rate]))
 
 
 def test_omega_empty_only():

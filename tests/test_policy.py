@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 from aseq.divergence import build_instance_table, exponent
 from aseq.errors import InvalidBeta, NoExplorationPossible, TrialBudgetExceeded
 from aseq.model import ActionSpace, BudgetSpec, Instance, marginal, validate_model
-from aseq.policy import (ExplorationPlan, TrialKernel, TrialResult, action_pmf,
+from aseq.policy import (ExplorationPlan, TrialKernel, TrialResult, _square, action_pmf,
                          build_params, choose_exploration_rate, offset_correction, run_trial,
                          solve_drift_margin)
 from aseq.region import build_polytope, decision_risk_exponents
 
-from conftest import (kernel_path, make_instance, random_instance, reference_build_params,
-                      reference_exploration_plan, two_set_instance)
+from conftest import (four_hypothesis_instance, kernel_path, make_instance, random_instance,
+                      reference_build_params, reference_exploration_plan, two_set_instance)
 from test_model import P01, P02, P11, P12, P21, P22
 
 
@@ -103,12 +103,12 @@ def _plan_or_message(choose, inst, table):
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_budgets=st.integers(0, 2),
-       forced=st.sampled_from([None, 0.0, float("nan")]))
+       forced=st.sampled_from([None, 0.0]))
 def test_exploration_plan_matches_reference(seed, n_budgets, forced):
     """The plan read off the selection matrix equals the set-intersection
     derivation bit for bit: same rate, same support, or the same refusal.
-    A forced zero or NaN rate, with some coefficients zeroed, makes budgets
-    that prune the support."""
+    A forced zero rate, with some coefficients zeroed, makes budgets that
+    prune the support. (BudgetSpec refuses a NaN rate.)"""
     rng = np.random.default_rng(seed)
     inst = random_instance(rng, n_budgets=n_budgets)
     if n_budgets and forced is not None:
@@ -334,14 +334,15 @@ def test_update_empty_action_no_change(example_instance):
         kernel = TrialKernel.build(inst, _adaptive(inst), 0)
         for ai, a in enumerate(inst.actions.actions):
             for zi, z in enumerate(inst.avail.sets):
-                assert (kernel.obs[ai][zi] is None) == (not set(a) & set(z))
+                for by_set in kernel.steps:
+                    assert (by_set[zi][1][ai] is None) == (not set(a) & set(z))
 
 
 def test_update_antisymmetry_and_bound(example):
     inst, _, L, _ = example
     kernel = TrialKernel.build(inst, _adaptive(inst), 0)
-    incs = [inc for row in kernel.obs for seen in row if seen is not None
-            for inc in seen[1]]
+    incs = [_square(inc, 3) for _, cells in kernel.steps[0] for seen in cells
+            if seen is not None for inc in seen[1]]
     assert incs
     for inc in incs:
         A = np.array(inc)
@@ -363,16 +364,23 @@ def test_update_antisymmetry_and_bound(example):
 def _stop_after(inst, params, S):
     n_a, M = inst.actions.size, inst.model.M
     act_cdf = [0.0] + [1.0] * (n_a - 1)
-    obs = [[None] for _ in range(n_a)]
-    obs[1][0] = ([1.0], [np.asarray(S, dtype=float).tolist()], (0,))
-    kernel = TrialKernel(params, 0, inst.model.n, [1.0], [[act_cdf]] * M, obs,
-                         params.thresholds.tolist())
+    cells = [None] * n_a
+    cells[1] = ([1.0], [np.asarray(S, dtype=float)[~np.eye(M, dtype=bool)].tolist()], (0,))
+    kernel = replace(TrialKernel.build(inst, params, 0), z_cdf=[1.0],
+                     steps=[[(act_cdf, cells)]] * M)
     try:
         res = run_trial(kernel, np.random.default_rng(0), max_steps=1)
     except TrialBudgetExceeded:
         return None
     assert res.stopping_time == 1 and res.source_counts[0] == 1
     return res.declared
+
+
+def _full_scan(S, thresholds):
+    """The smallest row of S that clears its thresholds, else None."""
+    M = len(S)
+    return next((t for t in range(M)
+                 if all(S[t, m] >= thresholds[t, m] for m in range(M) if m != t)), None)
 
 
 def test_should_stop_none_at_zero(example):
@@ -401,13 +409,64 @@ def test_should_stop_matches_exhaustive(example, seed):
     rng = np.random.default_rng(seed)
     lam = rng.normal(scale=30.0, size=3)
     S = lam[:, None] - lam[None, :]
-    got = _stop_after(inst, params, S)
-    want = None
-    for th in range(3):
-        if all(S[th, m] >= params.thresholds[th, m] for m in range(3) if m != th):
-            want = th
-            break
-    assert got == want
+    assert _stop_after(inst, params, S) == _full_scan(S, params.thresholds)
+
+
+def _with_nonpositive_rows(params, rng):
+    """``params`` with some off-diagonal thresholds of a random nonempty set
+    of rows replaced by draws from [-60, 0] or by 0 itself."""
+    thr = params.thresholds.copy()
+    M = len(thr)
+    rows = rng.permutation(M)[:rng.integers(1, M + 1)]
+    for t in rows:
+        picked = [m for m in range(M) if m != t and rng.random() < 0.6] or [(t + 1) % M]
+        for m in picked:
+            thr[t, m] = 0.0 if rng.random() < 0.2 else -60.0 * rng.random()
+    return replace(params, thresholds=thr)
+
+
+def test_should_stop_matches_exhaustive_nonpositive_rows(example):
+    """Rows with a nonpositive threshold are tested whatever the estimate:
+    the hand-built step stops where the full scan does, also at rows other
+    than the estimate, and whole trials agree with reference_run_trial."""
+    inst, table, L, betas = example
+    base = forced_adaptive(build_params(50.0, inst, table, L, betas, epsilon=0.2), 50.0)
+    rng = np.random.default_rng(2023)
+    not_estimate = 0
+    for case in range(300):
+        params = _with_nonpositive_rows(base, rng)
+        lam = rng.normal(scale=30.0, size=3)
+        S = lam[:, None] - lam[None, :]
+        want = _full_scan(S, params.thresholds)
+        assert _stop_after(inst, params, S) == want
+        not_estimate += want is not None and want != int(np.argmax(lam))
+        if case % 10 == 0:
+            truth = case % 3
+            kernel = TrialKernel.build(inst, params, truth)
+            for seed in range(case, case + 5):
+                got = _outcome(lambda: run_trial(kernel, np.random.default_rng(seed), 30))
+                assert got == _outcome(lambda: reference_run_trial(
+                    inst, table, params, truth, np.random.default_rng(seed), 30))
+    assert not_estimate > 0
+
+
+@pytest.mark.parametrize("rows", [(2,), (1, 2), (0, 2)])
+def test_stop_at_step_one_when_nothing_selected(example_instance, rows):
+    """A first step that selects nothing leaves S = 0, and the test stops
+    there at the smallest row whose thresholds are all <= 0, with zero
+    counts, as the full scan and reference_run_trial do."""
+    inst, table, L, _ = _setup(example_instance)
+    b = np.zeros((inst.actions.size, 1))
+    b[0, 0] = 1.0  # the empty action, always
+    thr = 5.0 - 5.0 * np.eye(3)
+    for t in rows:
+        thr[t, (t + 1) % 3], thr[t, (t + 2) % 3] = 0.0, -1.0
+    params = replace(build_params(10.0, inst, table, L, [b] * 3, epsilon=0.0), thresholds=thr)
+    assert _full_scan(np.zeros((3, 3)), thr) == rows[0]
+    for seed in range(5):
+        got = run_trial(TrialKernel.build(inst, params, 1), np.random.default_rng(seed))
+        assert got == TrialResult(1, rows[0], (0, 0))
+        assert got == reference_run_trial(inst, table, params, 1, np.random.default_rng(seed))
 
 
 # --------------------------------------------------------------------- trial
@@ -573,11 +632,9 @@ def _setup(inst):
 
 @pytest.fixture(scope="module")
 def oracle_models(example_instance):
-    four = make_instance(4, 2, (3, 3), pmf_rows=[
-        [P01, P02], [P11, P12], [P21, P22], [[0.3, 0.3, 0.4], [0.5, 0.25, 0.25]]])
     return {"example": _setup(example_instance),
             "budgeted_two_sets": _setup(two_set_instance([1, 1])),
-            "four_hypotheses": _setup(four)}
+            "four_hypotheses": _setup(four_hypothesis_instance())}
 
 
 def _outcome(call):
