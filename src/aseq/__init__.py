@@ -12,8 +12,8 @@ from .policy import (ExplorationPlan, TestParams, TrialKernel, TrialResult,
 from .region import (ConstraintPolytope, ExponentRegion, PerMRegion,
                      build_polytope, compute_region,
                      decision_risk_exponents, enumerate_vertices,
-                     individual_hypothesis_region_slice, membership,
-                     nonadaptive_membership, region_polytope, tuncel_membership)
+                     individual_hypothesis_region_slice, nonadaptive_membership,
+                     region_polytope, tuncel_membership)
 from .sim import (ExperimentConfig, ExperimentReport, estimate_errors,
                   fit_exponents, verify_constraints, wilson_interval)
 

@@ -53,9 +53,9 @@ def _arg_type(convert, what: str):
     return parse
 
 
-def _at_least(low: int):
+def _int_in(low: int, high: float = math.inf):
     def convert(text: str) -> int:
-        if (value := int(text)) < low:
+        if not low <= (value := int(text)) <= high:
             raise ValueError(text)
         return value
     return convert
@@ -317,11 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
                                   "a comma list of numbers, like 2,4,8"))
     s.add_argument("--beta", default="auto", help="'auto' or a frequency file")
     s.add_argument("--truth", default="all", type=_arg_type(
-        lambda text: None if text == "all" else (_at_least(0)(text),),
+        lambda text: None if text == "all" else (_int_in(0)(text),),
         "'all' or a non-negative integer"))
-    s.add_argument("--trials", type=_arg_type(_at_least(1), "a positive integer"), required=True)
-    s.add_argument("--seed", type=_arg_type(_at_least(0), "a non-negative integer"), default=0)
-    s.add_argument("--max-steps", type=_arg_type(_at_least(1), "a positive integer"),
+    # ExperimentConfig's bound: each trial's index must fit one seed word
+    s.add_argument("--trials", type=_arg_type(_int_in(1, 2**32), "an integer in 1..2**32"),
+                   required=True)
+    s.add_argument("--seed", type=_arg_type(_int_in(0), "a non-negative integer"), default=0)
+    s.add_argument("--max-steps", type=_arg_type(_int_in(1), "a positive integer"),
                    default=None)
     s.add_argument("--epsilon", default=None,
                    type=_arg_type(_number_where(lambda v: 0.0 <= v < 1.0),

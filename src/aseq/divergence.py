@@ -41,13 +41,7 @@ class DivergenceTable:
     """
 
     table: np.ndarray
-    actions: ActionSpace
-    avail: AvailabilityDist
     M: int
-
-    @property
-    def dim(self) -> int:
-        return self.actions.size * len(self.avail.sets)
 
     def pair_matrix(self, m: int, theta: int) -> np.ndarray:
         """Divergence slice for the ordered pair (m, theta), shape (|A|, |Z|)."""
@@ -80,7 +74,7 @@ def build_table(model: JointModel, avail: AvailabilityDist, actions: ActionSpace
         for zi, keep in enumerate(row):
             if keep:
                 out[ai, zi] = kls[keep]
-    return DivergenceTable(out, actions, avail, model.M)
+    return DivergenceTable(out, model.M)
 
 
 def build_instance_table(inst: Instance) -> DivergenceTable:
@@ -90,6 +84,6 @@ def build_instance_table(inst: Instance) -> DivergenceTable:
 def exponent(beta: np.ndarray, table: DivergenceTable, m: int, theta: int) -> float:
     """Achievable exponent for declaring m against ground truth theta,
     sum_{a,z} beta_{a,z} KL(P^{a,z}_m || P^{a,z}_theta)."""
-    if beta.shape != (table.actions.size, len(table.avail.sets)):
+    if beta.shape != table.table.shape[:2]:
         raise ValueError("beta shape must be (n_actions, n_sets)")
     return float(np.sum(beta * table.pair_matrix(m, theta)))

@@ -149,10 +149,3 @@ def solve_lp(c: np.ndarray, A_eq: np.ndarray | None = None, b_eq: np.ndarray | N
     x[basis] = xb
     x_out = np.maximum(x[:n], 0.0)
     return LpResult("optimal", x_out, float(c @ x_out))
-
-
-def lp_feasible(A_eq: np.ndarray | None, b_eq: np.ndarray | None,
-                A_ub: np.ndarray | None, b_ub: np.ndarray | None,
-                n: int) -> LpResult:
-    """Phase-1 feasibility of {x >= 0 : A_eq x = b_eq, A_ub x <= b_ub}."""
-    return solve_lp(np.zeros(n), A_eq, b_eq, A_ub, b_ub)

@@ -12,7 +12,7 @@ matching ``ActionSpace.actions`` and column order matching
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -142,18 +142,6 @@ class Instance:
     actions: ActionSpace
     budgets: BudgetSpec
 
-    @property
-    def dim(self) -> int:
-        """Dimension of the selection-frequency space |A|*|Z|."""
-        return self.actions.size * len(self.avail.sets)
-
-
-class SubPmf(NamedTuple):
-    """Marginal PMF over the sub-tuple of sources in ``sources`` (sorted)."""
-
-    sources: tuple[int, ...]
-    probs: np.ndarray
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -174,16 +162,13 @@ class ValidationReport:
     table: DivergenceTable = field(repr=False, compare=False)
 
 
-def marginal(model: JointModel, a: tuple[int, ...], z: tuple[int, ...], theta: int) -> SubPmf:
-    """Exact marginal of hypothesis ``theta`` over the sources in a∩z.
-
-    For an empty intersection this is the point mass on the empty tuple,
-    represented as a zero-dimensional array holding 1.0.
+def marginal(model: JointModel, keep: tuple[int, ...], theta: int) -> np.ndarray:
+    """Exact marginal of hypothesis ``theta`` over the sources in ``keep``, one
+    axis per kept source in label order. For ``keep = ()`` this is the point
+    mass on the empty tuple, a zero-dimensional array holding 1.0.
     """
-    keep = tuple(sorted(set(a) & set(z)))
     drop = tuple(j - 1 for j in range(1, model.n + 1) if j not in keep)
-    probs = model.pmfs[theta].sum(axis=drop) if drop else model.pmfs[theta].copy()
-    return SubPmf(keep, probs)
+    return model.pmfs[theta].sum(axis=drop) if drop else model.pmfs[theta].copy()
 
 
 def observed_sources(actions: ActionSpace, avail: AvailabilityDist) -> list[list[tuple[int, ...]]]:
@@ -197,7 +182,7 @@ def subset_pmfs(model: JointModel,
     """Every hypothesis' marginal over each distinct nonempty subset in ``cells``
     (as ``observed_sources`` gives them), stacked as a [symbol, theta] table."""
     subsets = dict.fromkeys(keep for row in cells for keep in row if keep)
-    return {keep: np.stack([marginal(model, keep, keep, t).probs.reshape(-1)
+    return {keep: np.stack([marginal(model, keep, t).reshape(-1)
                             for t in range(model.M)], axis=1) for keep in subsets}
 
 

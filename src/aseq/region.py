@@ -20,7 +20,7 @@ import numpy as np
 from .divergence import DivergenceTable, kl
 from .errors import (DimensionMismatch, InfeasiblePolytope, SupportMismatch,
                      UnsupportedDimension)
-from .linprog import LpResult, lp_feasible, solve_lp
+from .linprog import LpResult, solve_lp
 from .model import (ActionSpace, AvailabilityDist, BudgetSpec, JointModel,
                     marginal, selection_matrix)
 
@@ -36,9 +36,6 @@ class ConstraintPolytope:
     availability probabilities; inequalities are nonnegativity plus budgets.
     """
 
-    actions: ActionSpace
-    avail: AvailabilityDist
-    budgets: BudgetSpec
     eq_matrix: np.ndarray
     eq_rhs: np.ndarray
     budget_matrix: np.ndarray
@@ -47,16 +44,13 @@ class ConstraintPolytope:
 
     @property
     def dim(self) -> int:
-        return self.actions.size * len(self.avail.sets)
+        return self.eq_matrix.shape[1]
 
     @property
     def vertices(self) -> np.ndarray:
         if self._vertices is None:
             self._vertices = enumerate_vertices(self)
         return self._vertices
-
-    def beta_shape(self) -> tuple[int, int]:
-        return (self.actions.size, len(self.avail.sets))
 
 
 def build_polytope(avail: AvailabilityDist, actions: ActionSpace,
@@ -72,8 +66,7 @@ def build_polytope(avail: AvailabilityDist, actions: ActionSpace,
         G = budgets.coeffs @ W
     else:
         G = np.zeros((0, d))
-    return ConstraintPolytope(actions, avail, budgets, E, avail.probs.copy(),
-                              G, budgets.rates.copy())
+    return ConstraintPolytope(E, avail.probs.copy(), G, budgets.rates.copy())
 
 
 # Basic solutions tried per batched rank test and solve; bounds the memory of
@@ -84,7 +77,7 @@ _VERTEX_CHUNK = 1 << 14
 MAX_ACTIVE_SETS = 5_000_000
 
 
-def enumerate_vertices(poly: ConstraintPolytope, tol: float = VERTEX_TOL) -> np.ndarray:
+def enumerate_vertices(poly: ConstraintPolytope) -> np.ndarray:
     """All extreme points of the constraint polytope, deduplicated, in
     lexicographic row order.
 
@@ -99,15 +92,15 @@ def enumerate_vertices(poly: ConstraintPolytope, tol: float = VERTEX_TOL) -> np.
 
     Degenerate vertices are found once per active set that fixes them, so
     repeats are dropped by structure, not by distance: each solution is keyed
-    by its support (x != 0) and its tight budgets (G x >= r - tol), and only
-    the first solution with each key is kept. Two vertices can share a
-    support, but not a support and a tight set as well: both would solve the
-    same system [E_S; G_BS] x_S = [p; r_B], which has full column rank at a
-    vertex.
+    by its support (x != 0) and its tight budgets (G x >= r - tol, with tol =
+    ``VERTEX_TOL``), and only the first solution with each key is kept. Two
+    vertices can share a support, but not a support and a tight set as well:
+    both would solve the same system [E_S; G_BS] x_S = [p; r_B], which has
+    full column rank at a vertex.
     """
     E, p = poly.eq_matrix, poly.eq_rhs
     G, r = poly.budget_matrix, poly.budget_rhs
-    d, n_z, n_b = poly.dim, E.shape[0], G.shape[0]
+    d, n_z, n_b, tol = poly.dim, E.shape[0], G.shape[0], VERTEX_TOL
     total = math.comb(d + n_b, d - n_z)
     if total > MAX_ACTIVE_SETS:
         raise ValueError(f"vertex enumeration needs {total} active sets, over the cap of "
@@ -224,15 +217,12 @@ class PerMRegion:
         return min(vals)
 
 
-def _corner_lp_contains(corners: np.ndarray, e: np.ndarray, tol: float = 1e-9) -> bool:
+def _corner_lp_contains(corners: np.ndarray, e: np.ndarray) -> bool:
     # e is in the closure-hull iff some convex combination of corners
-    # dominates it coordinatewise.
+    # dominates it coordinatewise, to within 1e-9.
     v = corners.shape[0]
-    A_eq = np.ones((1, v))
-    b_eq = np.ones(1)
-    A_ub = -corners.T
-    b_ub = -(e - tol)
-    return lp_feasible(A_eq, b_eq, A_ub, b_ub, v).status == "optimal"
+    return solve_lp(np.zeros(v), np.ones((1, v)), np.ones(1),
+                    -corners.T, -(e - 1e-9)).status == "optimal"
 
 
 def _planar_front(best, tol: float = 1e-12) -> list[np.ndarray]:
@@ -348,9 +338,6 @@ class ExponentRegion:
     M: int
     per_m: tuple[PerMRegion, ...]
 
-    def sub(self, m: int) -> PerMRegion:
-        return self.per_m[m]
-
     def contains(self, exponents: np.ndarray, tol: float = 1e-9) -> bool:
         e = _as_matrix(exponents, self.M)
         return all(self.per_m[m].contains(e[m, list(self.per_m[m].thetas)], tol)
@@ -376,11 +363,6 @@ def compute_region(table: DivergenceTable, poly: ConstraintPolytope) -> Exponent
                                          for m in range(table.M)))
 
 
-def membership(exponents: np.ndarray, region: ExponentRegion, tol: float = 1e-9) -> bool:
-    """Whether an (M, M) exponent matrix (zero diagonal) is achievable."""
-    return region.contains(exponents, tol)
-
-
 def _lifted(poly: ConstraintPolytope, rows: np.ndarray, lift: np.ndarray, rhs: np.ndarray):
     """(A_eq, b_eq, A_ub, b_ub) of an LP over (beta, z), z being
     ``lift.shape[1]`` extra variables: beta in the polytope, and
@@ -399,7 +381,8 @@ def nonadaptive_feasibility(exponents: np.ndarray, table: DivergenceTable,
     e = _as_matrix(exponents, table.M)
     pairs, rows = table.pair_rows()
     targets = np.array([e[m, t] for m, t in pairs])
-    return lp_feasible(*_lifted(poly, rows, np.zeros((len(rows), 0)), -targets), poly.dim)
+    lp = _lifted(poly, rows, np.zeros((len(rows), 0)), -targets)
+    return solve_lp(np.zeros(poly.dim), *lp)
 
 
 def nonadaptive_membership(exponents: np.ndarray, table: DivergenceTable,
@@ -426,7 +409,7 @@ def decision_risk_exponents(table: DivergenceTable, poly: ConstraintPolytope
         if res.status != "optimal":
             raise RuntimeError(f"risk-exponent LP unexpectedly {res.status}")
         gammas[m] = res.objective
-        argmax.append(res.x[:d].reshape(poly.beta_shape()))
+        argmax.append(res.x[:d].reshape(table.table.shape[:2]))
     return gammas, argmax
 
 
@@ -463,7 +446,7 @@ def source_marginals(model: JointModel) -> list[list[np.ndarray]]:
     hypotheses share each source's support."""
     out = []
     for t in range(model.M):
-        margs = [marginal(model, (j,), (j,), t).probs for j in range(1, model.n + 1)]
+        margs = [marginal(model, (j,), t) for j in range(1, model.n + 1)]
         prod = margs[0]
         for q in margs[1:]:
             prod = np.multiply.outer(prod, q)
@@ -768,8 +751,8 @@ def individual_hypothesis_region_slice(region: ExponentRegion,
     if region.M == 2:
         if fixed:
             raise UnsupportedDimension("binary case has no coordinate to fix")
-        x = float(region.sub(1).coord_max[0])  # theta=0 bound from declared 1
-        y = float(region.sub(0).coord_max[0])  # theta=1 bound from declared 0
+        x = float(region.per_m[1].coord_max[0])  # theta=0 bound from declared 1
+        y = float(region.per_m[0].coord_max[0])  # theta=1 bound from declared 0
         pts = np.array([[0.0, 0.0], [x, 0.0], [x, y], [0.0, y]])
         return SlicePolyline((0, 1), pts)
     if region.M != 3:
@@ -777,15 +760,12 @@ def individual_hypothesis_region_slice(region: ExponentRegion,
     if len(fixed) != 1:
         raise UnsupportedDimension("fix exactly one coordinate for M=3")
     k, v, i, j = _slice_axes(fixed)
-    sub_k = region.sub(k)
-    poly_pts = sub_k.boundary.copy()
-    cap_i = _cap_along(region.sub(j), region.sub(j).thetas.index(k), v,
-                       region.sub(j).thetas.index(i))
-    cap_j = _cap_along(region.sub(i), region.sub(i).thetas.index(k), v,
-                       region.sub(i).thetas.index(j))
+    sub_i, sub_j = region.per_m[i], region.per_m[j]
+    cap_i = _cap_along(sub_j, sub_j.thetas.index(k), v, sub_j.thetas.index(i))
+    cap_j = _cap_along(sub_i, sub_i.thetas.index(k), v, sub_i.thetas.index(j))
     if cap_i is None or cap_j is None:
         return SlicePolyline((i, j), np.zeros((0, 2)))
-    poly_pts = _clip_polygon(poly_pts, np.array([1.0, 0.0]), cap_i)
+    poly_pts = _clip_polygon(region.per_m[k].boundary, np.array([1.0, 0.0]), cap_i)
     poly_pts = _clip_polygon(poly_pts, np.array([0.0, 1.0]), cap_j)
     return SlicePolyline((i, j), poly_pts)
 
@@ -808,7 +788,7 @@ def nonadaptive_slice(table: DivergenceTable, poly: ConstraintPolytope,
     truth = np.array([t for _, t in pairs])
     lift = np.stack([truth == i, truth == j], axis=1).astype(float)
     lp = _lifted(poly, rows, lift, np.where(truth == k, -v, 0.0))
-    if lp_feasible(*lp, poly.dim + 2).status != "optimal":
+    if solve_lp(np.zeros(poly.dim + 2), *lp).status != "optimal":
         return SlicePolyline((i, j), np.zeros((0, 2)))
 
     def best(w: np.ndarray) -> np.ndarray:

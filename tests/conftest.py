@@ -46,6 +46,15 @@ def four_hypothesis_instance() -> Instance:
         [[0.05, 0.1, 0.85], [0.15, 0.05, 0.8]], [[0.3, 0.3, 0.4], [0.5, 0.25, 0.25]]])
 
 
+def flat_corner_instance() -> Instance:
+    """The example's three hypotheses with hypothesis 0 doubled, so that
+    hypotheses 0 and 1 coincide: every corner of declared 0 has a zero
+    coordinate against truth 1, and qhull rejects the flat cloud."""
+    return make_instance(4, 2, (3, 3), pmf_rows=[
+        [[0.9, 0.07, 0.03], [0.78, 0.17, 0.05]], [[0.9, 0.07, 0.03], [0.78, 0.17, 0.05]],
+        [[0.12, 0.83, 0.05], [0.04, 0.79, 0.17]], [[0.05, 0.1, 0.85], [0.15, 0.05, 0.8]]])
+
+
 def reference_trial_seed(master: int, truth: int, T: float, index: int) -> np.random.Generator:
     """The per-trial seeding that ``sim._seed_words`` replaced: one
     SeedSequence and one PCG64 per trial."""

@@ -19,8 +19,7 @@ from aseq.model import BudgetSpec, Instance, validate_model
 from aseq.policy import (TrialKernel, build_params, offset_correction,
                          solve_drift_margin)
 from aseq.region import (build_polytope, compute_region, decision_risk_exponents,
-                         membership, nonadaptive_feasibility, nonadaptive_membership,
-                         tuncel_membership)
+                         nonadaptive_feasibility, nonadaptive_membership, tuncel_membership)
 from aseq.sim import ExperimentConfig, estimate_errors, fit_exponents, verify_constraints
 
 from conftest import (grid_betas, kernel_path, make_instance, oracle_max_margin,
@@ -36,7 +35,7 @@ def draw_tuple(rng, region, scale=1.1):
     M = region.M
     e = np.zeros((M, M))
     for m in range(M):
-        sub = region.sub(m)
+        sub = region.per_m[m]
         hi = np.where(sub.coord_max > 0, sub.coord_max, 1.0)
         e[m, list(sub.thetas)] = rng.uniform(0, scale, size=len(sub.thetas)) * hi
     return e
@@ -55,7 +54,7 @@ def test_criterion_1_region_oracle_equivalence():
     referee_calls = 0
     while instances < 20:
         inst = random_instance(rng)
-        if inst.dim > 6:
+        if inst.actions.size * len(inst.avail.sets) > 6:
             continue
         rep = validate_model(inst.model, inst.avail, inst.actions, inst.budgets)
         if not rep.assumption2_ok:
@@ -89,10 +88,10 @@ def test_criterion_1_region_oracle_equivalence():
 
         for _ in range(1000):
             e = draw_tuple(rng, region)
-            poly_in = membership(e, region)
+            poly_in = region.contains(e)
             grid_in = True
             for m in range(M):
-                sub = region.sub(m)
+                sub = region.per_m[m]
                 e_sub = e[m, list(sub.thetas)]
                 if not np.any(np.all(fronts[m] >= e_sub - 1e-9, axis=1)):
                     grid_in = False
@@ -100,7 +99,7 @@ def test_criterion_1_region_oracle_equivalence():
             if grid_in and not poly_in:
                 disagreements += 1
                 # grid certificates are sound, so this must be pure numerics
-                margin = min(oracle_max_margin(e[m, list(region.sub(m).thetas)],
+                margin = min(oracle_max_margin(e[m, list(region.per_m[m].thetas)],
                                                pair_rows_by_m[m], inst)
                              for m in range(M))
                 referee_calls += 1
@@ -108,7 +107,7 @@ def test_criterion_1_region_oracle_equivalence():
                     f"grid certified a tuple the polytope rejects, margin {margin:.2e}"
             elif poly_in != grid_in:
                 # grid resolution miss: the exact continuum margin decides
-                margin = min(oracle_max_margin(e[m, list(region.sub(m).thetas)],
+                margin = min(oracle_max_margin(e[m, list(region.per_m[m].thetas)],
                                                pair_rows_by_m[m], inst)
                              for m in range(M))
                 referee_calls += 1
@@ -139,14 +138,14 @@ def test_criterion_2_example_adaptivity_gain(example_instance):
         e = draw_tuple(rng, region)
         if nonadaptive_membership(e, table, poly):
             na_members += 1
-            if not membership(e, region, tol=1e-7):
+            if not region.contains(e, tol=1e-7):
                 violations += 1
     # certified separation: per-hypothesis corners from different vertices
     e_sep = np.zeros((3, 3))
     e_sep[0, 1], e_sep[0, 2] = table.table[1, 0, 0, 1], table.table[1, 0, 0, 2]
     e_sep[1, 0], e_sep[1, 2] = table.table[2, 0, 1, 0], table.table[2, 0, 1, 2]
     e_sep[2, 0], e_sep[2, 1] = table.table[1, 0, 2, 0], table.table[1, 0, 2, 1]
-    in_adaptive = membership(e_sep, region)
+    in_adaptive = region.contains(e_sep)
     res = nonadaptive_feasibility(e_sep, table, poly)
     certified = in_adaptive and res.status == "infeasible"
     if certified:
@@ -214,9 +213,9 @@ def test_criterion_4_binary_no_tradeoff():
         poly = build_polytope(inst.avail, inst.actions, inst.budgets)
         region = compute_region(table, poly)
         e = np.zeros((2, 2))
-        e[0, 1] = region.sub(0).coord_max[0]
-        e[1, 0] = region.sub(1).coord_max[0]
-        assert membership(e, region, tol=1e-9), "per-hypothesis maxima not joint"
+        e[0, 1] = region.per_m[0].coord_max[0]
+        e[1, 0] = region.per_m[1].coord_max[0]
+        assert region.contains(e, tol=1e-9), "per-hypothesis maxima not joint"
     report(4, "binary maxima jointly achievable", True, f"{checked} models")
 
 

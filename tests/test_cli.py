@@ -358,6 +358,7 @@ def test_bad_max_steps_exits_2_at_parse_time(tmp_path, capsys, monkeypatch, step
 
 @pytest.mark.parametrize("option, value", [
     ("--trials", "0"), ("--trials", "-2"), ("--trials", "1.5"), ("--trials", "abc"),
+    ("--trials", "4294967297"),
     ("--truth", "abc"), ("--truth", "-1"), ("--truth", "1.0"),
     ("--T", "abc"), ("--T", "5,"), ("--T", "5,x"),
     ("--epsilon", "1"), ("--epsilon", "1.5"), ("--epsilon", "-0.1"), ("--epsilon", "nan"),
@@ -365,7 +366,7 @@ def test_bad_max_steps_exits_2_at_parse_time(tmp_path, capsys, monkeypatch, step
 ])
 def test_bad_simulate_option_exits_2_at_parse_time(tmp_path, capsys, monkeypatch,
                                                    option, value):
-    """A trial count below 1, a truth that is neither 'all' nor a
+    """A trial count outside 1..2**32, a truth that is neither 'all' nor a
     non-negative integer, a budget list with a non-number and an exploration
     probability outside [0, 1) are refused by the parser: one line naming
     the option, before the model is loaded. They exited 1 with a line from

@@ -1,5 +1,5 @@
 """Recorded `estimate_errors` outputs: the results CSV and summary JSON of
-three fixed configurations, held byte for byte.
+four fixed configurations, held byte for byte.
 
 The files under tests/data/ were written by the trial kernel that laid S out
 as M row lists and tested every row against the thresholds; any faster step
@@ -17,9 +17,18 @@ import pytest
 from aseq import sim
 from aseq.modelio import load_instance
 
-from conftest import MODEL_DIR, four_hypothesis_instance, two_set_instance
+from conftest import MODEL_DIR, four_hypothesis_instance, make_instance, two_set_instance
 
 DATA = Path(__file__).resolve().parent / "data"
+
+def near_pair_instance():
+    """One source; hypotheses 0 and 1 lie close and 2 far. At epsilon 0 and
+    T up to 4, the thresholds of rows 0 and 1 against each other lie below
+    -0.5, while one observation moves S[0][1] by log(5/3) = 0.51: a trial can
+    stop at the row that is not the estimate."""
+    return make_instance(3, 1, (3,), pmf_rows=[[[0.5, 0.3, 0.2]], [[0.3, 0.5, 0.2]],
+                                               [[0.05, 0.05, 0.9]]])
+
 
 # name: instance, T grid, trials per cell, seed, step cap; all at epsilon 0.
 # At T = 2 and 3 the four-hypothesis model has nonpositive thresholds, so
@@ -29,6 +38,7 @@ GOLDEN = {
                 (2.0, 3.0, 4.0, 5.0, 6.0), 1500, 23, None),
     "four_hypotheses": (four_hypothesis_instance, (2.0, 3.0, 3.5, 4.5), 800, 5, None),
     "two_set_capped": (lambda: two_set_instance([1, 1]), (24.0, 36.0), 400, 7, 20),
+    "near_pair": (near_pair_instance, (2.0, 3.0, 4.0), 400, 11, None),
 }
 
 

@@ -12,7 +12,7 @@ import aseq.linprog as linprog
 import aseq.region as region
 from aseq.divergence import build_instance_table
 from aseq.errors import DimensionMismatch
-from aseq.linprog import lp_feasible, solve_lp
+from aseq.linprog import solve_lp
 from aseq.model import Instance
 from aseq.modelio import instance_from_dict
 from aseq.region import build_polytope, decision_risk_exponents, nonadaptive_feasibility
@@ -41,7 +41,7 @@ def test_infeasible_with_certificate():
     # x >= 0, x0 + x1 = 1, x0 + x1 <= 0.5
     A_eq = np.array([[1.0, 1.0]])
     A_ub = np.array([[1.0, 1.0]])
-    res = lp_feasible(A_eq, np.array([1.0]), A_ub, np.array([0.5]), 2)
+    res = solve_lp(np.zeros(2), A_eq, np.array([1.0]), A_ub, np.array([0.5]))
     assert res.status == "infeasible"
     y_eq, y_ub = res.farkas_eq, res.farkas_ub
     assert np.all(y_ub <= 1e-9)
@@ -226,7 +226,7 @@ def test_nonadaptive_queries_match_reference_kernel(monkeypatch):
                        bounds=[(0, None)] * (poly.dim + 1), method="highs")
         queries += [u * -res.fun * D for u in rng.uniform(0.8, 1.2, size=8)]
     mine = [nonadaptive_feasibility(e, table, poly) for e in queries]
-    monkeypatch.setattr(linprog, "solve_lp", reference_solve_lp)
+    monkeypatch.setattr(region, "solve_lp", reference_solve_lp)
     for e, got in zip(queries, mine):
         assert_same_result(got, nonadaptive_feasibility(e, table, poly))
     statuses = [r.status for r in mine]
@@ -251,7 +251,7 @@ def test_zero_objective_runs_phase_one_only(monkeypatch):
         x = rng.uniform(0.1, 1.0, size=5)  # a feasible point
         b_eq, b_ub = A_eq @ x, A_ub @ x + 0.1
         calls.clear()
-        assert lp_feasible(A_eq, b_eq, A_ub, b_ub, 5).status == "optimal"
+        assert solve_lp(np.zeros(5), A_eq, b_eq, A_ub, b_ub).status == "optimal"
         assert len(calls) == 1
         calls.clear()
         solve_lp(rng.normal(size=5), A_eq, b_eq, A_ub, b_ub)

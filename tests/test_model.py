@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from aseq.divergence import build_instance_table
 from aseq.errors import InvalidDistribution, SupportMismatch
 from aseq.model import (ActionSpace, AvailabilityDist, BudgetSpec, JointModel,
-                        in_constraint_set, marginal, omega, validate_model)
+                        in_constraint_set, marginal, observed_sources, omega,
+                        validate_model)
 from aseq.policy import TrialKernel, build_params
 
-from conftest import kernel_path, make_instance
+from conftest import kernel_path, make_instance, two_set_instance
 
 P01 = [0.9, 0.07, 0.03]
 P02 = [0.78, 0.17, 0.05]
@@ -59,30 +60,41 @@ def test_bad_normalization_rejected():
         validate_model(model, inst.avail, inst.actions, inst.budgets)
 
 
+def test_observed_sources_per_cell(example_instance):
+    """a∩z per (action, set) cell as a sorted tuple, () where the cell
+    observes nothing: the empty action, or an action and a set that share
+    no source."""
+    inst = example_instance
+    assert observed_sources(inst.actions, inst.avail) == [[()], [(1,)], [(2,)]]
+    inst = two_set_instance([1, 1])
+    assert inst.actions.actions == ((), (1,), (2,), (1, 2))
+    assert inst.avail.sets == ((1, 2), (1,))
+    assert observed_sources(inst.actions, inst.avail) == [
+        [(), ()], [(1,), (1,)], [(2,), ()], [(1, 2), (1,)]]
+
+
 def test_marginal_of_product_model(example_instance):
-    m = marginal(example_instance.model, (1,), (1, 2), 0)
-    assert m.sources == (1,)
-    assert np.allclose(m.probs, P01)
+    m = marginal(example_instance.model, (1,), 0)
+    assert np.allclose(m, P01)
 
 
 def test_marginal_empty_selection(example_instance):
-    m = marginal(example_instance.model, (), (1, 2), 1)
-    assert m.sources == ()
-    assert m.probs.shape == ()
-    assert float(m.probs) == pytest.approx(1.0)
+    m = marginal(example_instance.model, (), 1)
+    assert m.shape == ()
+    assert float(m) == pytest.approx(1.0)
 
 
 def test_marginal_joint_pair_is_outer_product(example_instance):
-    m = marginal(example_instance.model, (1, 2), (1, 2), 0)
-    assert np.allclose(m.probs, np.outer(P01, P02), atol=1e-15)
+    m = marginal(example_instance.model, (1, 2), 0)
+    assert np.allclose(m, np.outer(P01, P02), atol=1e-15)
 
 
 def test_marginal_normalization_all_combos(example_instance):
     inst = example_instance
-    for a in inst.actions.actions:
-        for z in inst.avail.sets:
+    for row in observed_sources(inst.actions, inst.avail):
+        for keep in row:
             for t in range(3):
-                p = marginal(inst.model, a, z, t).probs
+                p = marginal(inst.model, keep, t)
                 assert float(p.sum()) == pytest.approx(1.0, abs=1e-12)
 
 

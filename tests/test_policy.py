@@ -589,7 +589,7 @@ def reference_run_trial(inst: Instance, table: DivergenceTable, params: TestPara
             keep = tuple(sorted(set(a) & set(z)))
             inter[ai][zi] = keep
             if keep and keep not in sub_tables:
-                flats = [marginal(model, keep, keep, t).probs.reshape(-1)
+                flats = [marginal(model, keep, t).reshape(-1)
                          for t in range(model.M)]
                 loglik = np.log(np.stack(flats, axis=1))  # (n_symbols, M)
                 sub_tables[keep] = (loglik, np.cumsum(flats[truth]))

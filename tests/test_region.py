@@ -1,6 +1,5 @@
 import itertools
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,17 +15,18 @@ from aseq.errors import (DimensionMismatch, InfeasiblePolytope, SupportMismatch,
 from aseq.model import ActionSpace, AvailabilityDist, BudgetSpec, Instance
 from aseq.region import (ConstraintPolytope, TuncelOptions, build_polytope, compute_region,
                          decision_risk_exponents, enumerate_vertices,
-                         individual_hypothesis_region_slice, membership,
-                         nonadaptive_feasibility, nonadaptive_membership, nonadaptive_slice,
-                         region_polytope, source_marginals, tuncel_membership, tuncel_slice)
+                         individual_hypothesis_region_slice, nonadaptive_feasibility,
+                         nonadaptive_membership, nonadaptive_slice, region_polytope,
+                         source_marginals, tuncel_membership, tuncel_slice)
 from aseq.region import (_BISECT_STEPS, _LOG_ZERO, _SPECULATE, _TuncelDual,
                          _corner_lp_contains, _dual_for, _first_of_each, _full_rank,
                          _logsumexp, _staircase_2d, _unique_rows)
 
 from conftest import (ReferenceTuncelEvaluator, ReferenceTuncelOptions, _tuncel_objective,
-                      criterion3_tuples, grid_betas, make_instance, oracle_max_margin,
-                      oracle_slice_support, random_instance, reference_active_set_vertices,
-                      reference_bounds, reference_enumerate_vertices, reference_first_of_each,
+                      criterion3_tuples, flat_corner_instance, grid_betas, make_instance,
+                      oracle_max_margin, oracle_slice_support, random_instance,
+                      reference_active_set_vertices, reference_bounds,
+                      reference_enumerate_vertices, reference_first_of_each,
                       reference_nonadaptive_slice, reference_staircase_2d,
                       reference_tuncel_slice, two_set_instance)
 from test_model import P01, P02, P11, P12, P21, P22
@@ -89,7 +89,7 @@ def test_vertices_satisfy_constraints_random():
         inst = random_instance(rng)
         poly = build_polytope(inst.avail, inst.actions, inst.budgets)
         for v in poly.vertices:
-            beta = v.reshape(poly.beta_shape())
+            beta = v.reshape(inst.actions.size, len(inst.avail.sets))
             assert np.all(v >= -1e-9)
             assert np.allclose(beta.sum(axis=0), inst.avail.probs, atol=1e-9)
             if inst.budgets.size:
@@ -106,9 +106,7 @@ def raw_polytope(sets, probs, acts, coeffs, rates) -> ConstraintPolytope:
         W = np.array([[float(j in a and j in z) for a in acts for z in sets]
                       for j in range(1, len(coeffs[0]) + 1)])
         G = np.array(coeffs) @ W
-    return ConstraintPolytope(SimpleNamespace(size=len(acts)), SimpleNamespace(sets=sets),
-                              None, E, np.array(probs, dtype=float), G,
-                              np.array(rates, dtype=float))
+    return ConstraintPolytope(E, np.array(probs, dtype=float), G, np.array(rates, dtype=float))
 
 
 @st.composite
@@ -317,16 +315,16 @@ def test_membership_matrix_shape(example):
     _, table, poly = example
     region = compute_region(table, poly)
     with pytest.raises(DimensionMismatch):
-        membership(np.zeros((2, 2)), region)
+        region.contains(np.zeros((2, 2)))
 
 
 def test_membership_zero_and_excess(example):
     _, table, poly = example
     region = compute_region(table, poly)
-    assert membership(np.zeros((3, 3)), region)
+    assert region.contains(np.zeros((3, 3)))
     e = np.zeros((3, 3))
-    e[0, 1] = region.sub(0).coord_max[0] + 1e-3
-    assert not membership(e, region)
+    e[0, 1] = region.per_m[0].coord_max[0] + 1e-3
+    assert not region.contains(e)
 
 
 def test_region_membership_against_grid_oracle(example):
@@ -339,13 +337,13 @@ def test_region_membership_against_grid_oracle(example):
     for _ in range(300):
         e = np.zeros((3, 3))
         for m in range(3):
-            sub = region.sub(m)
+            sub = region.per_m[m]
             e[m, list(sub.thetas)] = rng.uniform(0, 1.15) * rng.uniform(
                 0, 1, size=2) * sub.coord_max
-        mine = membership(e, region)
+        mine = region.contains(e)
         ok = True
         for m in range(3):
-            sub = region.sub(m)
+            sub = region.per_m[m]
             rows_m = np.stack([table.pair_matrix(m, t).reshape(-1)
                                for t in sub.thetas])
             ref = oracle_max_margin(e[m, list(sub.thetas)], rows_m, inst)
@@ -358,7 +356,7 @@ def test_region_membership_against_grid_oracle(example):
         if not mine:
             # the coarse grid never certifies a point the exact region rejects
             for m in range(3):
-                sub = region.sub(m)
+                sub = region.per_m[m]
                 rows_m = np.stack([table.pair_matrix(m, t).reshape(-1)
                                    for t in sub.thetas])
                 corners = grid @ rows_m.T
@@ -418,11 +416,11 @@ def test_nonadaptive_subset_of_region(example):
     for _ in range(300):
         e = np.zeros((3, 3))
         for m in range(3):
-            sub = region.sub(m)
+            sub = region.per_m[m]
             e[m, list(sub.thetas)] = rng.uniform(0, 1, size=2) * sub.coord_max
         if nonadaptive_membership(e, table, poly):
             checked += 1
-            assert membership(e, region, tol=1e-7)
+            assert region.contains(e, tol=1e-7)
     assert checked > 10
 
 
@@ -435,7 +433,7 @@ def test_adaptive_strictly_larger(example):
     e[0, 1], e[0, 2] = table.table[1, 0, 0, 1], table.table[1, 0, 0, 2]
     e[1, 0], e[1, 2] = table.table[2, 0, 1, 0], table.table[2, 0, 1, 2]
     e[2, 0], e[2, 1] = table.table[1, 0, 2, 0], table.table[1, 0, 2, 1]
-    assert membership(e, region)
+    assert region.contains(e)
     res = nonadaptive_feasibility(e, table, poly)
     assert res.status == "infeasible"
     # Farkas certificate really proves it
@@ -883,7 +881,7 @@ def test_non_finite_exponents_refused(example, entry, bad):
             compute_region(table, poly), {2: bad}),
         "nonadaptive_slice": lambda: nonadaptive_slice(table, poly, {2: bad}),
         "tuncel_slice": lambda: tuncel_slice(inst.model, beta, {2: bad}),
-        "membership": lambda: membership(e, compute_region(table, poly)),
+        "membership": lambda: compute_region(table, poly).contains(e),
         "nonadaptive_membership": lambda: nonadaptive_membership(e, table, poly),
         "tuncel_membership": lambda: tuncel_membership(e, inst.model, beta)}[entry]
     with warnings.catch_warnings():
@@ -967,13 +965,13 @@ def test_region_convexity_midpoints(example):
         for _ in range(2):
             e = np.zeros((3, 3))
             for m in range(3):
-                sub = region.sub(m)
+                sub = region.per_m[m]
                 e[m, list(sub.thetas)] = rng.uniform(0, 1, size=2) * sub.coord_max
-            if membership(e, region):
+            if region.contains(e):
                 es.append(e)
         if len(es) == 2:
             found += 1
-            assert membership(0.5 * (es[0] + es[1]), region, tol=1e-7)
+            assert region.contains(0.5 * (es[0] + es[1]), tol=1e-7)
     assert found > 20
 
 
@@ -988,10 +986,10 @@ def test_budget_shrinks_region():
     for _ in range(200):
         e = np.zeros((3, 3))
         for m in range(3):
-            sub = r_free.sub(m)
+            sub = r_free.per_m[m]
             e[m, list(sub.thetas)] = rng.uniform(0, 1, size=2) * sub.coord_max
-        if membership(e, r_cut):
-            assert membership(e, r_free, tol=1e-7)
+        if r_cut.contains(e):
+            assert r_free.contains(e, tol=1e-7)
 
 
 # ------------------------------------------------- tolerance dedup and Pareto
@@ -1092,8 +1090,7 @@ def test_unique_rows_long_duplicate_runs():
 def test_hull_fallback_on_flat_corner_cloud():
     # Hypotheses 0 and 1 coincide, so every corner of declared 0 has a zero
     # coordinate against truth 1 and qhull rejects the flat cloud.
-    inst = make_instance(4, 2, (3, 3), pmf_rows=[[P01, P02], [P01, P02],
-                                                 [P11, P12], [P21, P22]])
+    inst = flat_corner_instance()
     table = build_instance_table(inst)
     poly = build_polytope(inst.avail, inst.actions, inst.budgets)
     sub = region_polytope(table, poly, 0)
