@@ -137,6 +137,8 @@ def _parse_beta_sources(spec: str) -> np.ndarray:
 
 
 def cmd_region(args) -> int:
+    if args.beta_sources is not None and not args.slice:
+        raise SystemExit2("--beta-sources applies to the fixed-length family of --slice only")
     inst = _load(args.model)
     fixed = dict([_parse_slice(args.slice, inst.model.M)]) if args.slice else None
     beta_sources = (np.full(inst.model.n, 1.0 / inst.model.n) if args.beta_sources is None

@@ -420,13 +420,21 @@ def decision_risk_exponents(table: DivergenceTable, poly: ConstraintPolytope
 @dataclass(frozen=True)
 class TuncelOptions:
     """Controls of the fixed-length dual evaluator: ``grid_step`` is the step
-    of the grid scanned first (coarsened past ``_GRID_CELLS``, from M = 5 on),
+    of the grid scanned first (coarsened to fit ``_GRID_CELLS``: at the default
+    step, from M = 5 on),
     ``descent_iters`` caps the Newton steps taken after it while the verdict
     is unresolved, and ``descent_starts`` is accepted and unused."""
 
     grid_step: float = 0.05
     descent_starts: int = 6
     descent_iters: int = 400
+
+    def __post_init__(self):
+        if not 0.0 < self.grid_step < math.inf:  # NaN fails too
+            raise ValueError(f"grid_step must be finite and > 0, got {self.grid_step!r}")
+        if (isinstance(self.descent_iters, bool)
+                or not isinstance(self.descent_iters, (int, np.integer)) or self.descent_iters < 0):
+            raise ValueError(f"descent_iters must be an integer >= 0, got {self.descent_iters!r}")
 
 
 @dataclass(frozen=True)
@@ -526,11 +534,17 @@ class _TuncelDual:
         choices = choices[(choices != np.arange(M)).all(axis=1)]
         self.assign = np.eye(M, dtype=bool)[choices]  # [f, t, m]: f(t) = m
         self.image = self.assign.any(axis=1)  # [f, m]
-        units = max(1, round(1.0 / options.grid_step))
+        # F * comb(u + M - 1, M - 1) > F * u for M >= 2, so no u above
+        # _GRID_CELLS // F fits, and starting there skips none that does
+        units = max(1, round(min(1.0 / options.grid_step, _GRID_CELLS // len(choices))))
         while units > 1 and len(choices) * math.comb(units + M - 1, M - 1) > _GRID_CELLS:
             units -= 1
         self.grid = _simplex_grid(M, 1.0 / units)
-        self.c_grid = self._tilt(self.grid)[0]
+        # every tilt the grid scan starts a query from, computed once; read
+        # only, since a query gathers its rows from them
+        self.c_grid, self.h_grid, self.p_grid = self._tilt(self.grid)
+        for cached in (self.grid, self.c_grid, self.h_grid, self.p_grid):
+            cached.setflags(write=False)
         self.off_grid = ((self.grid[None] > 0) & ~self.image[:, None, :]).any(axis=2)
         # [f, grid point]: sum_j beta_j c_j, -inf where mu leaves f's image
         self.c_on = np.where(self.off_grid, -np.inf, self.c_grid)
@@ -605,8 +619,12 @@ class _TuncelDual:
 
         rows = np.arange(K * F)
         offsets = rows[::F]  # each target's first row
-        mu = self.grid[np.argmax(g_grid, axis=2).reshape(-1)]
-        g, slack, h, p = at(rows, mu)
+        # the grid points' tilts are cached; _tilt computes each row alone, so
+        # a gathered row has the bits of a fresh tilt of that row
+        idx = np.argmax(g_grid, axis=2).reshape(-1)
+        mu, h, p = self.grid[idx], self.h_grid[idx], self.p_grid[idx]
+        g = self.c_grid[idx] - np.sum(mu * eps0, axis=1)
+        slack = h - eps
         obj = objective(h.reshape(K, F, M), e_off[:, None])
         best_obj, best_p = obj.min(axis=1), p[obj.argmin(axis=1) + offsets]
         damp = np.ones(K * F)
@@ -786,6 +804,11 @@ def nonadaptive_slice(table: DivergenceTable, poly: ConstraintPolytope,
     k, v, i, j = _slice_axes(fixed)
     pairs, rows = table.pair_rows()
     truth = np.array([t for _, t in pairs])
+    # D(m, k).beta <= max D * total mass, the mass being 1 up to the model's
+    # tolerance: past that by more than the LP's 1e-7, phase 1 would refuse
+    # v anyway, after inf arithmetic on a huge v
+    if v > rows[truth == k].max() * poly.eq_rhs.sum() + 1e-7:
+        return SlicePolyline((i, j), np.zeros((0, 2)))
     lift = np.stack([truth == i, truth == j], axis=1).astype(float)
     lp = _lifted(poly, rows, lift, np.where(truth == k, -v, 0.0))
     if solve_lp(np.zeros(poly.dim + 2), *lp).status != "optimal":

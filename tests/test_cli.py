@@ -300,6 +300,26 @@ def test_slice_bad_beta_sources(capsys, spec):
     assert len(err.splitlines()) == 1 and repr(spec) in err
 
 
+def test_beta_sources_without_slice_exits_2(capsys):
+    """--beta-sources sets the fixed-length family's proportions, which only
+    --slice draws; without it the option was ignored with exit 0."""
+    assert main(["region", "--model", MODEL, "--beta-sources", "0.5,0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1 and "--beta-sources" in captured.err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", ["10", "1e6", "1e308"])
+def test_slice_beyond_every_divergence_is_empty_and_quiet(tmp_path, capsys, value):
+    """A fixed exponent past every divergence gives a header-only CSV with
+    nothing on stderr; at 1e308 the slice LP used to warn of overflow."""
+    out = tmp_path / "slice.csv"
+    assert main(["region", "--model", MODEL, "--slice", f"e2={value}", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_bytes() == b"x,y,family\r\n"
+
+
 def test_slice_default_beta_sources_exactly_uniform(tmp_path):
     """Without --beta-sources the fixed-length family uses exactly 1/n per
     source. The default was formatted with %g and read back, 0.333333 on

@@ -1,4 +1,6 @@
 import itertools
+import math
+import time
 import warnings
 
 import numpy as np
@@ -18,9 +20,9 @@ from aseq.region import (ConstraintPolytope, TuncelOptions, build_polytope, comp
                          individual_hypothesis_region_slice, nonadaptive_feasibility,
                          nonadaptive_membership, nonadaptive_slice, region_polytope,
                          source_marginals, tuncel_membership, tuncel_slice)
-from aseq.region import (_BISECT_STEPS, _LOG_ZERO, _SPECULATE, _TuncelDual,
+from aseq.region import (_BISECT_STEPS, _GRID_CELLS, _LOG_ZERO, _SPECULATE, _TuncelDual,
                          _corner_lp_contains, _dual_for, _first_of_each, _full_rank,
-                         _logsumexp, _staircase_2d, _unique_rows)
+                         _logsumexp, _simplex_grid, _staircase_2d, _unique_rows)
 
 from conftest import (ReferenceTuncelEvaluator, ReferenceTuncelOptions, _tuncel_objective,
                       criterion3_tuples, flat_corner_instance, grid_betas, make_instance,
@@ -768,6 +770,110 @@ def test_tuncel_tilt_row_independent_of_stack(seed, M, n, R):
     for r in range(R):
         for whole, alone in zip(stacked, dual._tilt(mu[r:r + 1])):
             assert whole[r:r + 1].tobytes() == alone.tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), M=st.integers(2, 5), n=st.integers(1, 3),
+       grid_step=st.sampled_from([0.05, 0.1, 0.25, 0.5]))
+@hypothesis.example(seed=0, M=5, n=2, grid_step=0.05)
+def test_tuncel_grid_cache_is_each_rows_tilt(seed, M, n, grid_step):
+    """The dual's cached grid tilts are, row by row, what _tilt gives that
+    grid point alone, bit for bit, and read only. At M = 5 and step 0.05
+    the grid is coarsened to fit _GRID_CELLS."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(2, 5, size=n)
+    Q = [[rng.dirichlet(np.ones(k)) for k in sizes] for _ in range(M)]
+    dual = _TuncelDual(Q, rng.dirichlet(np.ones(n)), TuncelOptions(grid_step=grid_step))
+    cache = (dual.c_grid, dual.h_grid, dual.p_grid)
+    assert all(len(a) == len(dual.grid) and not a.flags.writeable for a in cache)
+    for i in range(len(dual.grid)):
+        for cached, alone in zip(cache, dual._tilt(dual.grid[i:i + 1])):
+            assert cached[i:i + 1].tobytes() == alone.tobytes()
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    method = getattr(_TuncelDual, name)
+    monkeypatch.setattr(_TuncelDual, name,
+                        lambda dual, *args: calls.append(name) or method(dual, *args))
+    return calls
+
+
+def test_tuncel_query_settled_on_grid_tilts_nothing(example, c3_tuples, monkeypatch):
+    """Targets settled by the grid scan ("in" and "out") read every tilt from
+    the dual's cache: no _tilt call, and the one-target reference, which
+    tilts on every pass, gives the same bits."""
+    Q = source_marginals(example[0].model)
+    dual = _TuncelDual(Q, np.array([0.5, 0.5]), TuncelOptions())
+    E = np.array(c3_tuples[:15])
+    tilts = _count_calls(monkeypatch, "_tilt")
+    stacked = dual.bounds(E)
+    assert tilts == []
+    lower, upper, _ = stacked
+    assert np.any(lower >= 0) and np.any(upper < -1e-9)
+    for k, e in enumerate(E):
+        _same_bounds(stacked, k, reference_bounds(dual, e))
+
+
+def test_tuncel_newton_steps_leave_grid_cache(example, c3_tuples, monkeypatch):
+    """Criterion 3's tuple 63 takes a Newton step from its grid point; the
+    step updates the query's own copies, never the cached grid tilts."""
+    Q = source_marginals(example[0].model)
+    dual = _TuncelDual(Q, np.array([0.5, 0.5]), TuncelOptions())
+    cache = (dual.grid, dual.c_grid, dual.h_grid, dual.p_grid)
+    before = [a.tobytes() for a in cache]
+    steps = _count_calls(monkeypatch, "_newton")
+    _same_bounds(dual.bounds(c3_tuples[63][None]), 0, reference_bounds(dual, c3_tuples[63]))
+    assert steps
+    assert [a.tobytes() for a in cache] == before
+
+
+@pytest.mark.parametrize("bad", [{"grid_step": 0}, {"grid_step": -0.1},
+                                 {"grid_step": float("nan")}, {"grid_step": float("inf")},
+                                 {"descent_iters": -1}, {"descent_iters": 1.5},
+                                 {"descent_iters": True}])
+def test_tuncel_options_refuse_bad_values(bad):
+    """A zero, negative or non-finite grid step and a negative or non-integer
+    Newton cap are refused by name; they raised ZeroDivisionError,
+    UnboundLocalError or a float conversion error, or silently scanned the
+    simplex corners only."""
+    (field, value), = bad.items()
+    with pytest.raises(ValueError, match=field):
+        TuncelOptions(**bad)
+
+
+def _reference_units(M: int, F: int, grid_step: float) -> int:
+    """The grid resolution as the dual chose it before its search started
+    from _GRID_CELLS // F: one unit at a time down from 1 / grid_step."""
+    units = max(1, round(1.0 / grid_step))
+    while units > 1 and F * math.comb(units + M - 1, M - 1) > _GRID_CELLS:
+        units -= 1
+    return units
+
+
+@pytest.mark.parametrize("M", [2, 3, 4, 5])
+@pytest.mark.parametrize("grid_step", [2.0, 0.5, 0.25, 0.05, 0.01, 1e-3, 1e-4])
+def test_tuncel_grid_unchanged_for_valid_steps(M, grid_step):
+    """Starting the coarsening at _GRID_CELLS // F gives the grid that the
+    unit-by-unit search from 1 / grid_step gave."""
+    rng = np.random.default_rng(M)
+    Q = [[rng.dirichlet(np.ones(3))] for _ in range(M)]
+    dual = _TuncelDual(Q, np.array([1.0]), TuncelOptions(grid_step=grid_step))
+    units = _reference_units(M, len(dual.assign), grid_step)
+    assert np.array_equal(dual.grid, _simplex_grid(M, 1.0 / units))
+
+
+def test_tuncel_fine_grid_step_finishes():
+    """A step of 1e-9 no longer counts down from 10^9 units: the grid is the
+    coarsened one of a 1e-4 step, built in well under the two minutes the
+    step took before."""
+    Q = [[np.array([0.2, 0.8])], [np.array([0.5, 0.5])], [np.array([0.7, 0.3])]]
+    start = time.perf_counter()
+    fine = _TuncelDual(Q, np.array([1.0]), TuncelOptions(grid_step=1e-9))
+    assert time.perf_counter() - start < 20
+    coarse = _TuncelDual(Q, np.array([1.0]), TuncelOptions(grid_step=1e-4))
+    assert np.array_equal(fine.grid, coarse.grid)
+    assert len(fine.assign) * len(fine.grid) <= _GRID_CELLS
 
 
 @pytest.mark.parametrize("grid_step, iters", [(0.5, 1), (0.5, 2), (0.1, 1)])
