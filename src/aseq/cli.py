@@ -120,12 +120,12 @@ def _parse_slice(expr: str, M: int) -> tuple[int, float]:
     try:
         name, value = expr.split("=")
         k, v = int(name[1:]), float(value)
-        if not name.startswith("e") or not 0 <= k < M or not math.isfinite(v):
+        if not name.startswith("e") or not 0 <= k < M or not (math.isfinite(v) and v >= 0):
             raise ValueError
         return k, v
     except ValueError:
         raise SystemExit2(f"bad slice argument {expr!r}; expected eK=V with K in "
-                          f"0..{M - 1} and V finite, like e2=0.1")
+                          f"0..{M - 1} and V finite and >= 0, like e2=0.1")
 
 
 def _parse_beta_sources(spec: str) -> np.ndarray:

@@ -499,6 +499,20 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return (np.log1p(s / m) + np.log(m) + a_max)[..., 0]
 
 
+def _kkt_solve(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The solution of each system of the stack kkt x = rhs by LU
+    (``np.linalg.solve``, LAPACK on each matrix alone), and the pinv
+    least-squares step for a system that is exactly singular. Once one
+    system is, the stack is solved a system at a time, so that no row's
+    step depends on the rows stacked beside it."""
+    try:
+        return np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        if len(kkt) == 1:
+            return np.linalg.pinv(kkt) @ rhs
+        return np.concatenate([_kkt_solve(kkt[r:r + 1], rhs[r:r + 1]) for r in range(len(kkt))])
+
+
 class _TuncelDual:
     """Certified bounds on the fixed-length slack by Chernoff/Renyi duality.
 
@@ -578,7 +592,7 @@ class _TuncelDual:
         kkt[:, :M, M] = kkt[:, M, :M] = free
         rhs = np.zeros((R, M + 1, 1))
         rhs[:, :M, 0] = np.where(free, -slack, 0.0)
-        step = (np.linalg.pinv(kkt) @ rhs)[:, :M, 0]
+        step = _kkt_solve(kkt, rhs)[:, :M, 0]
         return step / np.maximum(1.0, np.abs(step).max(axis=1))[:, None]
 
     def bounds(self, e: np.ndarray):
@@ -745,10 +759,10 @@ def _clip_polygon(points: np.ndarray, normal: np.ndarray, offset: float) -> np.n
 
 def _slice_axes(fixed: dict[int, float]) -> tuple[int, float, int, int]:
     """The fixed axis k and its value v of an M = 3 slice, then the free axes
-    i < j."""
+    i < j. An error exponent is >= 0, so v must be finite and >= 0."""
     (k, v), = fixed.items()
-    if not math.isfinite(v):
-        raise ValueError(f"fixed exponent must be finite, got {v}")
+    if not (math.isfinite(v) and v >= 0):
+        raise ValueError(f"fixed exponent must be finite and >= 0, got {v}")
     i, j = [t for t in range(3) if t != k]
     return k, v, i, j
 

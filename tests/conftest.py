@@ -700,6 +700,24 @@ def _tuncel_objective(P: list[np.ndarray], Q, betas: np.ndarray,
     return float(slack[best_t, worst_m[best_t]]), best_t, int(worst_m[best_t])
 
 
+def reference_newton(dual, p, slack, free):
+    """The Newton step that ``_TuncelDual._newton`` took before it solved
+    the KKT systems by LU: the pinv (SVD) least-squares solution of every
+    system. Used as a method, in place of ``_newton``, by the verdict tests."""
+    L = dual.logQ
+    mean = np.einsum("rjk,jmk->rjm", p, L)
+    cov = np.einsum("rjk,jmk,jnk->rjmn", p, L, L) - mean[..., :, None] * mean[..., None, :]
+    R, M = slack.shape
+    kkt = np.zeros((R, M + 1, M + 1))
+    kkt[:, :M, :M] = np.where(free[:, :, None] & free[:, None, :],
+                              -np.einsum("j,rjmn->rmn", dual.betas, cov), -dual.identity)
+    kkt[:, :M, M] = kkt[:, M, :M] = free
+    rhs = np.zeros((R, M + 1, 1))
+    rhs[:, :M, 0] = np.where(free, -slack, 0.0)
+    step = (np.linalg.pinv(kkt) @ rhs)[:, :M, 0]
+    return step / np.maximum(1.0, np.abs(step).max(axis=1))[:, None]
+
+
 def reference_bounds(dual, e: np.ndarray) -> tuple[float, float, tuple[np.ndarray, ...]]:
     """The one-target ``_TuncelDual.bounds`` that the stacked one replaced:
     (lower, upper, witness) for the target matrix e, the witness the tilt of

@@ -285,9 +285,16 @@ def test_slice_csv_families(tmp_path):
         assert all(x >= 0 and y >= 0 for x, y in pts)
 
 
-@pytest.mark.parametrize("spec", ["q=0.1", "e5=0.3", "e-1=0.3", "e2=nan", "e2=inf"])
-def test_slice_bad_spec(capsys, spec):
-    assert main(["region", "--model", MODEL, "--slice", spec]) == 2
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("spec", ["q=0.1", "e5=0.3", "e-1=0.3", "e2=nan", "e2=inf",
+                                  "e2=-1e308", "e2=-0.5"])
+def test_slice_bad_spec(tmp_path, capsys, spec):
+    """Each is refused with one usage line and no CSV. An error exponent is
+    >= 0: e2=-1e308 exited 0 after overflow warnings from the slice LP, and
+    e2=-0.5 wrote a CSV that differed from the one for e2=0."""
+    out = tmp_path / "slice.csv"
+    assert main(["region", "--model", MODEL, "--slice", spec, "--out", str(out)]) == 2
+    assert not out.exists()
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and repr(spec) in err
 

@@ -28,7 +28,7 @@ from conftest import (ReferenceTuncelEvaluator, ReferenceTuncelOptions, _tuncel_
                       criterion3_tuples, flat_corner_instance, grid_betas, make_instance,
                       oracle_max_margin, oracle_slice_support, random_instance,
                       reference_active_set_vertices, reference_bounds,
-                      reference_enumerate_vertices, reference_first_of_each,
+                      reference_enumerate_vertices, reference_first_of_each, reference_newton,
                       reference_nonadaptive_slice, reference_staircase_2d,
                       reference_tuncel_slice, two_set_instance)
 from test_model import P01, P02, P11, P12, P21, P22
@@ -828,6 +828,83 @@ def test_tuncel_newton_steps_leave_grid_cache(example, c3_tuples, monkeypatch):
     assert [a.tobytes() for a in cache] == before
 
 
+def test_tuncel_singular_kkt_takes_pinv_step():
+    """Hypotheses 0 and 1 share their one source's pmf, so with every
+    coordinate free the Hessian block has two equal rows, the KKT system is
+    exactly singular and LU raises; _newton then takes reference_newton's
+    pinv step, bit for bit. Stacked with two nonsingular systems (one of the
+    twin coordinates held), each row gets the step it gets alone."""
+    q, r = np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.3, 0.1])
+    dual = _TuncelDual([[q], [q.copy()], [r]], np.array([1.0]), TuncelOptions(grid_step=0.5))
+    p = dual._tilt(np.array([[0.3, 0.3, 0.4]] * 3))[2]
+    slack = np.array([[0.3, -0.2, 0.1]] * 3)
+    free = np.array([[True, True, True], [True, False, True], [False, True, True]])
+    stacked = dual._newton(p, slack, free)
+    assert stacked[0].tobytes() == reference_newton(dual, p[:1], slack[:1], free[:1]).tobytes()
+    assert np.all(np.abs(stacked[0]) > 1e-3)
+    for i in range(3):
+        alone = dual._newton(p[i:i + 1], slack[i:i + 1], free[i:i + 1])
+        assert alone.tobytes() == stacked[i:i + 1].tobytes()
+
+
+def _random_product_models(seed: int = 27, models: int = 40, targets: int = 25):
+    """Fixed product-form models (M 2 to 4, 1 to 3 sources of 2 to 4
+    symbols) with random proportions, each with a stack of targets: the
+    model's corner at those proportions scaled entrywise by U(0, 0.5)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(models):
+        M, n = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        sizes = tuple(int(k) for k in rng.integers(2, 5, size=n))
+        rows = [[rng.dirichlet(np.ones(k)) for k in sizes] for _ in range(M)]
+        beta = rng.dirichlet(np.ones(n))
+        corner = np.array([[sum(b * kl(p, q) for b, p, q in zip(beta, rows[m], rows[t]))
+                            for t in range(M)] for m in range(M)])
+        E = corner * rng.uniform(0.0, 0.5, size=(targets, M, M))
+        for e in E:
+            np.fill_diagonal(e, 0.0)
+        out.append((make_instance(M, n, sizes, pmf_rows=rows).model, beta, E))
+    return out
+
+
+_ORACLE_SLICES = [{2: 0.1}, {2: 0.3}, {2: 0.6}, {1: 0.2}, {0: 0.5}]
+
+
+def test_tuncel_verdicts_same_with_reference_newton(example, c3_tuples, monkeypatch):
+    """The LU Newton step gives every verdict and every slice point that the
+    pinv step it replaced (reference_newton) gives: tuncel_membership on
+    criterion 3's 1000 tuples at the default options and at grid step 0.1
+    with 80 Newton steps, on 25 targets of each of 40 random product-form
+    models, and the example's 17-sample e2 = 0.1, 0.3, 0.6, e1 = 0.2 and
+    e0 = 0.5 slices. Only the
+    last bits of lower, upper and the witness of a query that takes a Newton
+    step may differ. Seeds and counts are fixed and nothing is drawn by
+    Hypothesis, so the test runs under -W error."""
+    model, beta = example[0].model, np.array([0.5, 0.5])
+    options = (TuncelOptions(), TuncelOptions(grid_step=0.1, descent_iters=80))
+    queries = [(model, beta, opts, e) for opts in options for e in c3_tuples]
+    first_random = len(queries)
+    queries += [(m, b, TuncelOptions(), e) for m, b, E in _random_product_models() for e in E]
+
+    def run():
+        monkeypatch.setattr("aseq.region._last_dual", None)
+        steps = _count_calls(monkeypatch, "_newton")
+        results = [tuncel_membership(e, m, b, opts) for m, b, opts, e in queries]
+        points = [tuncel_slice(model, beta, fixed).points for fixed in _ORACLE_SLICES]
+        assert steps
+        return results, points
+
+    ours, our_points = run()
+    monkeypatch.setattr(_TuncelDual, "_newton", reference_newton)
+    theirs, their_points = run()
+    moved = [(i, a.status, b.status, a.lower, a.upper, b.lower, b.upper)
+             for i, (a, b) in enumerate(zip(ours, theirs)) if a.status != b.status]
+    assert not moved
+    assert {"in", "out"} <= {res.status for res in ours[first_random:]}
+    for a, b in zip(our_points, their_points):
+        assert len(a) == 17 and np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("bad", [{"grid_step": 0}, {"grid_step": -0.1},
                                  {"grid_step": float("nan")}, {"grid_step": float("inf")},
                                  {"descent_iters": -1}, {"descent_iters": 1.5},
@@ -993,6 +1070,24 @@ def test_non_finite_exponents_refused(example, entry, bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="finite"):
+            call()
+
+
+@pytest.mark.parametrize("value", [-0.5, -1e308])
+@pytest.mark.parametrize("entry", ["region_slice", "nonadaptive_slice", "tuncel_slice"])
+def test_negative_fixed_value_refused(example, entry, value):
+    """An error exponent is >= 0: a negative fixed value raises ValueError
+    with no numpy warning. At -1e308 the slice LP overflowed, and at -0.5
+    the non-adaptive and fixed-length slices differed from those at 0."""
+    inst, table, poly = example
+    call = {
+        "region_slice": lambda: individual_hypothesis_region_slice(
+            compute_region(table, poly), {2: value}),
+        "nonadaptive_slice": lambda: nonadaptive_slice(table, poly, {2: value}),
+        "tuncel_slice": lambda: tuncel_slice(inst.model, np.array([0.5, 0.5]), {2: value})}[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=">= 0"):
             call()
 
 
