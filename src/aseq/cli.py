@@ -3,14 +3,16 @@
 Subcommands: validate, divergence, region, simulate, exponents. Data goes to
 files or stdout; diagnostics go to stderr. Exit codes: 0 success, 1 validation,
 data or internal error, 2 usage error. All randomness flows from --seed, so
-repeated invocations produce byte-identical outputs, and `simulate` writes its
-results CSV and summary as a whole set or not at all.
+repeated invocations produce byte-identical outputs. Every command writes each
+output file whole or not at all, and `simulate` writes its results CSV and
+summary as a whole set or not at all.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -38,8 +40,7 @@ class _Parser(argparse.ArgumentParser):
     """Reports a bad command line in one line, like every other usage error."""
 
     def error(self, message):
-        print(f"usage error: {message}", file=sys.stderr)
-        raise SystemExit(USAGE_EXIT)
+        raise SystemExit2(message)
 
 
 def _arg_type(convert, what: str):
@@ -69,6 +70,14 @@ def _number_where(ok):
     return convert
 
 
+def _budget_grid(text: str) -> tuple[float, ...]:
+    grid = tuple(map(float, text.split(",")))
+    if not all(1.0 <= T < math.inf for T in grid) or any(
+            b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(text)
+    return grid
+
+
 _CI_LEVEL = _arg_type(_number_where(lambda v: 0.0 < v < 1.0),
                       "a confidence level strictly between 0 and 1, like 0.95")
 
@@ -80,6 +89,41 @@ def _load(path: str):
     return modelio.load_instance(p)
 
 
+def _write_files(writes: dict) -> None:
+    """Each ``write(tmp)`` fills a temporary beside its target path; the
+    temporaries are renamed into place only once every one is complete, so
+    a failure leaves no half-written file or set."""
+    temps = {path: Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+             for path in writes}
+    try:
+        for path, write in writes.items():
+            write(temps[path])
+        for path, tmp in temps.items():
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps.values():
+            tmp.unlink(missing_ok=True)
+
+
+def _text_writer(text: str):
+    return lambda tmp: tmp.write_text(text, encoding="utf-8", newline="")
+
+
+def _emit(path: str | None, text: str) -> None:
+    """``text`` to stdout when no path is given, else to the file ``path``."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        _write_files({path: _text_writer(text)})
+
+
+def _csv_text(rows) -> str:
+    """The rows as the csv module writes them, CRLF line ends included."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
 def _fmt_subset(s: tuple[int, ...]) -> str:
     return "+".join(str(j) for j in s) if s else "-"
 
@@ -88,7 +132,7 @@ def cmd_validate(args) -> int:
     inst = _load(args.model)
     report = validate_model(inst.model, inst.avail, inst.actions, inst.budgets)
     if args.dump_normalized:
-        modelio.dump_instance(inst, args.dump_normalized)
+        _write_files({args.dump_normalized: lambda tmp: modelio.dump_instance(inst, tmp)})
     print(f"llr_bound {report.llr_bound!r}")
     print(f"assumption2_ok {str(report.assumption2_ok).lower()}")
     print(f"assumption3_ok {str(report.assumption3_ok).lower()}")
@@ -98,21 +142,13 @@ def cmd_validate(args) -> int:
 def cmd_divergence(args) -> int:
     inst = _load(args.model)
     table = validate_model(inst.model, inst.avail, inst.actions, inst.budgets).table
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
-        w = csv.writer(out)
-        w.writerow(["action", "z", "m", "theta", "kl_nats"])
-        for ai, a in enumerate(inst.actions.actions):
-            for zi, z in enumerate(inst.avail.sets):
-                for m in range(inst.model.M):
-                    for t in range(inst.model.M):
-                        if t == m:
-                            continue
-                        w.writerow([_fmt_subset(a), _fmt_subset(z), m, t,
-                                    repr(float(table.table[ai, zi, m, t]))])
-    finally:
-        if args.out:
-            out.close()
+    M = inst.model.M
+    rows = [["action", "z", "m", "theta", "kl_nats"]]
+    rows += [[_fmt_subset(a), _fmt_subset(z), m, t, repr(float(table.table[ai, zi, m, t]))]
+             for ai, a in enumerate(inst.actions.actions)
+             for zi, z in enumerate(inst.avail.sets)
+             for m in range(M) for t in range(M) if t != m]
+    _emit(args.out, _csv_text(rows))
     return 0
 
 
@@ -148,11 +184,8 @@ def cmd_region(args) -> int:
     region = compute_region(table, poly)
 
     if fixed:
-        rows: list[tuple[float, float, str]] = []
-        adaptive = individual_hypothesis_region_slice(region, fixed)
-        rows += [(float(x), float(y), "adaptive") for x, y in adaptive.points]
-        na = nonadaptive_slice(table, poly, fixed)
-        rows += [(float(x), float(y), "nonadaptive") for x, y in na.points]
+        families = [("adaptive", individual_hypothesis_region_slice(region, fixed)),
+                    ("nonadaptive", nonadaptive_slice(table, poly, fixed))]
         try:
             source_marginals(inst.model)
         except ValueError as exc:  # dependent sources or differing supports
@@ -162,16 +195,10 @@ def cmd_region(args) -> int:
                 tc = tuncel_slice(inst.model, beta_sources, fixed)
             except ValueError as exc:  # proportions the fixed-length dual refuses
                 raise SystemExit2(f"bad --beta-sources {args.beta_sources!r}: {exc}")
-            rows += [(float(x), float(y), "tuncel") for x, y in tc.points]
-        out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-        try:
-            w = csv.writer(out)
-            w.writerow(["x", "y", "family"])
-            for x, y, fam in rows:
-                w.writerow([repr(x), repr(y), fam])
-        finally:
-            if args.out:
-                out.close()
+            families.append(("tuncel", tc))
+        _emit(args.out, _csv_text([["x", "y", "family"]] + [
+            [repr(float(x)), repr(float(y)), name]
+            for name, sl in families for x, y in sl.points]))
         return 0
 
     gamma, _ = decision_risk_exponents(table, poly)
@@ -189,11 +216,7 @@ def cmd_region(args) -> int:
     }
     # One line: any indent sends json through its pure-Python encoder, which
     # took half the call on a region of a thousand vertices.
-    text = json.dumps(payload) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, json.dumps(payload) + "\n")
     return 0
 
 
@@ -201,10 +224,11 @@ def cmd_simulate(args) -> int:
     summary_path = args.summary or (str(Path(args.out).with_suffix("")) + "_summary.json")
     if Path(summary_path).resolve() == Path(args.out).resolve():
         raise SystemExit2(f"--out and --summary name the same file: {args.out!r}")
+    text = os.environ.get("ASEQ_THREADS", "1")
     try:
-        workers = sim.env_workers()
-    except ValueError as exc:
-        raise SystemExit2(str(exc)) from None
+        workers = _int_in(1)(text)
+    except ValueError:  # also a string of more digits than int() converts
+        raise SystemExit2(f"ASEQ_THREADS must be a positive integer, got {text!r}") from None
     inst = _load(args.model)
     if args.beta == "auto":
         betas = "auto"
@@ -215,25 +239,11 @@ def cmd_simulate(args) -> int:
         betas=betas, ci_level=args.ci, truths=args.truth, max_steps=args.max_steps,
         epsilon=args.epsilon, workers=workers)
     report = sim.estimate_errors(config)
-    # Both files go to temporaries beside their targets and are renamed only
-    # once both are complete, so a failure leaves no half-written set.
-    tmp_csv, tmp_summary = _temp_beside(args.out), _temp_beside(summary_path)
-    try:
-        sim.write_report_csv(report, tmp_csv)
-        tmp_summary.write_text(json.dumps(sim.summary_dict(report), indent=2) + "\n",
-                               encoding="utf-8")
-        os.replace(tmp_csv, args.out)
-        os.replace(tmp_summary, summary_path)
-    finally:
-        tmp_csv.unlink(missing_ok=True)
-        tmp_summary.unlink(missing_ok=True)
+    _write_files({args.out: lambda tmp: sim.write_report_csv(report, tmp),
+                  summary_path: _text_writer(json.dumps(sim.summary_dict(report), indent=2)
+                                             + "\n")})
     print(f"wrote {args.out} and {summary_path}", file=sys.stderr)
     return 0
-
-
-def _temp_beside(path: str) -> Path:
-    p = Path(path)
-    return p.with_name(f".{p.name}.{os.getpid()}.tmp")
 
 
 _COUNT_COLUMNS = ("T", "truth", "declared", "count")
@@ -280,11 +290,7 @@ def cmd_exponents(args) -> int:
     M = 1 + max(m for counts in cells.values() for m in counts)
     counts = {key: [c.get(m, 0) for m in range(M)] for key, c in cells.items()}
     fits = sim._fit_counts(counts, M, sorted({truth for _, truth in cells}), args.ci)
-    text = json.dumps([f.as_json() for f in fits.values()], indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, json.dumps([f.as_json() for f in fits.values()], indent=2) + "\n")
     return 0
 
 
@@ -315,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("simulate", help="Monte Carlo error estimation")
     s.add_argument("--model", required=True)
     s.add_argument("--T", required=True, help="comma-separated budgets",
-                   type=_arg_type(lambda text: tuple(map(float, text.split(","))),
-                                  "a comma list of numbers, like 2,4,8"))
+                   type=_arg_type(_budget_grid, "a strictly increasing comma list of "
+                                                "finite budgets >= 1, like 2,4,8"))
     s.add_argument("--beta", default="auto", help="'auto' or a frequency file")
     s.add_argument("--truth", default="all", type=_arg_type(
         lambda text: None if text == "all" else (_int_in(0)(text),),
@@ -346,13 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_EXIT if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit:  # --help, after printing it
+        return 0
     except SystemExit2 as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -131,13 +131,7 @@ def instance_from_dict(raw: dict) -> Instance:
     acts = [_as_subset(a, n, f"$.actions[{i}]") for i, a in enumerate(acts_raw)]
     if () not in acts:
         acts.insert(0, ())
-    seen = set()
-    ordered = []
-    for a in acts:
-        if a not in seen:
-            seen.add(a)
-            ordered.append(a)
-    actions = ActionSpace(tuple(ordered))
+    actions = ActionSpace(tuple(dict.fromkeys(acts)))
 
     buds = raw.get("budgets", [])
     if not isinstance(buds, list):

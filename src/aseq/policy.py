@@ -118,9 +118,7 @@ def solve_drift_margin(c: float) -> float:
     x = (lo + hi) / 2
     for _ in range(4):
         f = x * (1 + x) ** 2 - c
-        fp = (1 + x) * (1 + 3 * x)
-        if fp <= 0:
-            break
+        fp = (1 + x) * (1 + 3 * x)  # >= 1, since x >= 0
         x = max(x - f / fp, 0.0)
     return x
 

@@ -225,7 +225,7 @@ def _corner_lp_contains(corners: np.ndarray, e: np.ndarray) -> bool:
                     -corners.T, -(e - 1e-9)).status == "optimal"
 
 
-def _planar_front(best, tol: float = 1e-12) -> list[np.ndarray]:
+def _planar_front(best) -> list[np.ndarray]:
     """Upper-right hull vertices of a convex planar set, from its largest x
     to its largest y, given ``best(w)``, a maximiser of w.p over the set.
 
@@ -236,6 +236,8 @@ def _planar_front(best, tol: float = 1e-12) -> list[np.ndarray]:
     vertices within ``tol`` of their neighbours' chord and dominated axis
     maximisers.
     """
+    tol = 1e-12
+
     def beyond(p, q, r) -> bool:
         normal = np.array([q[1] - p[1], p[0] - q[0]])
         return normal @ (r - p) > tol * np.hypot(*normal)

@@ -14,12 +14,11 @@ SeedSequence per trial, which cost a third of a short trial. The words are
 SeedSequence's, and a test holds them to it bit for bit.
 
 Each (T, truth) cell is cut into chunks of trials/workers trials (workers
-from the config, else ASEQ_THREADS, a positive integer, else 1). The cell's
-TrialKernel is built once and sent to each of its chunks; a chunk keeps only
-one block of seed words and its tally, which grows with the distinct
-outcomes, not with the trials. All chunks of the grid go to one process pool
-of at most min(workers, chunks, CPUs) processes; with one process they run
-in-process.
+from the config, 1 by default). The cell's TrialKernel is built once and
+sent to each of its chunks; a chunk keeps only one block of seed words and
+its tally, which grows with the distinct outcomes, not with the trials. All
+chunks of the grid go to one process pool of at most min(workers, chunks,
+CPUs) processes; with one process they run in-process.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ class ExperimentConfig:
     truths: tuple[int, ...] | None = None
     max_steps: int | None = None
     epsilon: float | None = None
-    workers: int = 0  # 0: take ASEQ_THREADS, default serial
+    workers: int = 1
 
     def __post_init__(self):
         if not 1 <= self.trials <= 2**32:  # trial indices must fit one seed word
@@ -65,8 +64,8 @@ class ExperimentConfig:
         if self.max_steps is None:
             for T in filter(math.isfinite, self.T_grid):  # build_params refuses the rest
                 default_max_steps(T)
-        if self.workers < 0:
-            raise ValueError(f"workers must be non-negative, got {self.workers!r}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers!r}")
         if any(b >= a for a, b in zip(self.T_grid[1:], self.T_grid)):
             raise ValueError("T grid must be strictly increasing")
         if not 0.0 < self.ci_level < 1.0:
@@ -279,22 +278,8 @@ def resolve_betas(config: ExperimentConfig, table: DivergenceTable
     return tuple(np.asarray(b, dtype=float) for b in config.betas)
 
 
-def env_workers() -> int:
-    """The worker count that ASEQ_THREADS asks for, 1 when it is unset.
-    Raises ValueError naming the variable unless it is a positive integer."""
-    text = os.environ.get("ASEQ_THREADS", "1")
-    try:
-        workers = int(text)
-    except ValueError:  # also a string of more digits than int() converts
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"ASEQ_THREADS must be a positive integer, got {text!r}")
-    return workers
-
-
 def estimate_errors(config: ExperimentConfig) -> ExperimentReport:
     """Run the full grid of (T, truth) cells and aggregate counts."""
-    workers = config.workers or env_workers()
     inst = config.instance
     report_info = validate_model(inst.model, inst.avail, inst.actions, inst.budgets)
     table = report_info.table
@@ -308,10 +293,10 @@ def estimate_errors(config: ExperimentConfig) -> ExperimentReport:
         for truth in truths:
             kernels[(T, truth)] = TrialKernel.build(inst, params, truth)
     n = config.trials
-    chunk = max(1, n // workers)
+    chunk = max(1, n // config.workers)
     jobs = [(key, (kernel, config.seed, s, min(s + chunk, n), config.max_steps))
             for key, kernel in kernels.items() for s in range(0, n, chunk)]
-    size = _pool_size(workers, len(jobs), os.cpu_count())
+    size = _pool_size(config.workers, len(jobs), os.cpu_count())
     if size > 1:
         from concurrent.futures import ProcessPoolExecutor  # deferred: slow import
         with ProcessPoolExecutor(max_workers=size) as pool:
@@ -411,34 +396,31 @@ class ConstraintCheck:
     bound: float
     ok: bool
 
-    @property
-    def slack(self) -> float:
-        return self.bound - self.statistic
 
-
-def verify_constraints(report: ExperimentReport, confidence: float = 0.99
-                       ) -> list[ConstraintCheck]:
-    """One-sided upper-confidence checks of the stopping-time and budget
+def verify_constraints(report: ExperimentReport) -> list[ConstraintCheck]:
+    """One-sided 99% upper-confidence checks of the stopping-time and budget
     constraints for every simulated cell."""
-    z = _normal_quantile(confidence)
+    z = _normal_quantile(0.99)
+
+    def ucb(total, total2, n: int) -> float:
+        """Mean plus z standard errors, from a sum and a sum of squares; the
+        summary's statistics keep their bits only in this order of operations."""
+        mean = total / n
+        var = max(total2 / n - mean ** 2, 0.0) * n / max(n - 1, 1)
+        return float(mean + z * math.sqrt(var / n))
+
     inst = report.config.instance
     checks: list[ConstraintCheck] = []
     for (T, truth), cell in sorted(report.cells.items()):
         n = cell.n_valid
         if n == 0:
             continue
-        mean_tau = cell.mean_tau
-        var_tau = max(cell.sum_tau2 / n - mean_tau ** 2, 0.0) * n / max(n - 1, 1)
-        ucb = mean_tau + z * math.sqrt(var_tau / n)
-        checks.append(ConstraintCheck(T, truth, "expected_stopping_time",
-                                      ucb, T, ucb <= T))
+        stat = ucb(cell.sum_tau, cell.sum_tau2, n)
+        checks.append(ConstraintCheck(T, truth, "expected_stopping_time", stat, T, stat <= T))
         for i in range(inst.budgets.size):
-            mean_c = cell.sum_cost[i] / n
-            var_c = max(cell.sum_cost2[i] / n - mean_c ** 2, 0.0) * n / max(n - 1, 1)
-            ucb_c = mean_c + z * math.sqrt(var_c / n)
+            stat = ucb(cell.sum_cost[i], cell.sum_cost2[i], n)
             limit = float(inst.budgets.rates[i]) * T
-            checks.append(ConstraintCheck(T, truth, f"budget_{i}",
-                                          float(ucb_c), limit, bool(ucb_c <= limit)))
+            checks.append(ConstraintCheck(T, truth, f"budget_{i}", stat, limit, stat <= limit))
     return checks
 
 

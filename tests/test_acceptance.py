@@ -264,7 +264,7 @@ def test_criterion_6_constraint_satisfaction(example_instance):
     inst = Instance(base.model, base.avail, base.actions, budgets)
     cfg = ExperimentConfig(inst, (200.0, 400.0), 10_000, seed=17)
     rep = estimate_errors(cfg)
-    checks = verify_constraints(rep, confidence=0.99)
+    checks = verify_constraints(rep)
     bad = [c for c in checks if not c.ok]
     regimes = {cell.regime for cell in rep.cells.values()}
     elapsed = time.time() - start

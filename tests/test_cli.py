@@ -40,8 +40,13 @@ def test_validate_missing_file():
     assert main(["validate", "--model", "/nonexistent/model.json"]) == 2
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(capsys):
     assert main(["validate"]) == 2  # missing required --model
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("usage error: ") and "--model" in err
+    assert main(["--help"]) == 0 and main(["region", "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert "validate" in out and "--slice" in out and err == ""
 
 
 def test_malformed_model_exit_code(tmp_path):
@@ -346,7 +351,7 @@ def test_slice_default_beta_sources_exactly_uniform(tmp_path):
     assert default.read_bytes() == given.read_bytes()
 
 
-@pytest.mark.parametrize("args", [["--truth", "7"], ["--T", "inf"], ["--T", "nan"]])
+@pytest.mark.parametrize("args", [["--truth", "7"]])
 def test_simulate_bad_argument_exits_1(tmp_path, capsys, args):
     out = tmp_path / "runs.csv"
     assert main(["simulate", "--model", MODEL, "--T", "5", "--trials", "10",
@@ -387,17 +392,20 @@ def test_bad_max_steps_exits_2_at_parse_time(tmp_path, capsys, monkeypatch, step
     ("--trials", "0"), ("--trials", "-2"), ("--trials", "1.5"), ("--trials", "abc"),
     ("--trials", "4294967297"),
     ("--truth", "abc"), ("--truth", "-1"), ("--truth", "1.0"),
-    ("--T", "abc"), ("--T", "5,"), ("--T", "5,x"),
+    ("--T", "abc"), ("--T", "5,"), ("--T", "5,x"), ("--T", "inf"), ("--T", "nan"),
+    ("--T", "5,3"), ("--T", "2,2"), ("--T", "0.5"),
     ("--epsilon", "1"), ("--epsilon", "1.5"), ("--epsilon", "-0.1"), ("--epsilon", "nan"),
     ("--epsilon", "abc"),
 ])
 def test_bad_simulate_option_exits_2_at_parse_time(tmp_path, capsys, monkeypatch,
                                                    option, value):
     """A trial count outside 1..2**32, a truth that is neither 'all' nor a
-    non-negative integer, a budget list with a non-number and an exploration
+    non-negative integer, a budget list with an entry that is not a finite
+    number >= 1 or that is not strictly increasing and an exploration
     probability outside [0, 1) are refused by the parser: one line naming
     the option, before the model is loaded. They exited 1 with a line from
-    int(), float(), ExperimentConfig or build_params that named no option."""
+    int(), float(), ExperimentConfig or build_params that named no option,
+    a T below 1, nan or inf only after the frequency LPs."""
     monkeypatch.setattr(cli, "_load", None)  # any call would fail with exit 1
     out = tmp_path / "runs.csv"
     argv = {"--T": "5", "--trials": "10", option: value}
@@ -470,6 +478,29 @@ def test_bad_beta_file_exits_1(tmp_path, capsys, entry, where):
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and where in err
     assert sorted(tmp_path.iterdir()) == [beta]
+
+
+def test_beta_file_matches_auto(tmp_path, capsys):
+    """A frequency file holding the maximisers that --beta auto computes
+    gives the same results CSV and summary byte for byte. A file with the
+    wrong number of matrices is refused in one line."""
+    inst = load_instance(MODEL)
+    _, argmax = decision_risk_exponents(build_instance_table(inst),
+                                        build_polytope(inst.avail, inst.actions, inst.budgets))
+    beta = tmp_path / "beta.json"
+    beta.write_text(json.dumps([b.tolist() for b in argmax]), encoding="utf-8")
+    args = ["simulate", "--model", MODEL, "--T", "2,3,4", "--trials", "500", "--seed", "5"]
+    for name, source in (("auto", "auto"), ("file", str(beta))):
+        assert main(args + ["--beta", source, "--out", str(tmp_path / f"{name}.csv")]) == 0
+    for suffix in (".csv", "_summary.json"):
+        auto, file = (tmp_path / f"{name}{suffix}" for name in ("auto", "file"))
+        assert auto.read_bytes() == file.read_bytes()
+    capsys.readouterr()
+    beta.write_text(json.dumps([b.tolist() for b in argmax[:2]]), encoding="utf-8")
+    assert main(args + ["--beta", str(beta), "--out", str(tmp_path / "short.csv")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "one frequency matrix per hypothesis" in err
+    assert not (tmp_path / "short.csv").exists()
 
 
 @pytest.mark.parametrize("level", ["1.5", "nan", "0", "1"])
@@ -588,6 +619,62 @@ def test_simulate_failure_leaves_no_outputs(tmp_path, monkeypatch):
     assert not out.exists()
     assert not (tmp_path / "runs_summary.json").exists()
     assert list(tmp_path.iterdir()) == []  # no temporaries left either
+
+
+RESULTS_CSV = "T,truth,declared,count\n2,0,0,90\n2,0,1,10\n3,0,0,97\n3,0,1,3\n"
+
+# Each command that writes a file, with the option that names it last.
+WRITERS = {
+    "divergence": ["divergence", "--model", MODEL, "--out"],
+    "region": ["region", "--model", MODEL, "--out"],
+    "slice": ["region", "--model", MODEL, "--slice", "e2=0.3", "--out"],
+    "exponents": ["exponents", "--in", "{results}", "--out"],
+    "validate": ["validate", "--model", MODEL, "--dump-normalized"],
+}
+
+
+def _writer_argv(tmp_path, name):
+    """The command line of WRITERS[name] writing to tmp_path/out, and the
+    files that must be in tmp_path beside it."""
+    if name != "exponents":
+        return WRITERS[name], []
+    results = tmp_path / "results.csv"
+    results.write_text(RESULTS_CSV, encoding="utf-8")
+    return [a.format(results=results) for a in WRITERS[name]], [results]
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_writer_output_whole_and_no_temporary(tmp_path, capsys, name):
+    """A written file holds the bytes the command prints on stdout without
+    --out (CRLF rows included), and no temporary is left beside it."""
+    argv, inputs = _writer_argv(tmp_path, name)
+    out = tmp_path / "out"
+    assert main(argv + [str(out)]) == 0
+    assert sorted(tmp_path.iterdir()) == sorted(inputs + [out])
+    if name == "validate":
+        assert instance_to_dict(load_instance(out)) == instance_to_dict(load_instance(MODEL))
+    else:
+        capsys.readouterr()
+        assert main(argv[:-1]) == 0
+        assert out.read_bytes() == capsys.readouterr().out.encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_writer_failure_keeps_old_file(tmp_path, capsys, monkeypatch, name):
+    """A rename that fails exits 1 in one line, leaves a file that was there
+    before with its bytes, and removes the temporary."""
+    def refuse(src, dst):
+        raise OSError(f"cannot rename {src} to {dst}")
+
+    argv, inputs = _writer_argv(tmp_path, name)
+    out = tmp_path / "out"
+    out.write_bytes(b"old\r\n")
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    assert main(argv + [str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot rename")
+    assert out.read_bytes() == b"old\r\n"
+    assert sorted(tmp_path.iterdir()) == sorted(inputs + [out])
 
 
 def test_internal_error_exits_1(monkeypatch, capsys):

@@ -471,6 +471,24 @@ def test_stop_at_step_one_when_nothing_selected(example_instance, rows):
 
 # --------------------------------------------------------------------- trial
 
+def test_run_trial_inconsistent_s_takes_largest_row_sum(example_instance):
+    """After a first observation that makes S an antisymmetric 3-cycle
+    (S01 = -1, S12 = -0.1, S20 = -0.5), no row of S is all >= 0. The row
+    sums are (-0.5, 0.9, -0.4), so the estimate is 1, the row of largest
+    sum. The second step's tables differ by estimate, and only those under
+    estimate 1 end the trial, with a declaration of 1."""
+    # Increments of S01, S02, S10, S12, S20, S21, the order of the flat S.
+    incs = [[-1.0, 0.5, 1.0, -0.1, -0.5, 0.1],     # estimate 0: the 3-cycle again
+            [-10.0, 0.0, 10.0, 10.0, 0.0, -10.0],  # estimate 1: row 1 clears 5
+            [0.0, -10.0, 0.0, -10.0, 10.0, 10.0]]  # estimate 2: row 2 clears 5
+    # One availability set, one action and one symbol, of source 0.
+    steps = [[([math.inf], [([math.inf], [inc], (0,))])] for inc in incs]
+    kernel = TrialKernel(_adaptive(example_instance), 0, 1, [math.inf], steps, [[5.0, 5.0]] * 3,
+                         [(0,), (1,), (2,)])
+    for seed in range(3):
+        assert run_trial(kernel, np.random.default_rng(seed), 2) == TrialResult(2, 1, (2,))
+
+
 def test_run_trial_regime1(example):
     inst, table, L, betas = example
     params = build_params(100.0, inst, table, L, betas)

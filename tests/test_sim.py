@@ -54,8 +54,9 @@ def test_config_validation():
     for epsilon in (1.0, 1.5, -0.1, float("nan")):
         with pytest.raises(ValueError, match="epsilon"):
             ExperimentConfig(inst, (5.0,), 100, 0, epsilon=epsilon)
-    with pytest.raises(ValueError, match="workers.*-1"):
-        ExperimentConfig(inst, (5.0,), 100, 0, workers=-1)
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match=f"workers.*{workers}"):
+            ExperimentConfig(inst, (5.0,), 100, 0, workers=workers)
     # 200 T, the default step cap, overflowed into an OverflowError mid-run.
     with pytest.raises(ValueError, match=r"T=1e\+307.*--max-steps"):
         ExperimentConfig(inst, (5.0, 1e307), 100, 0)
@@ -63,15 +64,15 @@ def test_config_validation():
     ExperimentConfig(inst, (5.0, math.inf), 100, 0)  # build_params refuses it
 
 
-@pytest.mark.parametrize("threads", ["abc", "0", "-4", "1.5"])
-def test_bad_aseq_threads_refused_first(monkeypatch, threads):
-    """ASEQ_THREADS is read before any other work, and a value that is not a
-    positive integer is refused by name: int() named no variable, and 0 or
-    -4 ran serially without a word."""
+@pytest.mark.parametrize("threads", ["abc", "0", "-4", "1.5", "4"])
+def test_library_ignores_aseq_threads(monkeypatch, threads):
+    """Only the CLI reads ASEQ_THREADS: estimate_errors takes its worker
+    count from ExperimentConfig.workers, 1 by default, and starts no pool."""
+    cfg = ExperimentConfig(weak_binary(), (30.0,), 40, 0, epsilon=0.0)
+    want = estimate_errors(cfg)
     monkeypatch.setenv("ASEQ_THREADS", threads)
-    monkeypatch.setattr(sim, "validate_model", None)  # any call would fail
-    with pytest.raises(ValueError, match=f"ASEQ_THREADS.*{re.escape(repr(threads))}"):
-        estimate_errors(ExperimentConfig(weak_binary(), (5.0,), 10, 0))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", None)  # any pool would fail
+    _cells_equal(estimate_errors(cfg), want)
 
 
 def test_reproducible_reports(tmp_path):
@@ -243,7 +244,7 @@ def test_pool_size_bounded():
 
 
 def test_huge_worker_count_starts_small_pool(monkeypatch):
-    # ASEQ_THREADS=5000 must not ask for 5000 processes; chunks are still cut
+    # workers=5000 must not ask for 5000 processes; chunks are still cut
     # for the requested count (one trial each here), so counts do not move.
     sizes = []
 
@@ -265,10 +266,9 @@ def test_huge_worker_count_starts_small_pool(monkeypatch):
     # sim imports the pool class only where it builds a pool
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
-    monkeypatch.setenv("ASEQ_THREADS", "5000")
     inst = weak_binary()
     base = dict(T_grid=(30.0, 40.0), trials=60, seed=9, epsilon=0.0)
-    pooled = estimate_errors(ExperimentConfig(inst, **base))
+    pooled = estimate_errors(ExperimentConfig(inst, workers=5000, **base))
     assert sizes == [2, 2 * 2 * 60]
     _cells_equal(estimate_errors(ExperimentConfig(inst, workers=1, **base)), pooled)
 
