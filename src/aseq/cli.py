@@ -90,16 +90,42 @@ def _load(path: str):
 
 
 def _write_files(writes: dict) -> None:
-    """Each ``write(tmp)`` fills a temporary beside its target path; the
-    temporaries are renamed into place only once every one is complete, so
-    a failure leaves no half-written file or set."""
-    temps = {path: Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
-             for path in writes}
+    """Each ``write(tmp)`` fills a temporary beside its target path. Once
+    every one is complete, each target is renamed into place, an existing
+    one moved aside to a backup first. If any step fails, the targets placed
+    so far are removed and the backups moved back, so a failure leaves the
+    old set whole and no temporary or backup behind. An error while writing
+    names the target, not its temporary."""
+    def beside(path: str, kind: str) -> Path:
+        return Path(path).with_name(f".{Path(path).name}.{os.getpid()}.{kind}")
+
+    temps = {path: beside(path, "tmp") for path in writes}
+    moved: dict[str, Path] = {}  # target -> its backup
+    placed: list[str] = []
     try:
         for path, write in writes.items():
-            write(temps[path])
+            try:
+                write(temps[path])
+            except OSError as exc:
+                exc.filename = path
+                raise
         for path, tmp in temps.items():
+            if os.path.lexists(path):
+                backup = beside(path, "bak")
+                os.replace(path, backup)
+                moved[path] = backup
             os.replace(tmp, path)
+            placed.append(path)
+    except BaseException:
+        for path in placed:
+            if path not in moved:
+                os.unlink(path)
+        for path, backup in moved.items():
+            os.replace(backup, path)
+        raise
+    else:
+        for backup in moved.values():
+            backup.unlink()
     finally:
         for tmp in temps.values():
             tmp.unlink(missing_ok=True)

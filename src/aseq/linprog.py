@@ -7,7 +7,7 @@ updates: phase 1 starts on the artificials, where B = I and the tableau is
 [A | b] itself, and phase 2 continues phase 1's tableau. x and a Farkas
 certificate are solved from the final basis. Bland's rule picks every pivot,
 which guarantees termination and fixes which of several optima is returned. A
-non-adaptive membership query on a 32-variable model takes about 0.4 ms
+non-adaptive membership query on a 32-variable model takes 0.25 to 0.28 ms
 (2 vCPUs); scipy's HiGHS takes 3.2 ms through ``scipy.optimize.linprog``,
 and an infeasible query would need a second LP for its Farkas certificate.
 
@@ -49,24 +49,51 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 def _bland_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> str:
     """Price T, rows B^-1 [A | b] over a row for the reduced costs, for
     ``cost``, then run simplex iterations (maximization) from its feasible
-    basis, in place. Returns "optimal" or "unbounded"."""
-    m = len(basis)
+    basis, in place. Returns "optimal" or "unbounded".
+
+    Each pivot is chosen on Python floats read from T, which at a few dozen
+    entries costs less than numpy's per-call overhead; the update stays a
+    numpy rank-1 update."""
+    m, n = len(basis), T.shape[1] - 1
     T[m] = np.append(cost, 0.0) - cost[basis] @ T[:m]
+    ids = basis.tolist()
+    nonbasic = [True] * n
+    for j in ids:
+        nonbasic[j] = False
     for _ in range(20000):
-        improving = T[m, :-1] > _TOL
-        improving[basis] = False
-        entering = improving.argmax()
-        if not improving[entering]:
+        for entering, r in enumerate(T[m, :n].tolist()):
+            if r > _TOL and nonbasic[entering]:
+                break
+        else:
             return "optimal"
-        column = T[:m, entering]
-        rows = (column > _TOL).nonzero()[0]
-        if rows.size == 0:
+        column, rhs = T[:m, entering].tolist(), T[:m, n].tolist()
+        # Ratios max(r, 0) / a over rows with a > _TOL; nan stays nan, as in
+        # np.maximum, and means the tableau overflowed.
+        least = None
+        for a, r in zip(column, rhs):
+            if a > _TOL:
+                ratio = (0.0 if r < 0.0 else r) / a
+                if ratio != ratio:
+                    raise ValueError("simplex ratio test met nan: the LP's entries overflow")
+                if least is None or ratio < least:
+                    least = ratio
+        if least is None:
             return "unbounded"
-        ratios = np.maximum(T[rows, -1], 0.0) / column[rows]
         # Bland tie-break: among minimal ratios, leave the smallest column id.
-        ties = rows[ratios <= ratios.min() + _TOL]
-        _pivot(T, basis, ties[basis[ties].argmin()], entering)
+        bound, leave = least + _TOL, -1
+        for i, (a, r) in enumerate(zip(column, rhs)):
+            if (a > _TOL and (0.0 if r < 0.0 else r) / a <= bound
+                    and (leave < 0 or ids[i] < ids[leave])):
+                leave = i
+        nonbasic[ids[leave]], nonbasic[entering] = True, False
+        ids[leave] = entering
+        _pivot(T, basis, leave, entering)
     raise RuntimeError("simplex failed to terminate")
+
+
+def _finite(x: np.ndarray, name: str) -> None:
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite")
 
 
 def _checked(A, b, n: int, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -75,16 +102,20 @@ def _checked(A, b, n: int, name: str) -> tuple[np.ndarray, np.ndarray]:
     if A.ndim != 2 or A.shape[1] != n or b.shape != A.shape[:1]:
         raise DimensionMismatch(f"A_{name} of shape {A.shape} and b_{name} of shape {b.shape} "
                                 f"do not fit {n} variables")
+    _finite(A, f"A_{name}")
+    _finite(b, f"b_{name}")
     return A, b
 
 
 def solve_lp(c: np.ndarray, A_eq: np.ndarray | None = None, b_eq: np.ndarray | None = None,
              A_ub: np.ndarray | None = None, b_ub: np.ndarray | None = None) -> LpResult:
     """Raises ``DimensionMismatch`` unless c is 1-D, each matrix is 2-D with
-    c.size columns and each right-hand side has one entry per matrix row."""
+    c.size columns and each right-hand side has one entry per matrix row, and
+    ``ValueError`` naming the first argument with a nan or inf entry."""
     c = np.asarray(c, dtype=float)
     if c.ndim != 1:
         raise DimensionMismatch(f"c must be 1-D, got shape {c.shape}")
+    _finite(c, "c")
     n = c.size
     A_eq, b_eq = _checked(A_eq, b_eq, n, "eq")
     A_ub, b_ub = _checked(A_ub, b_ub, n, "ub")

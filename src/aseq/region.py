@@ -197,11 +197,17 @@ class PerMRegion:
     coord_max: np.ndarray
     boundary: np.ndarray | None = None  # CCW polyline, 2-D regions only
 
-    def contains(self, e: np.ndarray, tol: float = 1e-9) -> bool:
+    def _coords(self, e: np.ndarray) -> np.ndarray:
         e = np.asarray(e, dtype=float).reshape(-1)
         if e.size != len(self.thetas):
             raise DimensionMismatch(
                 f"expected {len(self.thetas)} coordinates, got {e.size}")
+        if not np.isfinite(e).all():
+            raise ValueError("exponents must be finite")
+        return e
+
+    def contains(self, e: np.ndarray, tol: float = 1e-9) -> bool:
+        e = self._coords(e)
         if np.any(e < -tol):
             return False
         if self.facets is not None:
@@ -210,9 +216,9 @@ class PerMRegion:
 
     def margin(self, e: np.ndarray) -> float:
         """Smallest signed facet slack (positive strictly inside)."""
+        e = self._coords(e)
         if self.facets is None:
             raise ValueError("facet representation unavailable")
-        e = np.asarray(e, dtype=float).reshape(-1)
         vals = [b - float(np.dot(n, e)) for n, b in self.facets]
         return min(vals)
 

@@ -12,7 +12,7 @@ import pytest
 from aseq.divergence import DivergenceTable, exponent, kl
 from aseq.errors import (InfeasiblePolytope, InvalidBeta, NoExplorationPossible,
                          UnsupportedDimension)
-from aseq.linprog import _TOL, LpResult
+from aseq.linprog import _TOL, LpResult, _pivot
 from aseq.model import (ActionSpace, AvailabilityDist, BudgetSpec, Instance,
                         JointModel, in_constraint_set, omega, selection_matrix)
 from aseq.modelio import instance_from_dict, load_instance
@@ -508,6 +508,29 @@ def _reference_bland_simplex(A: np.ndarray, b: np.ndarray, cost: np.ndarray,
         # Bland tie-break: among minimal ratios, leave the smallest column id.
         leave_row = min((col, i) for r, col, i in ratios if r <= best + _TOL)[1]
         basis[leave_row] = entering
+    raise RuntimeError("simplex failed to terminate")
+
+
+def reference_tableau_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> str:
+    """``aseq.linprog._bland_simplex`` as it chose its pivots with numpy
+    calls: the kernel, which chooses them on Python floats, must leave the
+    same status, basis and tableau bytes."""
+    m = len(basis)
+    T[m] = np.append(cost, 0.0) - cost[basis] @ T[:m]
+    for _ in range(20000):
+        improving = T[m, :-1] > _TOL
+        improving[basis] = False
+        entering = improving.argmax()
+        if not improving[entering]:
+            return "optimal"
+        column = T[:m, entering]
+        rows = (column > _TOL).nonzero()[0]
+        if rows.size == 0:
+            return "unbounded"
+        ratios = np.maximum(T[rows, -1], 0.0) / column[rows]
+        # Bland tie-break: among minimal ratios, leave the smallest column id.
+        ties = rows[ratios <= ratios.min() + _TOL]
+        _pivot(T, basis, ties[basis[ties].argmin()], entering)
     raise RuntimeError("simplex failed to terminate")
 
 

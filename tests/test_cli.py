@@ -677,6 +677,49 @@ def test_writer_failure_keeps_old_file(tmp_path, capsys, monkeypatch, name):
     assert sorted(tmp_path.iterdir()) == sorted(inputs + [out])
 
 
+@pytest.mark.parametrize("failing_call", [1, 2, 3, 4])
+def test_writer_failure_keeps_old_set(tmp_path, capsys, monkeypatch, failing_call):
+    """A simulate rerun at seed 2 over a seed-1 pair whose n-th rename fails
+    exits 1 and leaves both seed-1 files with their bytes, and no temporary
+    or backup. The renames move the CSV aside, place it, move the summary
+    aside and place it; a rerun that failed on its second used to leave the
+    seed-2 CSV beside the seed-1 summary."""
+    out, summary = tmp_path / "r.csv", tmp_path / "r_summary.json"
+    argv = ["simulate", "--model", MODEL, "--T", "5", "--trials", "10", "--epsilon", "0",
+            "--out", str(out), "--seed"]
+    assert main(argv + ["1"]) == 0
+    old = out.read_bytes(), summary.read_bytes()
+    calls = []
+    replace = os.replace
+
+    def fail_once(src, dst):
+        calls.append((src, dst))
+        if len(calls) == failing_call:
+            raise OSError(f"cannot rename {src} to {dst}")
+        replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", fail_once)
+    capsys.readouterr()
+    assert main(argv + ["2"]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot rename")
+    assert (out.read_bytes(), summary.read_bytes()) == old
+    assert sorted(tmp_path.iterdir()) == [out, summary]
+    monkeypatch.setattr(cli.os, "replace", replace)
+    assert main(argv + ["2"]) == 0
+    assert out.read_bytes() != old[0]
+
+
+def test_write_error_names_target(tmp_path, capsys, monkeypatch):
+    """A file that cannot be opened for writing exits 1 naming the path the
+    user gave, not its hidden temporary."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["divergence", "--model", MODEL, "--out", "nodir/x.csv"]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "nodir/x.csv" in err and ".tmp" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_internal_error_exits_1(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise InvalidPmf("action probabilities exceed 1 by 1e-3\nsecond line")

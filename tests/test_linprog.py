@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import hypothesis
 import hypothesis.extra.numpy as hnp
@@ -16,7 +17,7 @@ from aseq.linprog import solve_lp
 from aseq.model import Instance
 from aseq.modelio import instance_from_dict
 from aseq.region import build_polytope, decision_risk_exponents, nonadaptive_feasibility
-from conftest import reference_solve_lp, two_set_instance
+from conftest import reference_solve_lp, reference_tableau_simplex, two_set_instance
 
 
 def test_simple_max():
@@ -191,6 +192,77 @@ def test_risk_exponents_match_reference_kernel(monkeypatch):
     assert all(a.tobytes() == b.tobytes() for a, b in zip(argmax, ref_argmax, strict=True))
 
 
+def kernel_inputs(run) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The (T, basis, cost) that ``run()`` passes to the simplex kernel in
+    each call, copied before the call changes them."""
+    calls = []
+    kernel = linprog._bland_simplex
+
+    def capture(T, basis, cost):
+        calls.append((T.copy(), basis.copy(), cost.copy()))
+        return kernel(T, basis, cost)
+
+    with mock.patch.object(linprog, "_bland_simplex", capture):
+        run()
+    return calls
+
+
+def kernel_outcome(kernel, T, basis, cost) -> tuple[str, bytes, bytes]:
+    """Status (or a ValueError's class name), basis and tableau bytes that
+    ``kernel`` leaves on copies of T and basis."""
+    T, basis = T.copy(), basis.copy()
+    try:
+        status = kernel(T, basis, cost)
+    except ValueError as exc:
+        status = type(exc).__name__
+    return status, basis.tobytes(), T.tobytes()
+
+
+def assert_same_pivots(calls) -> None:
+    assert calls
+    for T, basis, cost in calls:
+        assert (kernel_outcome(linprog._bland_simplex, T, basis, cost)
+                == kernel_outcome(reference_tableau_simplex, T, basis, cost))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp_problems())
+@hypothesis.example((np.array([1.0, 0.0]), np.ones((2, 2)), np.ones(2),
+                     np.zeros((0, 2)), np.zeros(0)))
+@hypothesis.example((np.full(5, -2.0),
+                     np.array([[-1.0, -1, 0, 1, -1], [-2, -1, 1, -1, -1], [-1, -1, -1, -1, -1]]),
+                     np.array([0.0, 1, -1]), np.full((1, 5), -2.0), np.array([-1.0])))
+def test_pivots_match_reference_tableau_kernel(problem):
+    """Both phases' kernel calls, with their ties, degenerate pivots and
+    repeated rows, pivot as the numpy kernel did, to the tableau's bytes."""
+    hypothesis.assume(problem[1].shape[0] + problem[3].shape[0] > 0)  # no rows, no kernel
+    assert_same_pivots(kernel_inputs(lambda: solve_lp(*problem)))
+
+
+def test_overflowing_lp_raises_as_reference_tableau_kernel():
+    """Finite entries far apart in scale overflow the tableau to nan in phase
+    1. The numpy kernel raised ValueError at its ratio test there, and so does
+    the kernel, where skipping the nan row would have called the LP optimal."""
+    c = np.array([-0.13676066155368607, -0.5660619104484755, -0.4807114691267835,
+                  1.121440716435157])
+    A_ub = np.array([[6.679983152472919e+254, -1.8626307079662986e+176,
+                      3.3955676109815215e+158, -8.886257092770587e+228],
+                     [3.1099663681276866e+252, 5.1330353508684666e+135,
+                      9.123195385949173e-35, 6.561309462292073e+254],
+                     [1.4837691073890149e+141, 2.543522329827279e+266,
+                      -6.277741699652948e+62, -2.056119707123337e+204]])
+    b_ub = np.array([-2.0333373147886493e-164, 8.667981017354717e-86, 1.559531628210368e+90])
+
+    def run():
+        with pytest.raises(ValueError, match="overflow"):
+            solve_lp(c, A_ub=A_ub, b_ub=b_ub)
+
+    with np.errstate(all="ignore"):
+        calls = kernel_inputs(run)
+        assert_same_pivots(calls)
+        assert kernel_outcome(linprog._bland_simplex, *calls[-1])[0] == "ValueError"
+
+
 def region_model_a(rng) -> Instance:
     """Shaped like the benchmark's region model (a): M = 3, four binary
     sources, all 15 nonempty actions, sources {1..4} available with
@@ -205,32 +277,54 @@ def region_model_a(rng) -> Instance:
         "budgets": [{"coeff": [1.0] * 4, "rate": 1.5}]})
 
 
+def straddling_queries(rng, table, poly) -> list[np.ndarray]:
+    """Eight exponent tuples t * D along one random direction D, with t drawn
+    from 0.8 to 1.2 times the largest achievable, so they straddle the
+    non-adaptive region's boundary."""
+    pairs, rows = table.pair_rows()
+    D = rng.uniform(0.2, 1.0, size=(3, 3))
+    np.fill_diagonal(D, 0.0)
+    # Largest t with t * D achievable, by HiGHS.
+    targets = np.array([D[m, t] for m, t in pairs])
+    res = scipy_lp(np.append(np.zeros(poly.dim), -1.0),
+                   A_eq=np.hstack([poly.eq_matrix, np.zeros((len(poly.eq_rhs), 1))]),
+                   b_eq=poly.eq_rhs,
+                   A_ub=np.vstack([np.hstack([poly.budget_matrix, [[0.0]]]),
+                                   np.hstack([-rows, targets[:, None]])]),
+                   b_ub=np.append(poly.budget_rhs, np.zeros(len(pairs))),
+                   bounds=[(0, None)] * (poly.dim + 1), method="highs")
+    return [u * -res.fun * D for u in rng.uniform(0.8, 1.2, size=8)]
+
+
+@pytest.fixture(scope="module")
+def model_a():
+    inst = region_model_a(np.random.default_rng(13))
+    return build_instance_table(inst), build_polytope(inst.avail, inst.actions, inst.budgets)
+
+
 def test_nonadaptive_queries_match_reference_kernel(monkeypatch):
     rng = np.random.default_rng(13)
     inst = region_model_a(rng)
     table = build_instance_table(inst)
     poly = build_polytope(inst.avail, inst.actions, inst.budgets)
-    pairs, rows = table.pair_rows()
-    queries = []
-    for _ in range(40):
-        D = rng.uniform(0.2, 1.0, size=(3, 3))
-        np.fill_diagonal(D, 0.0)
-        # Largest t with t * D achievable, by HiGHS; queries straddle it.
-        targets = np.array([D[m, t] for m, t in pairs])
-        res = scipy_lp(np.append(np.zeros(poly.dim), -1.0),
-                       A_eq=np.hstack([poly.eq_matrix, np.zeros((len(poly.eq_rhs), 1))]),
-                       b_eq=poly.eq_rhs,
-                       A_ub=np.vstack([np.hstack([poly.budget_matrix, [[0.0]]]),
-                                       np.hstack([-rows, targets[:, None]])]),
-                       b_ub=np.append(poly.budget_rhs, np.zeros(len(pairs))),
-                       bounds=[(0, None)] * (poly.dim + 1), method="highs")
-        queries += [u * -res.fun * D for u in rng.uniform(0.8, 1.2, size=8)]
+    queries = [e for _ in range(40) for e in straddling_queries(rng, table, poly)]
     mine = [nonadaptive_feasibility(e, table, poly) for e in queries]
     monkeypatch.setattr(region, "solve_lp", reference_solve_lp)
     for e, got in zip(queries, mine):
         assert_same_result(got, nonadaptive_feasibility(e, table, poly))
     statuses = [r.status for r in mine]
     assert 50 < statuses.count("optimal") < 270, statuses.count("optimal")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_query_pivots_match_reference_tableau_kernel(model_a, seed):
+    """Model (a)'s query LPs, 32 frequencies and about 24 pivots each, pivot
+    as the numpy kernel did, to the tableau's bytes."""
+    table, poly = model_a
+    queries = straddling_queries(np.random.default_rng(seed), table, poly)
+    assert_same_pivots(kernel_inputs(
+        lambda: [nonadaptive_feasibility(e, table, poly) for e in queries]))
 
 
 def test_zero_objective_runs_phase_one_only(monkeypatch):

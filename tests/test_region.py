@@ -14,6 +14,7 @@ from scipy.special import logsumexp as scipy_logsumexp
 from aseq.divergence import build_instance_table, exponent, kl
 from aseq.errors import (DimensionMismatch, InfeasiblePolytope, SupportMismatch,
                          UnsupportedDimension)
+from aseq.linprog import solve_lp
 from aseq.model import ActionSpace, AvailabilityDist, BudgetSpec, Instance
 from aseq.region import (ConstraintPolytope, TuncelOptions, build_polytope, compute_region,
                          decision_risk_exponents, enumerate_vertices,
@@ -1045,21 +1046,55 @@ def test_slice_unsupported_dimension(example):
         individual_hypothesis_region_slice(region, {0: 0.1, 1: 0.2})
 
 
+LP_ARGS = ("c", "A_eq", "b_eq", "A_ub", "b_ub")
+
+
+def _lp_with(name: str, bad: float) -> dict:
+    """A feasible two-variable LP with one entry of argument ``name`` bad."""
+    args = dict(c=np.ones(2), A_eq=np.ones((1, 2)), b_eq=np.ones(1),
+                A_ub=np.eye(2), b_ub=np.ones(2))
+    args[name].flat[0] = bad
+    return args
+
+
+@pytest.fixture(scope="module")
+def flat_sub():
+    """Declared 0 of ``flat_corner_instance``: no facets, so membership is the
+    corner LP."""
+    inst = flat_corner_instance()
+    sub = region_polytope(build_instance_table(inst),
+                          build_polytope(inst.avail, inst.actions, inst.budgets), 0)
+    assert sub.facets is None
+    return sub
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("entry", ["region_slice", "nonadaptive_slice", "tuncel_slice",
                                    "membership", "nonadaptive_membership",
-                                   "tuncel_membership"])
-def test_non_finite_exponents_refused(example, entry, bad):
-    """A non-finite fixed value or exponent entry raises ValueError with no
-    numpy warning. Unchecked, nan clipped nothing from the adaptive slice,
-    inf emptied the fixed-length slice with warnings, the shared-frequency
-    LP failed inside the simplex and the fixed-length verdict had lower=nan."""
+                                   "tuncel_membership", "sub_membership_facet",
+                                   "sub_membership_flat", "sub_margin_facet", "sub_margin_flat"]
+                         + [f"solve_lp-{name}" for name in LP_ARGS])
+def test_non_finite_exponents_refused(example, flat_sub, entry, bad):
+    """A non-finite fixed value, exponent entry or LP entry raises ValueError
+    with no numpy warning. Unchecked, nan clipped nothing from the adaptive
+    slice, inf emptied the fixed-length slice with warnings, the
+    shared-frequency LP failed inside the simplex, the fixed-length verdict
+    had lower=nan, a nan coordinate was outside a facet sub-region and
+    failed inside the simplex on a flat one, and solve_lp called an LP with
+    a nan or inf in c or a matrix, or an inf in b, optimal."""
     inst, table, poly = example
     beta = np.array([0.5, 0.5])
     e = np.full((3, 3), 0.1)
     np.fill_diagonal(e, 0.0)
     e[0, 1] = bad
+    e_sub = np.array([bad, 0.1, 0.1])
     call = {
+        "sub_membership_facet": lambda: compute_region(table, poly).per_m[0].contains(e_sub[:2]),
+        "sub_membership_flat": lambda: flat_sub.contains(e_sub),
+        "sub_margin_facet": lambda: compute_region(table, poly).per_m[0].margin(e_sub[:2]),
+        "sub_margin_flat": lambda: flat_sub.margin(e_sub),
+        **{f"solve_lp-{name}": lambda name=name: solve_lp(**_lp_with(name, bad))
+           for name in LP_ARGS},
         "region_slice": lambda: individual_hypothesis_region_slice(
             compute_region(table, poly), {2: bad}),
         "nonadaptive_slice": lambda: nonadaptive_slice(table, poly, {2: bad}),
@@ -1069,8 +1104,10 @@ def test_non_finite_exponents_refused(example, entry, bad):
         "tuncel_membership": lambda: tuncel_membership(e, inst.model, beta)}[entry]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="finite") as raised:
             call()
+    if entry.startswith("solve_lp-"):
+        assert str(raised.value).startswith(entry.removeprefix("solve_lp-") + " ")
 
 
 @pytest.mark.parametrize("value", [-0.5, -1e308])
