@@ -340,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out", default=None)
     r.add_argument("--slice", default=None, metavar="eK=V")
     r.add_argument("--beta-sources", default=None,
-                   help="per-source proportions for the fixed-length family "
-                        "(comma list; default uniform)")
+                   help="per-source proportions for the fixed-length family, "
+                        "each in [0, 1] (comma list; default uniform)")
     r.set_defaults(fn=cmd_region)
 
     s = subs.add_parser("simulate", help="Monte Carlo error estimation")

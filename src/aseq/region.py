@@ -429,9 +429,10 @@ def decision_risk_exponents(table: DivergenceTable, poly: ConstraintPolytope
 class TuncelOptions:
     """Controls of the fixed-length dual evaluator: ``grid_step`` is the step
     of the grid scanned first (coarsened to fit ``_GRID_CELLS``: at the default
-    step, from M = 5 on),
-    ``descent_iters`` caps the Newton steps taken after it while the verdict
-    is unresolved, and ``descent_starts`` is accepted and unused."""
+    step, from M = 5 on), and the dual is reused while it, the model and the
+    proportions stay the same; ``descent_iters`` caps the Newton steps taken
+    after the scan while the verdict is unresolved, read on each call, so it
+    leaves the dual reused; ``descent_starts`` is accepted and unused."""
 
     grid_step: float = 0.05
     descent_starts: int = 6
@@ -537,15 +538,16 @@ class _TuncelDual:
     h_m(P) - eps_f[m] is the gradient of g_f (up to a constant).
     """
 
-    def __init__(self, Q, beta_sources: np.ndarray, options: TuncelOptions):
-        self.Q, self.iters = Q, options.descent_iters
+    def __init__(self, Q, beta_sources: np.ndarray, grid_step: float):
+        self.Q = Q
         # a copy: a reused dual must not see the caller's array change
         self.betas = np.array(beta_sources, dtype=float).reshape(-1)
         M, n = len(Q), len(self.betas)
         if n != len(Q[0]):
             raise DimensionMismatch("need one sampling proportion per source")
-        if not np.all(np.isfinite(self.betas) & (self.betas >= 0)):
-            raise ValueError("sampling proportions must be finite and nonnegative")
+        # tuncel_slice's bisection range, n times the largest KL, needs beta_j <= 1
+        if not np.all((self.betas >= 0) & (self.betas <= 1)):  # NaN fails too
+            raise ValueError(f"sampling proportions must lie in [0, 1], got {self.betas.tolist()}")
         self.sizes = [len(q) for q in Q[0]]
         self.logQ = np.full((n, M, max(self.sizes)), _LOG_ZERO)
         with np.errstate(divide="ignore"):
@@ -558,7 +560,7 @@ class _TuncelDual:
         self.image = self.assign.any(axis=1)  # [f, m]
         # F * comb(u + M - 1, M - 1) > F * u for M >= 2, so no u above
         # _GRID_CELLS // F fits, and starting there skips none that does
-        units = max(1, round(min(1.0 / options.grid_step, _GRID_CELLS // len(choices))))
+        units = max(1, round(min(1.0 / grid_step, _GRID_CELLS // len(choices))))
         while units > 1 and len(choices) * math.comb(units + M - 1, M - 1) > _GRID_CELLS:
             units -= 1
         self.grid = _simplex_grid(M, 1.0 / units)
@@ -603,27 +605,27 @@ class _TuncelDual:
         step = _kkt_solve(kkt, rhs)[:, :M, 0]
         return step / np.maximum(1.0, np.abs(step).max(axis=1))[:, None]
 
-    def bounds(self, e: np.ndarray):
+    def bounds(self, e: np.ndarray, iters: int):
         """(lower, upper, witness) for each target matrix of the stack e
         (K, M, M): the witness is the tilt of least slack seen and upper its
         slack, computed from the same h as the search (the tests' slow
         objective gives the same value to rounding). A grid scan for every
-        target and f at once, then damped Newton steps on each f with
-        g_f < 0 and an open duality gap, until lower >= 0 or a tilt's slack
-        below -1e-9 settles the target's verdict. Each target's rows take the
-        steps of a call on that target alone: a settled target's rows leave
-        the active ones, every target has ``descent_iters`` steps, and
+        target and f at once, then up to ``iters`` damped Newton steps on each
+        f with g_f < 0 and an open duality gap, until lower >= 0 or a tilt's
+        slack below -1e-9 settles the target's verdict. Each target's rows
+        take the steps of a call on that target alone: a settled target's
+        rows leave the active ones, every target has ``iters`` steps, and
         ``_tilt`` computes each row without regard to the rows beside it. A
         single (M, M) target is a stack of one and gets floats and 1-D
         witness arrays."""
         if e.ndim == 2:
-            lower, upper, p = self._bounds(e[None])
+            lower, upper, p = self._bounds(e[None], iters)
             return (float(lower[0]), float(upper[0]),
                     tuple(p[0, j, :k].copy() for j, k in enumerate(self.sizes)))
-        lower, upper, p = self._bounds(e)
+        lower, upper, p = self._bounds(e, iters)
         return lower, upper, tuple(p[:, j, :k].copy() for j, k in enumerate(self.sizes))
 
-    def _bounds(self, e: np.ndarray):
+    def _bounds(self, e: np.ndarray, iters: int):
         K, M, F = len(e), e.shape[1], len(self.assign)
         eps = np.where(self.assign, e[:, None], np.inf).min(axis=2)  # eps_f, inf off image
         eps0 = np.where(self.image, eps, 0.0)
@@ -634,26 +636,26 @@ class _TuncelDual:
         def at(rows, mu):
             c, h, p = self._tilt(mu)
             # h - eps is -inf off f's image, where eps is inf and h finite
-            return c - np.sum(mu * eps0[rows], axis=1), h - eps[rows], h, p
+            return c - (mu * eps0[rows]).sum(axis=1), h - eps[rows], h, p
 
         def objective(h, e_rows):
-            return np.min(h[..., None, :] - e_rows, axis=-1).max(axis=-1)
+            return (h[..., None, :] - e_rows).min(axis=-1).max(axis=-1)
 
         rows = np.arange(K * F)
         offsets = rows[::F]  # each target's first row
         # the grid points' tilts are cached; _tilt computes each row alone, so
         # a gathered row has the bits of a fresh tilt of that row
-        idx = np.argmax(g_grid, axis=2).reshape(-1)
+        idx = g_grid.argmax(axis=2).reshape(-1)
         mu, h, p = self.grid[idx], self.h_grid[idx], self.p_grid[idx]
-        g = self.c_grid[idx] - np.sum(mu * eps0, axis=1)
+        g = self.c_grid[idx] - (mu * eps0).sum(axis=1)
         slack = h - eps
         obj = objective(h.reshape(K, F, M), e_off[:, None])
         best_obj, best_p = obj.min(axis=1), p[obj.argmin(axis=1) + offsets]
         damp = np.ones(K * F)
-        for it in range(self.iters + 1):  # the pass after the last step takes lower
+        for it in range(iters + 1):  # the pass after the last step takes lower
             lower = g.reshape(K, F).min(axis=1)
             open_ = (lower < 0) & (best_obj >= -1e-9)  # both finite
-            if it == self.iters or not np.count_nonzero(open_):
+            if it == iters or not np.count_nonzero(open_):
                 break
             act = rows[(g < 0) & (damp > 1e-9) & (slack.max(axis=1) - g > 1e-13)
                        & open_.repeat(F)]
@@ -684,26 +686,25 @@ class _TuncelDual:
 
 
 # The last dual built and the exact content it was built from: one slot, so
-# a batch of queries on one model, proportion and options builds it once.
+# a batch of queries on one model, proportion and grid step builds it once.
 _last_dual: tuple[tuple, _TuncelDual] | None = None
 
 
-def _dual_for(model: JointModel, beta_sources: np.ndarray,
-              options: TuncelOptions) -> _TuncelDual:
+def _dual_for(model: JointModel, beta_sources: np.ndarray, grid_step: float) -> _TuncelDual:
     """The dual of ``model`` at ``beta_sources``, reused while the content
     matches: M, the alphabet, every pmf's shape and float64 bytes, the
-    proportions' shape and float64 bytes, and the options. A pmf changed in
+    proportions' shape and float64 bytes, and the grid step. A pmf changed in
     place gets a new dual; a model or proportion the dual refuses is never
     stored, so it raises on every call."""
     global _last_dual
     betas = np.asarray(beta_sources, dtype=np.float64)
     key = (model.M, model.alphabet,
            tuple((p.shape, np.asarray(p, dtype=np.float64).tobytes()) for p in model.pmfs),
-           betas.shape, betas.tobytes(), options)
+           betas.shape, betas.tobytes(), grid_step)
     memo = _last_dual
     if memo is not None and memo[0] == key:
         return memo[1]
-    dual = _TuncelDual(source_marginals(model), betas, options)
+    dual = _TuncelDual(source_marginals(model), betas, grid_step)
     _last_dual = (key, dual)
     return dual
 
@@ -718,7 +719,9 @@ def tuncel_membership(exponents: np.ndarray, model: JointModel,
     "in" is certified by the dual lower bound, "out" comes with a witness
     whose slack is below -1e-9, and "unresolved" is the band between."""
     e = _as_matrix(exponents, model.M)
-    lower, upper, witness = _dual_for(model, beta_sources, options or TuncelOptions()).bounds(e)
+    options = options or TuncelOptions()
+    lower, upper, witness = _dual_for(model, beta_sources, options.grid_step).bounds(
+        e, options.descent_iters)
     if lower >= 0.0:
         return TuncelResult("in", lower, upper, None)
     if upper < -1e-9:
@@ -910,8 +913,11 @@ def tuncel_slice(model: JointModel, beta_sources: np.ndarray,
     are the same floats."""
     if model.M != 3 or len(fixed) != 1:
         raise UnsupportedDimension("fixed-length slices cover M=3 with one fixed axis")
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     k, v, i, j = _slice_axes(fixed)
-    dual = _dual_for(model, beta_sources, options or TuncelOptions())
+    options = options or TuncelOptions()
+    dual = _dual_for(model, beta_sources, options.grid_step)
     Q = dual.Q
     top = max(kl(Q[a][jj], Q[b][jj]) for a in range(3) for b in range(3)
               for jj in range(model.n) if a != b) * model.n
@@ -922,7 +928,8 @@ def tuncel_slice(model: JointModel, beta_sources: np.ndarray,
         e = np.empty((len(points), 3))
         e[:, k] = v
         e[:, [i, j]] = points
-        return (dual.bounds(np.repeat(e[:, None, :], 3, axis=1))[0] >= 0.0).tolist()
+        return (dual.bounds(np.repeat(e[:, None, :], 3, axis=1), options.descent_iters)[0]
+                >= 0.0).tolist()
 
     x_max, = _bisect_certified(certified, [((0.0, 0.0), lambda x: (x, 0.0))], top)
     if x_max is None:

@@ -741,13 +741,14 @@ def reference_newton(dual, p, slack, free):
     return step / np.maximum(1.0, np.abs(step).max(axis=1))[:, None]
 
 
-def reference_bounds(dual, e: np.ndarray) -> tuple[float, float, tuple[np.ndarray, ...]]:
+def reference_bounds(dual, e: np.ndarray,
+                     iters: int) -> tuple[float, float, tuple[np.ndarray, ...]]:
     """The one-target ``_TuncelDual.bounds`` that the stacked one replaced:
     (lower, upper, witness) for the target matrix e, the witness the tilt of
     least slack seen and upper its slack. A grid scan for every f at once,
     then, until lower >= 0 or a tilt's slack below -1e-9 settles the
-    verdict, damped Newton steps on each f with g_f < 0 and an open duality
-    gap."""
+    verdict, at most ``iters`` damped Newton steps on each f with g_f < 0
+    and an open duality gap."""
     eps = np.where(dual.assign, e[None], np.inf).min(axis=1)  # eps_f, inf off image
     eps0 = np.where(dual.image, eps, 0.0)
     e_off = np.where(np.eye(len(e), dtype=bool), -np.inf, e)
@@ -769,7 +770,7 @@ def reference_bounds(dual, e: np.ndarray) -> tuple[float, float, tuple[np.ndarra
     # row replace the witness by a tilt whose slack is not upper.
     best_obj, best_p = obj.min(), p[np.argmin(obj)].copy()
     damp = np.ones(len(rows))
-    for _ in range(dual.iters):
+    for _ in range(iters):
         if g.min() >= 0 or best_obj < -1e-9:
             break
         act = rows[(g < 0) & (damp > 1e-9) & (slack.max(axis=1) - g > 1e-13)]
@@ -800,7 +801,8 @@ def reference_tuncel_slice(model: JointModel, beta_sources: np.ndarray,
     if model.M != 3 or len(fixed) != 1:
         raise UnsupportedDimension("fixed-length slices cover M=3 with one fixed axis")
     k, v, i, j = _slice_axes(fixed)
-    dual = _dual_for(model, beta_sources, options or TuncelOptions())
+    options = options or TuncelOptions()
+    dual = _dual_for(model, beta_sources, options.grid_step)
     Q = dual.Q
 
     def feasible(x: float, y: float) -> bool:
@@ -808,7 +810,7 @@ def reference_tuncel_slice(model: JointModel, beta_sources: np.ndarray,
         e[k], e[i], e[j] = v, x, y
         # Per-truth exponents: demanding e_m of every declared hypothesis is
         # the easiest tuple consistent with a per-truth floor of e_m.
-        return reference_bounds(dual, np.tile(e, (3, 1)))[0] >= 0.0
+        return reference_bounds(dual, np.tile(e, (3, 1)), options.descent_iters)[0] >= 0.0
 
     top = max(kl(Q[a][jj], Q[b][jj]) for a in range(3) for b in range(3)
               for jj in range(model.n) if a != b) * model.n

@@ -304,8 +304,12 @@ def test_slice_bad_spec(tmp_path, capsys, spec):
     assert len(err.splitlines()) == 1 and repr(spec) in err
 
 
-@pytest.mark.parametrize("spec", ["abc", "0.5", "-1,2", "nan,1", "inf,0"])
+@pytest.mark.parametrize("spec", ["abc", "0.5", "-1,2", "nan,1", "inf,0",
+                                  "1.5,0.5", "1e6,1e6", "1e308,1e308"])
 def test_slice_bad_beta_sources(capsys, spec):
+    """Each is refused with one line. A proportion is at most 1: 1e6,1e6
+    exited 0 with a slice clipped at the bisection's cap, and 1e308,1e308
+    also warned of an invalid value in the tilt."""
     assert main(["region", "--model", MODEL, "--slice", "e2=0.3",
                  f"--beta-sources={spec}"]) == 2
     err = capsys.readouterr().err.strip()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.special import logsumexp as scipy_logsumexp
 
+import aseq.region
 from aseq.divergence import build_instance_table, exponent, kl
 from aseq.errors import (DimensionMismatch, InfeasiblePolytope, SupportMismatch,
                          UnsupportedDimension)
@@ -33,6 +34,8 @@ from conftest import (ReferenceTuncelEvaluator, ReferenceTuncelOptions, _tuncel_
                       reference_nonadaptive_slice, reference_staircase_2d,
                       reference_tuncel_slice, two_set_instance)
 from test_model import P01, P02, P11, P12, P21, P22
+
+DEFAULT = TuncelOptions()
 
 
 @pytest.fixture(scope="module")
@@ -622,8 +625,8 @@ def test_tuncel_dual_same_with_scipy_logsumexp(example, c3_tuples, monkeypatch):
 
     def run():
         monkeypatch.setattr("aseq.region._last_dual", None)
-        dual = _TuncelDual(Q, beta, TuncelOptions())
-        return ([dual.bounds(e) for e in c3_tuples],
+        dual = _TuncelDual(Q, beta, DEFAULT.grid_step)
+        return ([dual.bounds(e, DEFAULT.descent_iters) for e in c3_tuples],
                 tuncel_slice(inst.model, beta, {2: 0.3}).points)
 
     ours, ours_slice = run()
@@ -637,7 +640,8 @@ def test_tuncel_dual_same_with_scipy_logsumexp(example, c3_tuples, monkeypatch):
 
 def _fresh_membership(e, model, beta, options):
     """tuncel_membership's verdict from a dual built for this call alone."""
-    lower, upper, witness = _TuncelDual(source_marginals(model), beta, options).bounds(e)
+    dual = _TuncelDual(source_marginals(model), beta, options.grid_step)
+    lower, upper, witness = dual.bounds(e, options.descent_iters)
     status = "in" if lower >= 0 else "out" if upper < -1e-9 else "unresolved"
     return status, lower, upper, None if status == "in" else witness
 
@@ -659,8 +663,9 @@ def test_tuncel_memo_matches_fresh_dual(example, c3_tuples):
     Q = source_marginals(inst.model)
     for e in c3_tuples:
         res = tuncel_membership(e, inst.model, beta)
-        _same_result(res, _fresh_membership(e, inst.model, beta, TuncelOptions()))
-        lower, upper, witness = _TuncelDual(Q, beta, TuncelOptions()).bounds(e)
+        _same_result(res, _fresh_membership(e, inst.model, beta, DEFAULT))
+        lower, upper, witness = _TuncelDual(Q, beta, DEFAULT.grid_step).bounds(
+            e, DEFAULT.descent_iters)
         assert abs(upper - _tuncel_objective(list(witness), Q, beta, e)[0]) <= 1e-12
 
 
@@ -686,8 +691,8 @@ def test_tuncel_memo_never_stale(example, c3_tuples, monkeypatch):
         _same_result(tuncel_membership(e, other, betas[1], options[0]),
                      _fresh_membership(e, other, betas[1], options[0]))
     mine = betas[0].copy()
-    dual = _dual_for(inst.model, mine, options[0])
-    assert _dual_for(inst.model, betas[0].copy(), options[0]) is dual
+    dual = _dual_for(inst.model, mine, options[0].grid_step)
+    assert _dual_for(inst.model, betas[0].copy(), options[0].grid_step) is dual
     mine[...] = betas[1]  # the stored dual keeps its own copy of the proportions
     _same_result(tuncel_membership(tuples[2], inst.model, betas[0], options[0]),
                  _fresh_membership(tuples[2], inst.model, betas[0], options[0]))
@@ -700,6 +705,73 @@ def test_tuncel_memo_never_stale(example, c3_tuples, monkeypatch):
     monkeypatch.setattr("aseq.region._last_dual", None)
     fresh = tuncel_slice(inst.model, betas[1], {2: 0.3}, samples=3, options=options[1])
     assert np.array_equal(sliced.points, fresh.points)
+
+
+def test_tuncel_memo_shared_across_newton_caps(example, c3_tuples, monkeypatch):
+    """Options that differ only in descent_iters or descent_starts share one
+    dual, and another grid step builds a new one. A slice at one Newton cap
+    and queries at another, in either order, answer as fresh duals do, bit
+    for bit; on one dual, a cap of 0 after a cap of 400 answers as a fresh
+    dual does at 0."""
+    model, beta = example[0].model, np.array([0.5, 0.5])
+    sliced = TuncelOptions(grid_step=0.1, descent_starts=3, descent_iters=120)
+    queried = TuncelOptions(grid_step=0.1, descent_starts=4, descent_iters=80)
+    tuples = c3_tuples[:40] + [c3_tuples[63]]
+    fresh = [_fresh_membership(e, model, beta, queried) for e in tuples]
+    monkeypatch.setattr("aseq.region._last_dual", None)
+    fresh_points = tuncel_slice(model, beta, {2: 0.3}, samples=3, options=sliced).points
+    for slice_first in (True, False):
+        monkeypatch.setattr("aseq.region._last_dual", None)
+        if slice_first:
+            points = tuncel_slice(model, beta, {2: 0.3}, samples=3, options=sliced).points
+        results = [tuncel_membership(e, model, beta, queried) for e in tuples]
+        dual = aseq.region._last_dual[1]
+        if not slice_first:
+            points = tuncel_slice(model, beta, {2: 0.3}, samples=3, options=sliced).points
+        assert aseq.region._last_dual[1] is dual
+        assert points.shape == fresh_points.shape and points.tobytes() == fresh_points.tobytes()
+        for res, ref in zip(results, fresh):
+            _same_result(res, ref)
+    for opts in (TuncelOptions(grid_step=0.1, descent_iters=0),
+                 TuncelOptions(grid_step=0.1, descent_starts=1, descent_iters=80)):
+        tuncel_membership(tuples[0], model, beta, opts)
+        assert aseq.region._last_dual[1] is dual
+    tuncel_membership(tuples[0], model, beta, TuncelOptions(grid_step=0.2, descent_iters=80))
+    assert aseq.region._last_dual[1] is not dual
+    E = np.array(tuples)
+    long_run = dual.bounds(E, 400)
+    zero = dual.bounds(E, 0)
+    assert not np.array_equal(zero[0], long_run[0])
+    fresh_zero = _TuncelDual(source_marginals(model), beta, 0.1).bounds(E, 0)
+    for k in range(len(E)):
+        _same_bounds(zero, k, (float(fresh_zero[0][k]), float(fresh_zero[1][k]),
+                               [w[k] for w in fresh_zero[2]]))
+
+
+@pytest.mark.parametrize("bad", [1.5, 1e6, 1e308, -0.1, np.inf, np.nan])
+def test_tuncel_refuses_proportions_outside_unit_interval(example, bad):
+    """A proportion outside [0, 1] is refused by the dual, and so by every
+    query and slice: the slice's bisection range, n times the largest KL,
+    holds only for proportions up to 1, and at 1e6 the slice came back
+    clipped at it, at 1e308 with a RuntimeWarning from the tilt."""
+    model, beta = example[0].model, np.array([0.5, bad])
+    Q = source_marginals(model)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        _TuncelDual(Q, beta, DEFAULT.grid_step)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        tuncel_membership(np.zeros((3, 3)), model, beta)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        tuncel_slice(model, beta, {2: 0.3})
+    _TuncelDual(Q, np.array([0.0, 1.0]), DEFAULT.grid_step)  # the ends are proportions
+
+
+@pytest.mark.parametrize("samples", [0, -1, 2.5, True, "3", None])
+def test_tuncel_slice_refuses_bad_samples(example, samples):
+    """A sample count that is not an integer >= 1 is refused by name: 0
+    returned an empty slice, which reads as nothing certified, -1 raised
+    numpy's linspace message and 2.5 a bare TypeError."""
+    with pytest.raises(ValueError, match="samples"):
+        tuncel_slice(example[0].model, np.array([0.5, 0.5]), {2: 0.3}, samples=samples)
 
 
 def test_tuncel_slice_points_certified_in(example):
@@ -745,11 +817,11 @@ def test_tuncel_stacked_bounds_match_reference(seed, M, n, K, iters, grid_step):
     E = distinct[rng.integers(0, K, size=K)]
     for e in E:
         np.fill_diagonal(e, 0.0)
-    dual = _TuncelDual(Q, beta, TuncelOptions(grid_step=grid_step, descent_iters=iters))
-    stacked = dual.bounds(E)
+    dual = _TuncelDual(Q, beta, grid_step)
+    stacked = dual.bounds(E, iters)
     for k, e in enumerate(E):
-        _same_bounds(stacked, k, reference_bounds(dual, e))
-        _same_bounds(stacked, k, dual.bounds(e))
+        _same_bounds(stacked, k, reference_bounds(dual, e, iters))
+        _same_bounds(stacked, k, dual.bounds(e, iters))
 
 
 @settings(max_examples=60, deadline=None)
@@ -763,7 +835,7 @@ def test_tuncel_tilt_row_independent_of_stack(seed, M, n, R):
     rng = np.random.default_rng(seed)
     sizes = rng.integers(2, 5, size=n)
     Q = [[rng.dirichlet(np.ones(k)) for k in sizes] for _ in range(M)]
-    dual = _TuncelDual(Q, rng.dirichlet(np.ones(n)), TuncelOptions(grid_step=0.5))
+    dual = _TuncelDual(Q, rng.dirichlet(np.ones(n)), 0.5)
     mu = rng.dirichlet(np.ones(M), size=R) * (rng.random((R, M)) < 0.8)
     mu[mu.sum(axis=1) == 0, 0] = 1.0
     mu /= mu.sum(axis=1, keepdims=True)
@@ -784,7 +856,7 @@ def test_tuncel_grid_cache_is_each_rows_tilt(seed, M, n, grid_step):
     rng = np.random.default_rng(seed)
     sizes = rng.integers(2, 5, size=n)
     Q = [[rng.dirichlet(np.ones(k)) for k in sizes] for _ in range(M)]
-    dual = _TuncelDual(Q, rng.dirichlet(np.ones(n)), TuncelOptions(grid_step=grid_step))
+    dual = _TuncelDual(Q, rng.dirichlet(np.ones(n)), grid_step)
     cache = (dual.c_grid, dual.h_grid, dual.p_grid)
     assert all(len(a) == len(dual.grid) and not a.flags.writeable for a in cache)
     for i in range(len(dual.grid)):
@@ -805,26 +877,28 @@ def test_tuncel_query_settled_on_grid_tilts_nothing(example, c3_tuples, monkeypa
     the dual's cache: no _tilt call, and the one-target reference, which
     tilts on every pass, gives the same bits."""
     Q = source_marginals(example[0].model)
-    dual = _TuncelDual(Q, np.array([0.5, 0.5]), TuncelOptions())
+    dual = _TuncelDual(Q, np.array([0.5, 0.5]), DEFAULT.grid_step)
     E = np.array(c3_tuples[:15])
     tilts = _count_calls(monkeypatch, "_tilt")
-    stacked = dual.bounds(E)
+    stacked = dual.bounds(E, DEFAULT.descent_iters)
     assert tilts == []
     lower, upper, _ = stacked
     assert np.any(lower >= 0) and np.any(upper < -1e-9)
     for k, e in enumerate(E):
-        _same_bounds(stacked, k, reference_bounds(dual, e))
+        _same_bounds(stacked, k, reference_bounds(dual, e, DEFAULT.descent_iters))
 
 
 def test_tuncel_newton_steps_leave_grid_cache(example, c3_tuples, monkeypatch):
     """Criterion 3's tuple 63 takes a Newton step from its grid point; the
     step updates the query's own copies, never the cached grid tilts."""
     Q = source_marginals(example[0].model)
-    dual = _TuncelDual(Q, np.array([0.5, 0.5]), TuncelOptions())
+    dual = _TuncelDual(Q, np.array([0.5, 0.5]), DEFAULT.grid_step)
     cache = (dual.grid, dual.c_grid, dual.h_grid, dual.p_grid)
     before = [a.tobytes() for a in cache]
     steps = _count_calls(monkeypatch, "_newton")
-    _same_bounds(dual.bounds(c3_tuples[63][None]), 0, reference_bounds(dual, c3_tuples[63]))
+    iters = DEFAULT.descent_iters
+    _same_bounds(dual.bounds(c3_tuples[63][None], iters), 0,
+                 reference_bounds(dual, c3_tuples[63], iters))
     assert steps
     assert [a.tobytes() for a in cache] == before
 
@@ -836,7 +910,7 @@ def test_tuncel_singular_kkt_takes_pinv_step():
     pinv step, bit for bit. Stacked with two nonsingular systems (one of the
     twin coordinates held), each row gets the step it gets alone."""
     q, r = np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.3, 0.1])
-    dual = _TuncelDual([[q], [q.copy()], [r]], np.array([1.0]), TuncelOptions(grid_step=0.5))
+    dual = _TuncelDual([[q], [q.copy()], [r]], np.array([1.0]), 0.5)
     p = dual._tilt(np.array([[0.3, 0.3, 0.4]] * 3))[2]
     slack = np.array([[0.3, -0.2, 0.1]] * 3)
     free = np.array([[True, True, True], [True, False, True], [False, True, True]])
@@ -936,7 +1010,7 @@ def test_tuncel_grid_unchanged_for_valid_steps(M, grid_step):
     unit-by-unit search from 1 / grid_step gave."""
     rng = np.random.default_rng(M)
     Q = [[rng.dirichlet(np.ones(3))] for _ in range(M)]
-    dual = _TuncelDual(Q, np.array([1.0]), TuncelOptions(grid_step=grid_step))
+    dual = _TuncelDual(Q, np.array([1.0]), grid_step)
     units = _reference_units(M, len(dual.assign), grid_step)
     assert np.array_equal(dual.grid, _simplex_grid(M, 1.0 / units))
 
@@ -947,9 +1021,9 @@ def test_tuncel_fine_grid_step_finishes():
     step took before."""
     Q = [[np.array([0.2, 0.8])], [np.array([0.5, 0.5])], [np.array([0.7, 0.3])]]
     start = time.perf_counter()
-    fine = _TuncelDual(Q, np.array([1.0]), TuncelOptions(grid_step=1e-9))
+    fine = _TuncelDual(Q, np.array([1.0]), 1e-9)
     assert time.perf_counter() - start < 20
-    coarse = _TuncelDual(Q, np.array([1.0]), TuncelOptions(grid_step=1e-4))
+    coarse = _TuncelDual(Q, np.array([1.0]), 1e-4)
     assert np.array_equal(fine.grid, coarse.grid)
     assert len(fine.assign) * len(fine.grid) <= _GRID_CELLS
 
@@ -963,16 +1037,15 @@ def test_tuncel_stacked_bounds_criterion3(example, c3_tuples, grid_step, iters):
     Q = source_marginals(example[0].model)
     beta = np.array([0.5, 0.5])
     E = np.array(c3_tuples + c3_tuples[:100])
-    dual = _TuncelDual(Q, beta, TuncelOptions(grid_step=grid_step, descent_iters=iters))
-    stacked = dual.bounds(E)
-    refs = [reference_bounds(dual, e) for e in E]
+    dual = _TuncelDual(Q, beta, grid_step)
+    stacked = dual.bounds(E, iters)
+    refs = [reference_bounds(dual, e, iters) for e in E]
     for k, ref in enumerate(refs):
         _same_bounds(stacked, k, ref)
     lower, upper, _ = stacked
     status = np.where(lower >= 0, "in", np.where(upper < -1e-9, "out", "unresolved"))
     assert {"in", "out", "unresolved"} <= set(status.tolist())
-    longer = _TuncelDual(Q, beta, TuncelOptions(grid_step=grid_step, descent_iters=iters + 1))
-    moved = [reference_bounds(longer, e)[:2] != ref[:2] for e, ref in zip(E, refs)]
+    moved = [reference_bounds(dual, e, iters + 1)[:2] != ref[:2] for e, ref in zip(E, refs)]
     assert any(moved) and not all(moved)
 
 
@@ -984,8 +1057,8 @@ def test_tuncel_witness_attains_upper():
     Q = [[q / q.sum()] for q in (np.array([0.338, 0.004, 0.101, 0.558]),
                                  np.array([0.34, 0.146, 0.071, 0.442]))]
     beta, e = np.array([1.0]), np.array([[0.0, 0.0204], [0.113, 0.0]])
-    dual = _TuncelDual(Q, beta, TuncelOptions(grid_step=0.5, descent_iters=3))
-    for lower, upper, witness in (dual.bounds(e), reference_bounds(dual, e)):
+    dual = _TuncelDual(Q, beta, 0.5)
+    for lower, upper, witness in (dual.bounds(e, 3), reference_bounds(dual, e, 3)):
         assert lower <= upper
         assert abs(upper - _tuncel_objective(list(witness), Q, beta, e)[0]) <= 1e-12
 
@@ -1007,7 +1080,8 @@ def test_tuncel_slice_matches_sequential_reference(example, monkeypatch, case):
     ref = reference_tuncel_slice(model, beta, fixed, samples, options)
     calls = []
     stacked = _TuncelDual.bounds
-    monkeypatch.setattr(_TuncelDual, "bounds", lambda dual, e: calls.append(e) or stacked(dual, e))
+    monkeypatch.setattr(_TuncelDual, "bounds",
+                        lambda dual, e, iters: calls.append(e) or stacked(dual, e, iters))
     got = tuncel_slice(model, beta, fixed, samples, options)
     assert got.axes == ref.axes
     assert got.points.shape == ref.points.shape and got.points.tobytes() == ref.points.tobytes()
